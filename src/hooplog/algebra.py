@@ -11,12 +11,22 @@ bounded (EFQ), involutive (DNE), idempotent (CON).  Enumeration yields one
 representative per isomorphism class, chains before non-linear orders,
 sorted by canonical table form within each size; countermodel search walks
 that stream and returns the first falsifying (algebra, assignment).
+
+How a size is enumerated: the partial orders with bottom 0 are generated
+with the numeric order as a linear extension, and only the first of each
+isomorphism class is kept (an isomorphism of such orders fixes 0, so every
+algebra class first shows up on that labelling).  For each kept order the
+add table is filled cell by cell, by backtracking, with monotone candidates;
+after each placement only the associativity instances that read the new
+cell are checked.  Completed tables get their residuals derived, are
+verified by `check_class`, whose flags are kept with the algebra, and are
+merged by `canonical_key`, the first labelling found standing for its
+class.  Each size is enumerated once per process and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 
 from .syntax import (
@@ -53,15 +63,6 @@ class FiniteAlgebra:
 
     def geq(self, a: int, b: int) -> bool:
         return self.res[a][b] == 0
-
-    def labels(self) -> tuple[Fraction, ...] | None:
-        """Rational labels i/(size-1) when this is a chain, else None."""
-        n = self.size
-        if any(not self.geq(i, j) for i in range(n) for j in range(i)):
-            return None
-        if n == 1:
-            return (Fraction(0),)
-        return tuple(Fraction(i, n - 1) for i in range(n))
 
     def __repr__(self):
         return f"<FiniteAlgebra n={self.size} top={self.top}>"
@@ -213,11 +214,11 @@ def seq_holds(s: Sequent, m: FiniteAlgebra, v: Assignment) -> bool:
 
 def valid(s: Sequent, m: FiniteAlgebra) -> bool:
     """True iff the tensored context dominates the goal for all assignments."""
-    names = sorted(set().union(*(variables(f) for f in s.context), variables(s.goal)))
-    return all(seq_holds(s, m, v) for v in _assignments(names, m.size))
+    return falsifying_assignment(s, m) is None
 
 
 def falsifying_assignment(s: Sequent, m: FiniteAlgebra) -> Assignment | None:
+    """The first assignment, in `_assignments` order, under which s fails."""
     names = sorted(set().union(*(variables(f) for f in s.context), variables(s.goal)))
     for v in _assignments(names, m.size):
         if not seq_holds(s, m, v):
@@ -264,6 +265,23 @@ def _posets_with_bottom(n: int):
     yield from extend(leq, 1)
 
 
+def _poset_representatives(n: int):
+    """The first poset of each isomorphism class, in `_posets_with_bottom`
+    order.  Isomorphisms of posets with a bottom fix 0, and relabelling a
+    poset by the permutation p of its elements gives another poset of the
+    stream exactly when p lists them in a linear extension; those
+    relabellings are marked as seen when the class is first met."""
+    perms = [(0,) + p for p in permutations(range(1, n))]
+    seen = set()
+    for leq in _posets_with_bottom(n):
+        if leq in seen:
+            continue
+        yield leq
+        for p in perms:
+            if not any(leq[p[j]][p[i]] for j in range(n) for i in range(j)):
+                seen.add(tuple(tuple(leq[x][y] for y in p) for x in p))
+
+
 def _chain_poset(n: int):
     return tuple(tuple(i <= j for j in range(n)) for i in range(n))
 
@@ -276,6 +294,7 @@ def _complete_tables(n: int, leq) -> list[tuple]:
     add = [[0] * n for _ in range(n)]
     for a in range(n):
         add[0][a] = add[a][0] = a
+    filled = [[i == 0 or j == 0 for j in range(n)] for i in range(n)]
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     out: list[tuple] = []
 
@@ -300,24 +319,29 @@ def _complete_tables(n: int, leq) -> list[tuple]:
             if all(geq[c][v] for v in lo) and all(leq[c][v] for v in hi)
         ]
 
+    def holds(x, y, z):
+        # (x+y)+z == x+(y+z), or one of its four sums is still unknown
+        if not (filled[x][y] and filled[y][z]):
+            return True
+        xy, yz = add[x][y], add[y][z]
+        if not (filled[xy][z] and filled[x][yz]):
+            return True
+        return add[xy][z] == add[x][yz]
+
     def assoc_ok(i, j):
-        # check triples whose intermediate sums are all available
-        for x in range(n):
-            for y in range(n):
-                xy = add[x][y]
-                for z in range(n):
-                    yz = add[y][z]
-                    a1 = add[xy][z]
-                    a2 = add[x][yz]
-                    if _filled(x, y) and _filled(xy, z) and _filled(y, z) and _filled(x, yz):
-                        if a1 != a2:
+        # Every instance whose sums were all known before (i,j) was placed
+        # has been checked already; check those that read the new cell as
+        # x+y, y+z, (x+y)+z or x+(y+z).
+        for a, b in {(i, j), (j, i)}:
+            for t in range(n):
+                if not (holds(a, b, t) and holds(t, a, b)):
+                    return False
+            for x in range(n):
+                for y in range(n):
+                    if filled[x][y] and add[x][y] == a:
+                        if not (holds(x, y, b) and holds(b, x, y)):
                             return False
         return True
-
-    filled = [[True if (i == 0 or j == 0) else False for j in range(n)] for i in range(n)]
-
-    def _filled(i, j):
-        return filled[i][j]
 
     def place(k):
         if k == len(cells):
@@ -362,50 +386,80 @@ def _derive_res(n, add, leq, geq):
 
 def canonical_key(m: FiniteAlgebra) -> tuple:
     """Lexicographically minimal flattened (add, res, top) over carrier
-    permutations fixing 0."""
+    permutations fixing 0.  The permuted rows are built one at a time, and a
+    permutation is dropped as soon as a row exceeds the best key's row."""
     n = m.size
-    best = None
+    best: list | None = None
     for perm in permutations(range(1, n)):
         p = (0,) + perm
         inv = [0] * n
         for i, x in enumerate(p):
             inv[x] = i
-        add = tuple(
-            tuple(inv[m.add[p[i]][p[j]]] for j in range(n)) for i in range(n)
-        )
-        res = tuple(
-            tuple(inv[m.res[p[i]][p[j]]] for j in range(n)) for i in range(n)
-        )
-        top = inv[m.top] if m.top is not None else None
-        key = (add, res, -1 if top is None else top)
-        if best is None or key < best:
-            best = key
-    return best
+        key = []
+        tied = best is not None
+        for src in [m.add[x] for x in p] + [m.res[x] for x in p]:
+            row = tuple([inv[src[y]] for y in p])
+            if tied:
+                if row > best[len(key)]:
+                    break
+                tied = row == best[len(key)]
+            key.append(row)
+        else:
+            top = -1 if m.top is None else inv[m.top]
+            if not tied or top < best[-1]:
+                best = key + [top]
+    return tuple(best[:n]), tuple(best[n : 2 * n]), best[-1]
 
 
-_ENUM_CACHE: dict[tuple[int, bool], list[FiniteAlgebra]] = {}
+_ENUM_CACHE: dict[tuple[int, bool], list[tuple[FiniteAlgebra, frozenset[str]]]] = {}
 
 
-def _pocrims_of_size(n: int, chains_only: bool) -> list[FiniteAlgebra]:
+def _pocrims_of_size(
+    n: int, chains_only: bool
+) -> list[tuple[FiniteAlgebra, frozenset[str]]]:
+    """(algebra, class flags) for one representative of each isomorphism
+    class of size-n pocrims whose order is the chain (chains_only) or is
+    not, in canonical order."""
     key = (n, chains_only)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
-    found: dict[tuple, FiniteAlgebra] = {}
-    posets = [_chain_poset(n)] if chains_only else list(_posets_with_bottom(n))
+    found: dict[tuple, tuple[FiniteAlgebra, frozenset[str]]] = {}
+    chain = _chain_poset(n)
+    if chains_only:
+        posets = [chain]
+    else:
+        posets = (leq for leq in _poset_representatives(n) if leq != chain)
     for leq in posets:
-        is_chain = leq == _chain_poset(n)
-        if not chains_only and is_chain:
-            continue
         for add, res, top in _complete_tables(n, leq):
             alg = FiniteAlgebra(n, add, res, top)
-            if "pocrim" not in check_class(alg).flags:
-                continue
-            k = canonical_key(alg)
-            if k not in found:
-                found[k] = alg
+            flags = check_class(alg).flags
+            if "pocrim" in flags:
+                found.setdefault(canonical_key(alg), (alg, flags))
     result = [found[k] for k in sorted(found)]
     _ENUM_CACHE[key] = result
     return result
+
+
+def enumerate_classified(
+    size_max: int,
+    required: frozenset[str] | set[str] = frozenset(("pocrim",)),
+    forbidden: frozenset[str] | set[str] = frozenset(),
+):
+    """(algebra, class flags) pairs in the order of `enumerate_algebras`."""
+    required = frozenset(required) | {"pocrim"}
+    forbidden = frozenset(forbidden)
+    unknown = (required | forbidden) - set(FLAGS)
+    if unknown:
+        raise ValueError(
+            f"unknown class flag {', '.join(sorted(unknown))};"
+            f" FLAGS are {', '.join(FLAGS)}"
+        )
+    return (
+        (alg, flags)
+        for n in range(1, size_max + 1)
+        for alg, flags in _pocrims_of_size(n, True) + _pocrims_of_size(n, False)
+        if required <= flags and not (forbidden & flags)
+    )
 
 
 def enumerate_algebras(
@@ -414,17 +468,9 @@ def enumerate_algebras(
     forbidden: frozenset[str] | set[str] = frozenset(),
 ):
     """One representative per isomorphism class, sizes ascending, chains
-    first within each size, canonical order within each block."""
-    required = frozenset(required) | {"pocrim"}
-    forbidden = frozenset(forbidden)
-    for n in range(1, size_max + 1):
-        block = _pocrims_of_size(n, True) + (
-            _pocrims_of_size(n, False) if n >= 3 else []
-        )
-        for alg in block:
-            flags = check_class(alg).flags
-            if required <= flags and not (forbidden & flags):
-                yield alg
+    first within each size, canonical order within each block.  Raises
+    ValueError at once for a flag name that is not in FLAGS."""
+    return (alg for alg, _ in enumerate_classified(size_max, required, forbidden))
 
 
 def theory_class(t: TheoryId) -> frozenset[str]:
@@ -490,6 +536,19 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             if target is None:
                 raise FormulaError(f"unexpected algebra line {line!r}")
             target.append(tuple(int(x) for x in line.split()))
-    if size is None or len(add) != size or len(res) != size:
+    if size is None or size < 1 or len(add) != size or len(res) != size:
         raise FormulaError("malformed algebra file")
+    for name, rows in (("add", add), ("res", res)):
+        for a, row in enumerate(rows):
+            if len(row) != size:
+                raise FormulaError(
+                    f"{name} row {a} has {len(row)} entries, not {size}"
+                )
+            for x in row:
+                if not 0 <= x < size:
+                    raise FormulaError(
+                        f"{name} row {a}: entry {x} is outside 0..{size - 1}"
+                    )
+    if top is not None and not 0 <= top < size:
+        raise FormulaError(f"top {top} is outside 0..{size - 1}")
     return FiniteAlgebra(size, tuple(add), tuple(res), top)

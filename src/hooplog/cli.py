@@ -3,7 +3,7 @@
 Every subcommand is non-interactive and exits 0 on success, 1 when the
 checked object is rejected or a search refutes/exhausts, and 2 on usage or
 input errors.  Budgets are explicit flags: proof depth defaults to 8 and
-model size to 10.
+model size to 6.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .hilbert import check_derivation, parse_derivation
 from .eqengine import check_script, parse_script
 from .algebra import (
     check_class,
-    enumerate_algebras,
+    enumerate_classified,
     find_countermodel,
     format_algebra,
     parse_algebra,
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     msub = q.add_subparsers(required=True)
     f = msub.add_parser("find", help="search for a countermodel")
     f.add_argument("--theory", default="ALm")
-    f.add_argument("--max-size", type=int, default=10)
+    f.add_argument("--max-size", type=int, default=6)
     f.add_argument("--falsify", required=True, metavar="SEQUENT")
     f.set_defaults(func=_cmd_models_find)
     e = msub.add_parser("enum", help="enumerate algebras up to isomorphism")
@@ -193,9 +193,9 @@ def _cmd_models_enum(args) -> int:
     required = frozenset(x for x in args.require.split(",") if x)
     forbidden = frozenset(x for x in args.forbid.split(",") if x)
     count = 0
-    for alg in enumerate_algebras(args.max_size, required, forbidden):
+    for alg, flags in enumerate_classified(args.max_size, required, forbidden):
         count += 1
-        print(f"# algebra {count}: flags " + ",".join(sorted(check_class(alg).flags)))
+        print(f"# algebra {count}: flags " + ",".join(sorted(flags)))
         sys.stdout.write(format_algebra(alg))
     print(f"# {count} algebras")
     return 0

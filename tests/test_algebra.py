@@ -1,10 +1,16 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from hooplog.algebra import (
+    FLAGS,
     FiniteAlgebra,
+    _complete_tables,
+    _pocrims_of_size,
+    _poset_representatives,
+    _posets_with_bottom,
     boolean_algebra,
+    canonical_key,
     check_class,
     enumerate_algebras,
     eval_formula,
@@ -19,7 +25,7 @@ from hooplog.algebra import (
     valid,
 )
 from hooplog.sequent import parse_sequent
-from hooplog.syntax import parse_formula
+from hooplog.syntax import FormulaError, parse_formula
 from hooplog.theories import ALm, LLi, ALL_THEORIES
 
 
@@ -165,3 +171,126 @@ def test_algebra_file_roundtrip():
     text = format_algebra(l4)
     back = parse_algebra(text)
     assert back == l4
+
+
+def test_pocrim_counts_per_size():
+    sizes = [alg.size for alg in enumerate_algebras(6)]
+    assert [sizes.count(n) for n in range(1, 7)] == [1, 1, 2, 7, 26, 129]
+
+
+def test_one_poset_per_isomorphism_class():
+    # a poset with a bottom is a poset on the other n - 1 points plus a bottom
+    counts = [len(list(_poset_representatives(n))) for n in range(1, 7)]
+    assert counts == [1, 1, 2, 5, 16, 63]
+
+
+def _relabel(m, p):
+    """The algebra with element p[i] renamed i."""
+    inv = {x: i for i, x in enumerate(p)}
+    n = m.size
+
+    def table(t):
+        return tuple(tuple(inv[t[p[i]][p[j]]] for j in range(n)) for i in range(n))
+
+    return FiniteAlgebra(n, table(m.add), table(m.res), None if m.top is None else inv[m.top])
+
+
+def _full_key(m):
+    """canonical_key by brute force: every relabelling fixing 0, whole keys."""
+    keys = []
+    for perm in permutations(range(1, m.size)):
+        r = _relabel(m, (0,) + perm)
+        keys.append((r.add, r.res, -1 if r.top is None else r.top))
+    return min(keys)
+
+
+def test_canonical_key_is_invariant_under_relabelling():
+    for alg in enumerate_algebras(5):
+        if alg.size != 5:
+            continue
+        key = canonical_key(alg)
+        assert key == _full_key(alg), format_algebra(alg)
+        for perm in permutations(range(1, 5)):
+            assert canonical_key(_relabel(alg, (0,) + perm)) == key
+
+
+def _residuals(n, add, leq):
+    res = []
+    for b in range(n):
+        row = []
+        for c in range(n):
+            sat = [a for a in range(n) if leq[c][add[a][b]]]
+            least = [a for a in sat if all(leq[a][x] for x in sat)]
+            if not least:
+                return None
+            row.append(least[0])
+        res.append(tuple(row))
+    return tuple(res)
+
+
+def _labelled_reference(n):
+    """The non-chain pocrims of size n from every labelled poset: every
+    table whose cells dominate their arguments, in the cell order and
+    ascending value order of the enumeration, kept when check_class accepts
+    it; the first table of each class stands for it, classes sorted by key."""
+    found = {}
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    for leq in _posets_with_bottom(n):
+        if all(leq[i][j] for i in range(n) for j in range(i, n)):
+            continue
+        choices = [[c for c in range(n) if leq[i][c] and leq[j][c]] for i, j in cells]
+        tops = [t for t in range(n) if all(leq[a][t] for a in range(n))]
+        for values in product(*choices):
+            add = [list(range(n)) if i == 0 else [i] + [0] * (n - 1) for i in range(n)]
+            for (i, j), c in zip(cells, values):
+                add[i][j] = add[j][i] = c
+            res = _residuals(n, add, leq)
+            if res is None:
+                continue
+            alg = FiniteAlgebra(n, tuple(map(tuple, add)), res, tops[0] if tops else None)
+            if "pocrim" in check_class(alg).flags:
+                found.setdefault(_full_key(alg), alg)
+    return [found[k] for k in sorted(found)]
+
+
+def test_representative_posets_give_the_labelled_enumeration():
+    for n in range(1, 6):
+        got = _pocrims_of_size(n, False)
+        assert [alg for alg, _ in got] == _labelled_reference(n), n
+        assert all(flags == check_class(alg).flags for alg, flags in got)
+
+
+def test_completed_tables_are_associative():
+    for n in range(1, 6):
+        for leq in _posets_with_bottom(n):
+            for add, _, _ in _complete_tables(n, leq):
+                r = range(n)
+                assert all(
+                    add[add[a][b]][c] == add[a][add[b][c]] for a in r for b in r for c in r
+                )
+
+
+@pytest.mark.parametrize("required, forbidden", [({"hoopz"}, set()), (set(), {"idempotnt"})])
+def test_unknown_class_flags_are_rejected(required, forbidden):
+    with pytest.raises(ValueError, match="FLAGS"):
+        enumerate_algebras(3, required, forbidden)
+
+
+def test_enumeration_accepts_every_flag():
+    for flag in FLAGS:
+        assert all(a.size <= 2 for a in enumerate_algebras(2, {flag}))
+        assert all(a.size <= 2 for a in enumerate_algebras(2, forbidden={flag}))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("size 2\nadd:\n0 1\n1 5\nres:\n0 0\n1 0\n", "add row 1: entry 5"),
+        ("size 2\nadd:\n0 1\n1 1\nres:\n0 0\n1 -1\n", "res row 1: entry -1"),
+        ("size 2\nadd:\n0 1\n1\nres:\n0 0\n1 0\n", "add row 1 has 1 entries"),
+        ("size 2\ntop 2\nadd:\n0 1\n1 1\nres:\n0 0\n1 0\n", "top 2"),
+    ],
+)
+def test_parse_algebra_rejects_out_of_range_tables(text, message):
+    with pytest.raises(FormulaError, match=message):
+        parse_algebra(text)

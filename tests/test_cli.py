@@ -75,3 +75,23 @@ def test_corpus_show(capsys):
     out = capsys.readouterr().out
     assert "scripts axiom-l-fwd.eq" in out and "start (B -o A) -o A -o B" in out
     assert main(["corpus", "show", "no-such-entry"]) == 2
+
+
+def test_models_find_default_budget_finishes(capsys):
+    assert main(["models", "find", "--theory", "ALm", "--falsify", "A |- A"]) == 1
+    assert "up to size 6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--require", "--forbid"])
+def test_models_enum_rejects_unknown_flags(capsys, flag):
+    assert main(["models", "enum", "--max-size", "3", flag, "hoopz"]) == 2
+    captured = capsys.readouterr()
+    assert "hoopz" in captured.err and "FLAGS" in captured.err
+    assert captured.out == ""
+
+
+def test_models_classify_out_of_range_entry(tmp_path, capsys):
+    f = tmp_path / "bad.model"
+    f.write_text("size 2\nadd:\n0 1\n1 5\nres:\n0 0\n1 0\n")
+    assert main(["models", "classify", str(f)]) == 2
+    assert "add row 1" in capsys.readouterr().err
