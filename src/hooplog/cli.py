@@ -21,7 +21,7 @@ from .sequent import (
     parse_sequent,
 )
 from .hilbert import check_derivation, parse_derivation
-from .eqengine import check_script, parse_script
+from .eqengine import EqError, check_script, parse_script
 from .algebra import (
     check_class,
     enumerate_classified,
@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormulaError, ValueError, OSError) as e:
+    except (FormulaError, EqError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

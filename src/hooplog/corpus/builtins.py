@@ -26,6 +26,7 @@ from ..hilbert import (
 from ..theories import ALc, ALi, ALm, LLc, LLi, ML
 from ..algebra import (
     enumerate_algebras,
+    enumerate_classified,
     eval_formula,
     falsifying_assignment,
     find_countermodel,
@@ -309,10 +310,8 @@ def bi_remark_nor(corpus, entry):
             return False, f"!! associative in a size-{alg.size} algebra"
         if valid(comm, alg) != valid(anti, alg):
             return False, f"commutativity vs anti-monotonicity split at size {alg.size}"
-    for alg in enumerate_algebras(5, theory_class(ALc)):
-        from ..algebra import check_class
-
-        if valid(comm, alg) != ("hoop" in check_class(alg).flags):
+    for alg, flags in enumerate_classified(5, theory_class(ALc)):
+        if valid(comm, alg) != ("hoop" in flags):
             return False, f"!!-commutativity vs divisibility split at size {alg.size}"
     return True, "all three remark-level equivalences confirmed"
 

@@ -91,14 +91,27 @@ def ac_normalize(f: Formula) -> Formula:
 
     A^ and 0 are notation, not connectives: they normalise to A -o 1 and
     1 -o 1, and a factor 1 -o 1 in a * spine is the unit and disappears.
+    The result is cached in the node's `_ac` slot; a normal form holds
+    True there rather than itself, so no node refers to itself.
     """
+    nf = f._ac
+    if nf is None:
+        nf = _ac_normalize(f)
+        f._ac = True if nf is f else nf
+        if nf._ac is None:
+            nf._ac = True
+        return nf
+    return f if nf is True else nf
+
+
+def _ac_normalize(f: Formula) -> Formula:
     if isinstance(f, Var) or not f.children():
         return _ZERO_CORE if is_zero(f) else f
     if isinstance(f, Tensor):
         parts = []
         for g in _spine(f):
             h = ac_normalize(g)
-            if h == _ZERO_CORE:
+            if h is _ZERO_CORE:
                 continue
             parts.extend(_spine(h))
         return _build_spine(parts)

@@ -618,26 +618,32 @@ def parse_derivation(text: str) -> HilbertDerivation:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        numbered, rest = line.split(".", 1)
-        int(numbered)
-        body, just = rest.rsplit("|", 1)
-        f = parse_formula(body.strip())
-        just = just.strip()
-        if just.startswith("axiom"):
-            _, name, braces = just.split(" ", 2)
-            braces = braces.strip()
-            if not (braces.startswith("{") and braces.endswith("}")):
-                raise FormulaError(f"bad substitution in {line!r}")
-            subst = {}
-            inner = braces[1:-1].strip()
-            if inner:
-                for item in inner.split(";"):
-                    k, v = item.split("=", 1)
-                    subst[k.strip()] = parse_formula(v.strip())
-            lines.append((f, ("axiom", name, subst)))
-        elif just.startswith("mp"):
-            _, i, j = just.split()
-            lines.append((f, ("mp", int(i) - 1, int(j) - 1)))
-        else:
-            raise FormulaError(f"bad justification in {line!r}")
+        try:
+            lines.append(_parse_derivation_line(line))
+        except ValueError:  # a split with too few parts, or a bad number
+            raise FormulaError(f"malformed derivation line {line!r}") from None
     return HilbertDerivation(tuple(lines))
+
+
+def _parse_derivation_line(line: str):
+    numbered, rest = line.split(".", 1)
+    int(numbered)
+    body, just = rest.rsplit("|", 1)
+    f = parse_formula(body.strip())
+    just = just.strip()
+    if just.startswith("axiom"):
+        _, name, braces = just.split(" ", 2)
+        braces = braces.strip()
+        if not (braces.startswith("{") and braces.endswith("}")):
+            raise FormulaError(f"bad substitution in {line!r}")
+        subst = {}
+        inner = braces[1:-1].strip()
+        if inner:
+            for item in inner.split(";"):
+                k, v = item.split("=", 1)
+                subst[k.strip()] = parse_formula(v.strip())
+        return (f, ("axiom", name, subst))
+    if just.startswith("mp"):
+        _, i, j = just.split()
+        return (f, ("mp", int(i) - 1, int(j) - 1))
+    raise FormulaError(f"bad justification in {line!r}")

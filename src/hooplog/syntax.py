@@ -1,10 +1,18 @@
-"""Formula terms, the ASCII grammar, and structural operations.
+r"""Formula terms, the ASCII grammar, and structural operations.
 
 The language has variables, the constant 1 (falsehood), implication -o and
 multiplicative conjunction *.  Four derived binary connectives (/\, \/, =>,
 !!) plus postfix negation ^ and the constant 0 are kept as explicit nodes so
 that proof scripts can unfold definitions step by step; `expand_derived`
 rewrites any formula to the -o/*/1 core.
+
+Formulas are hash-consed: there is exactly one node per structure.  The
+constructors `Var`, `Neg` and the binary classes look the structure up in a
+weak-value table and return the existing node when there is one, so
+equality is identity and a node lives exactly as long as some caller holds
+it.  Build nodes only through the constructors and never change a field
+other than the two caches: `_ac` holds the result of
+`eqengine.ac_normalize` and `_core` that of `expand_derived`.
 
 Precedence, tightest first:  ^  >  {*, /\, \/, !!}  >  =>  >  -o.
 Within the second tier a chain of one connective associates to the left and
@@ -14,6 +22,7 @@ associate to the right.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterator
 
 
@@ -27,27 +36,18 @@ class ParseError(FormulaError):
         self.position = position
 
 
+# (class, name) or (class, children...) -> the one node of that structure
+_NODES = weakref.WeakValueDictionary()
+
+
 class Formula:
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_ac", "_core", "__weakref__")
 
     def children(self) -> tuple["Formula", ...]:
         return ()
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        return self._fields() == other._fields()
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return self._hash
-
-    def _fields(self) -> tuple:
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return format_formula(self)
@@ -57,13 +57,17 @@ class Var(Formula):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("Var", name)))
-        object.__setattr__(self, "_key", (0, name))
-
-    def _fields(self):
-        return (self.name,)
+    def __new__(cls, name: str):
+        key = (cls, name)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.name = name
+            node._hash = hash(("Var", name))
+            node._key = (0, name)
+            node._ac = node._core = None
+            _NODES[key] = node
+        return node
 
     def __reduce__(self):
         return (Var, (self.name,))
@@ -73,12 +77,10 @@ class _Const(Formula):
     __slots__ = ("tag",)
 
     def __init__(self, tag: str, rank: int):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "_hash", hash(("Const", tag)))
-        object.__setattr__(self, "_key", (rank,))
-
-    def _fields(self):
-        return (self.tag,)
+        self.tag = tag
+        self._hash = hash(("Const", tag))
+        self._key = (rank,)
+        self._ac = self._core = None
 
     def __reduce__(self):
         return (_const_by_tag, (self.tag,))
@@ -89,18 +91,20 @@ class _Binary(Formula):
     __match_args__ = ("left", "right")
     _rank = -1
 
-    def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(
-            self, "_hash", hash((type(self).__name__, left._hash, right._hash))
-        )
-        object.__setattr__(self, "_key", (self._rank, left._key, right._key))
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.left = left
+            node.right = right
+            node._hash = hash((cls.__name__, left._hash, right._hash))
+            node._key = (cls._rank, left._key, right._key)
+            node._ac = node._core = None
+            _NODES[key] = node
+        return node
 
     def children(self):
-        return (self.left, self.right)
-
-    def _fields(self):
         return (self.left, self.right)
 
     def __reduce__(self):
@@ -121,15 +125,19 @@ class Neg(Formula):
     __slots__ = ("body",)
     __match_args__ = ("body",)
 
-    def __init__(self, body: Formula):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "_hash", hash(("Neg", body._hash)))
-        object.__setattr__(self, "_key", (3, body._key))
+    def __new__(cls, body: Formula):
+        key = (cls, body)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.body = body
+            node._hash = hash(("Neg", body._hash))
+            node._key = (3, body._key)
+            node._ac = node._core = None
+            _NODES[key] = node
+        return node
 
     def children(self):
-        return (self.body,)
-
-    def _fields(self):
         return (self.body,)
 
     def __reduce__(self):
@@ -165,11 +173,11 @@ def _const_by_tag(tag: str) -> Formula:
 
 
 def is_one(f: Formula) -> bool:
-    return f is ONE or (isinstance(f, _Const) and f.tag == "1")
+    return f is ONE
 
 
 def is_zero(f: Formula) -> bool:
-    return f is ZERO or (isinstance(f, _Const) and f.tag == "0")
+    return f is ZERO
 
 
 def formula_key(f: Formula) -> tuple:
@@ -187,7 +195,19 @@ def is_core(f: Formula) -> bool:
 
 
 def expand_derived(f: Formula) -> Formula:
-    """Rewrite to core form: only Var, 1, -o and * remain."""
+    """Rewrite to core form: only Var, 1, -o and * remain.  Cached in the
+    node's `_core` slot, which holds True when the node is core itself."""
+    core = f._core
+    if core is None:
+        core = _expand_derived(f)
+        f._core = True if core is f else core
+        if core._core is None:
+            core._core = True
+        return core
+    return f if core is True else core
+
+
+def _expand_derived(f: Formula) -> Formula:
     if isinstance(f, Var) or is_one(f):
         return f
     if is_zero(f):
@@ -351,7 +371,6 @@ _TIER2 = {"*": Tensor, "/\\": WConj, "\\/": SDisj, "!!": Nor}
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.i = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._scan()
         self.pos = 0

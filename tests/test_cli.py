@@ -95,3 +95,20 @@ def test_models_classify_out_of_range_entry(tmp_path, capsys):
     f.write_text("size 2\nadd:\n0 1\n1 5\nres:\n0 0\n1 0\n")
     assert main(["models", "classify", str(f)]) == 2
     assert "add row 1" in capsys.readouterr().err
+
+
+def test_check_malformed_script_exits_2(tmp_path, capsys):
+    f = tmp_path / "bad.eq"
+    f.write_text("lemma bad theory ALm claim A ~= A\nstart A\nthis is not a step\n")
+    assert main(["check", str(f), "--kind", "script"]) == 2
+    captured = capsys.readouterr()
+    assert "error: unparsable script line: 'this is not a step'" in captured.err
+    assert captured.out == ""
+
+
+def test_check_derivation_without_substitution_exits_2(tmp_path, capsys):
+    f = tmp_path / "bad.hilbert"
+    f.write_text("1. A -o A | axiom I\n")
+    assert main(["check", str(f), "--theory", "ALm"]) == 2
+    err = capsys.readouterr().err
+    assert "malformed derivation line '1. A -o A | axiom I'" in err

@@ -154,3 +154,120 @@ def test_polarity_stable_under_tensor_reassociation():
                 assert polarity_at(g, pos) == "negative"
             if subterm_at(g, pos) == D:
                 assert polarity_at(g, pos) == "positive"
+
+
+# Hash-consing: one node per structure
+
+
+def test_every_route_to_a_structure_gives_the_same_node():
+    import pickle
+
+    f = parse_formula("(A /\\ B^) -o C * (D !! 0)")
+    built = Imp(WConj(A, Neg(B)), Tensor(C, Nor(D, ZERO)))
+    assert f is built
+    assert substitute(parse_formula("P -o C * Q"), {"P": WConj(A, Neg(B)), "Q": Nor(D, ZERO)}) is f
+    assert replace_at(parse_formula("P -o C * (D !! 0)"), (0,), WConj(A, Neg(B))) is f
+    for g in (f, A, ONE, ZERO, Neg(B), SImp(A, B), SDisj(A, B)):
+        assert pickle.loads(pickle.dumps(g)) is g
+    assert Var("A") is A and Imp(A, B) is not Imp(B, A)
+
+
+def test_unheld_nodes_leave_the_table():
+    import gc
+    import weakref
+
+    from hooplog.eqengine import ac_normalize
+    from hooplog.syntax import _NODES
+
+    name = "Only_in_this_test"
+    v = Var(name)
+    f = Tensor(Neg(v), Tensor(v, ZERO))
+    normal = ac_normalize(f)
+    core = expand_derived(f)
+    assert normal is not f and core is not f
+    refs = [weakref.ref(g) for g in (v, f, normal, core)]
+    assert (Var, name) in _NODES
+    del v, f, normal, core
+    gc.disable()  # the caches hold no cycles: reference counting frees them
+    try:
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+    gc.collect()
+    assert (Var, name) not in _NODES
+
+
+def _corpus_formulas():
+    from pathlib import Path
+
+    import hooplog.corpus
+    from hooplog.eqengine import parse_script
+
+    out = []
+    for path in sorted((Path(hooplog.corpus.__file__).parent / "data").glob("*.eq")):
+        s = parse_script(path.read_text())
+        out += [s.claim_lhs, s.claim_rhs, s.start]
+        out += [g for a in s.assumes for g in (a.lhs, a.rhs)]
+        out += [g for st in s.steps for g in (st.result, st.formula) if g is not None]
+    return out
+
+
+def _uncached_ac_normal_form(f):
+    """The AC normal form computed from scratch: * spines flattened, 0 and
+    its core form 1 -o 1 dropped as units, factors sorted, A^ as A -o 1."""
+    from hooplog.syntax import formula_key
+
+    unit = Imp(ONE, ONE)
+    if f is ZERO:
+        return unit
+    if isinstance(f, Neg):
+        return Imp(_uncached_ac_normal_form(f.body), ONE)
+    if isinstance(f, Tensor):
+
+        def spine(g):
+            return spine(g.left) + spine(g.right) if isinstance(g, Tensor) else [g]
+
+        parts = []
+        for g in spine(f):
+            if g is not ZERO:
+                h = _uncached_ac_normal_form(g)
+                if h is not unit:
+                    parts += spine(h)
+        if not parts:
+            return unit
+        parts.sort(key=formula_key)
+        out = parts.pop()
+        while parts:
+            out = Tensor(parts.pop(), out)
+        return out
+    if isinstance(f, (Var, type(ONE))):
+        return f
+    return type(f)(_uncached_ac_normal_form(f.left), _uncached_ac_normal_form(f.right))
+
+
+def test_cached_ac_normal_form_matches_a_fresh_computation():
+    from hooplog.eqengine import ac_normalize
+
+    formulas = _corpus_formulas()
+    assert len(formulas) > 400
+    for f in formulas:
+        n = ac_normalize(f)
+        assert n is _uncached_ac_normal_form(f), format_formula(f)
+        assert n is _uncached_ac_normal_form(n), format_formula(f)
+        assert n is ac_normalize(n) is ac_normalize(f)
+        core = expand_derived(f)
+        assert core is expand_derived(core) is expand_derived(f)
+
+
+def test_every_source_file_compiles_without_warnings():
+    import warnings
+    from pathlib import Path
+
+    import hooplog
+
+    files = sorted(Path(hooplog.__file__).parent.rglob("*.py"))
+    assert len(files) >= 10
+    for path in files:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(), str(path), "exec")
