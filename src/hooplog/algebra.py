@@ -22,6 +22,14 @@ cell are checked.  Completed tables get their residuals derived, are
 verified by `check_class`, whose flags are kept with the algebra, and are
 merged by `canonical_key`, the first labelling found standing for its
 class.  Each size is enumerated once per process and cached.
+
+How formulas are evaluated: assignments to the sorted variables come in
+product order, in blocks of at most _BLOCK_ROWS rows over the trailing
+variables.  In a block each subformula node gets its value table (its
+values over the rows), computed once as one list comprehension over its
+operands' tables; the tensored context is one more table, and search stops
+at the first block with a failing row.  `eval_formula` and `seq_holds` are
+the one-row case of the same kernel.
 """
 
 from __future__ import annotations
@@ -155,61 +163,100 @@ def check_class(m: FiniteAlgebra) -> ClassReport:
 
 Assignment = dict[str, int]
 
+# The most assignments evaluated together; see `_assignment_blocks`.
+_BLOCK_ROWS = 256
+
+
+def _assignment_blocks(names: list[str], n: int):
+    """All assignments of 0..n-1 to names in product order, as blocks of
+    (columns, rows): the columns map each name to its values over the rows.
+    Blocks span the trailing variables; the leading ones step."""
+    k = 0
+    while k < len(names) and n ** (k + 1) <= _BLOCK_ROWS:
+        k += 1
+    lead, trail = names[: len(names) - k], names[len(names) - k :]
+    rows = list(product(range(n), repeat=k))
+    tails = {x: list(col) for x, col in zip(trail, zip(*rows))}
+    for head in product(range(n), repeat=len(lead)):
+        yield {x: [a] * len(rows) for x, a in zip(lead, head)} | tails, len(rows)
+
+
+def _table(f: Formula, m: FiniteAlgebra, cols, rows: int, memo: dict) -> list[int]:
+    """The values of f over the rows of one block, memoised by node.
+    Derived connectives evaluate through their definitions, with 0 read as
+    the identity so unbounded algebras handle it without a top element."""
+    t = memo.get(f)
+    if t is not None:
+        return t
+    add, res, top = m.add, m.res, m.top
+    if isinstance(f, Var):
+        t = cols.get(f.name)
+        if t is None:
+            raise AlgebraError(f"unassigned variable {f.name}")
+    elif is_one(f):
+        if top is None:
+            raise AlgebraError("the constant 1 needs a bounded algebra")
+        t = [top] * rows
+    elif is_zero(f):
+        t = [0] * rows
+    elif isinstance(f, Neg):
+        if top is None:
+            raise AlgebraError("negation needs a bounded algebra")
+        t = [res[a][top] for a in _table(f.body, m, cols, rows, memo)]
+    else:
+        pairs = zip(
+            _table(f.left, m, cols, rows, memo), _table(f.right, m, cols, rows, memo)
+        )
+        if isinstance(f, Imp):
+            t = [res[a][b] for a, b in pairs]
+        elif isinstance(f, Tensor):
+            t = [add[a][b] for a, b in pairs]
+        elif isinstance(f, WConj):
+            t = [add[a][res[a][b]] for a, b in pairs]
+        elif isinstance(f, SDisj):
+            t = [res[res[b][a]][a] for a, b in pairs]
+        elif isinstance(f, SImp):
+            t = [res[a][add[a][b]] for a, b in pairs]
+        elif isinstance(f, Nor):
+            if top is None:
+                raise AlgebraError("!! needs a bounded algebra")
+            t = [add[res[a][top]][res[b][a]] for a, b in pairs]
+        else:
+            raise AlgebraError(f"cannot evaluate {f!r}")
+    memo[f] = t
+    return t
+
+
+def value_tables(fs, m: FiniteAlgebra, names: list[str]):
+    """Per block of `_assignment_blocks(names, m.size)`, in order: its
+    columns and the value table of each formula of fs."""
+    for cols, rows in _assignment_blocks(names, m.size):
+        memo: dict = {}
+        yield cols, [_table(f, m, cols, rows, memo) for f in fs]
+
+
+def _one_row(fs, m: FiniteAlgebra, v: Assignment) -> list[list[int]]:
+    cols, memo = {x: [a] for x, a in v.items()}, {}
+    return [_table(f, m, cols, 1, memo) for f in fs]
+
 
 def eval_formula(f: Formula, m: FiniteAlgebra, v: Assignment) -> int:
-    """Homomorphic evaluation; derived connectives evaluate through their
-    definitions, with 0 read as the identity so unbounded algebras handle
-    it without a top element."""
-    if isinstance(f, Var):
-        try:
-            return v[f.name]
-        except KeyError:
-            raise AlgebraError(f"unassigned variable {f.name}")
-    if is_one(f):
-        if m.top is None:
-            raise AlgebraError("the constant 1 needs a bounded algebra")
-        return m.top
-    if is_zero(f):
-        return 0
-    if isinstance(f, Imp):
-        return m.res[eval_formula(f.left, m, v)][eval_formula(f.right, m, v)]
-    if isinstance(f, Tensor):
-        return m.add[eval_formula(f.left, m, v)][eval_formula(f.right, m, v)]
-    if isinstance(f, Neg):
-        if m.top is None:
-            raise AlgebraError("negation needs a bounded algebra")
-        return m.res[eval_formula(f.body, m, v)][m.top]
-    if isinstance(f, WConj):
-        a = eval_formula(f.left, m, v)
-        b = eval_formula(f.right, m, v)
-        return m.add[a][m.res[a][b]]
-    if isinstance(f, SDisj):
-        a = eval_formula(f.left, m, v)
-        b = eval_formula(f.right, m, v)
-        return m.res[m.res[b][a]][a]
-    if isinstance(f, SImp):
-        a = eval_formula(f.left, m, v)
-        b = eval_formula(f.right, m, v)
-        return m.res[a][m.add[a][b]]
-    if isinstance(f, Nor):
-        a = eval_formula(f.left, m, v)
-        b = eval_formula(f.right, m, v)
-        if m.top is None:
-            raise AlgebraError("!! needs a bounded algebra")
-        return m.add[m.res[a][m.top]][m.res[b][a]]
-    raise AlgebraError(f"cannot evaluate {f!r}")
+    """Homomorphic evaluation under one assignment."""
+    return _one_row((f,), m, v)[0][0]
 
 
-def _assignments(names: list[str], n: int):
-    for vec in product(range(n), repeat=len(names)):
-        yield dict(zip(names, vec))
+def _holds(m: FiniteAlgebra, tables) -> list[bool]:
+    """Per row: does the tensored context (all but the last) dominate the goal?"""
+    *context, goal = tables
+    add, res = m.add, m.res
+    acc = [0] * len(goal)
+    for t in context:
+        acc = [add[a][b] for a, b in zip(acc, t)]
+    return [not res[a][g] for a, g in zip(acc, goal)]
 
 
 def seq_holds(s: Sequent, m: FiniteAlgebra, v: Assignment) -> bool:
-    acc = 0
-    for f in s.context:
-        acc = m.add[acc][eval_formula(f, m, v)]
-    return m.geq(acc, eval_formula(s.goal, m, v))
+    return _holds(m, _one_row((*s.context, s.goal), m, v))[0]
 
 
 def valid(s: Sequent, m: FiniteAlgebra) -> bool:
@@ -218,11 +265,13 @@ def valid(s: Sequent, m: FiniteAlgebra) -> bool:
 
 
 def falsifying_assignment(s: Sequent, m: FiniteAlgebra) -> Assignment | None:
-    """The first assignment, in `_assignments` order, under which s fails."""
+    """The first assignment, in `_assignment_blocks` order, under which s fails."""
     names = sorted(set().union(*(variables(f) for f in s.context), variables(s.goal)))
-    for v in _assignments(names, m.size):
-        if not seq_holds(s, m, v):
-            return v
+    for cols, tables in value_tables((*s.context, s.goal), m, names):
+        holds = _holds(m, tables)
+        if not all(holds):
+            i = holds.index(False)
+            return {x: c[i] for x, c in cols.items()}
     return None
 
 
@@ -240,17 +289,9 @@ def _posets_with_bottom(n: int):
         below = list(range(j))
         for mask in range(1 << len(below)):
             down = [i for i in below if mask >> i & 1]
-            if 0 not in down:
-                continue
-            ok = True
-            for i in down:
-                for k in range(i):
-                    if leq[k][i] and k not in down:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if 0 not in down or any(
+                leq[k][i] and k not in down for i in down for k in range(i)
+            ):
                 continue
             for i in down:
                 leq[i][j] = True
@@ -299,25 +340,18 @@ def _complete_tables(n: int, leq) -> list[tuple]:
     out: list[tuple] = []
 
     def candidates(i, j):
-        # a+b must dominate both arguments and respect monotonicity against
-        # already-filled cells.
-        cand = ups[i] & ups[j]
-        lo: set[int] = set()
-        hi: set[int] = set()
-        for x in range(1, n):
-            for y in range(x, n):
-                if (x, y) >= (i, j) or (x == i and y == j):
-                    continue
-                v = add[x][y]
-                if leq[x][i] and leq[y][j]:
-                    lo.add(v)
-                if leq[i][x] and leq[j][y]:
-                    hi.add(v)
-        return [
-            c
-            for c in sorted(cand)
-            if all(geq[c][v] for v in lo) and all(leq[c][v] for v in hi)
-        ]
+        # a+b must dominate both arguments and, for monotonicity, every
+        # filled cell (x, y) below (i, j) in either orientation.  No filled
+        # cell lies above (i, j): cells are filled in lexicographic order,
+        # and the numeric order extends the partial one.
+        lo = {
+            add[x][y]
+            for x in range(1, n)
+            for y in range(x, n)
+            if (x, y) < (i, j)
+            and ((leq[x][i] and leq[y][j]) or (leq[y][i] and leq[x][j]))
+        }
+        return [c for c in sorted(ups[i] & ups[j]) if all(geq[c][v] for v in lo)]
 
     def holds(x, y, z):
         # (x+y)+z == x+(y+z), or one of its four sums is still unknown

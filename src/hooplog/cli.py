@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = q.add_subparsers(required=True)
     r = csub.add_parser("run", help="re-verify every catalogued entry")
     r.add_argument("--filter", default=None)
-    r.add_argument("--jobs", type=int, default=1)
     r.add_argument("--timing", action="store_true", help="include wall-clock times")
     r.set_defaults(func=_cmd_corpus_run)
     g = csub.add_parser("gen-k", help="emit the k-copies entry and its script")
@@ -236,7 +235,7 @@ def _cmd_dns(args) -> int:
 
 
 def _cmd_corpus_run(args) -> int:
-    rep = run_corpus(args.filter, args.jobs)
+    rep = run_corpus(args.filter)
     print(rep.render(timing=args.timing))
     return 0 if rep.ok else 1
 

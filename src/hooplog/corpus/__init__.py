@@ -45,6 +45,7 @@ from ..eqengine import (
     GEQ,
     LemmaEntry,
     LemmaRegistry,
+    _split_claim,
     ac_eq,
     check_script,
     parse_script,
@@ -53,6 +54,7 @@ from ..algebra import (
     enumerate_algebras,
     falsifying_assignment,
     parse_algebra,
+    seq_holds,
     theory_class,
 )
 
@@ -143,14 +145,6 @@ _KIT = [
 ]
 
 
-def _split_claim_text(text: str):
-    for sep, rel in ((" ~= ", EQUIV), (" >= ", GEQ)):
-        if sep in text:
-            l, r = text.split(sep, 1)
-            return parse_formula(l.strip()), rel, parse_formula(r.strip())
-    raise ValueError(f"bad claim {text!r}")
-
-
 def _auto_evidence(entry: LemmaEntry, depth: int):
     l = expand_derived(entry.lhs)
     r = expand_derived(entry.rhs)
@@ -167,7 +161,7 @@ def _auto_evidence(entry: LemmaEntry, depth: int):
 
 def register_kit(registry: LemmaRegistry) -> None:
     for name, claim, theory, depth in _KIT:
-        lhs, rel, rhs = _split_claim_text(claim)
+        lhs, rel, rhs = _split_claim(claim)
         entry = LemmaEntry(name, lhs, rhs, rel, theory_by_name(theory), "kit")
         proof = _auto_evidence(entry, depth)
         if proof is None:
@@ -221,9 +215,8 @@ class Corpus:
         self.verified: set[str] = set()
         self._builtins = _builtin_table()
 
-    def run(self, pattern: str | None = None, jobs: int = 1) -> CorpusReport:
+    def run(self, pattern: str | None = None) -> CorpusReport:
         register_kit(self.registry)
-        self.jobs = max(1, jobs)
         report = CorpusReport()
         for entry in self.entries:
             t0 = time.perf_counter()
@@ -252,7 +245,7 @@ class Corpus:
 
     def _ev_auto(self, entry: CorpusEntry):
         depth = int(entry.evidence[1])
-        lhs, rel, rhs = _split_claim_text(entry.statement)
+        lhs, rel, rhs = _split_claim(entry.statement)
         lemma = LemmaEntry(entry.id, lhs, rhs, rel, entry.theory, "auto")
         proof = _auto_evidence(lemma, depth)
         if proof is None:
@@ -335,8 +328,6 @@ class Corpus:
             (k.strip(), int(x)) for k, x in
             (item.split("=") for item in assign_line.split(",") if item.strip())
         )
-        from ..algebra import seq_holds
-
         if seq_holds(seq, alg, v):
             return False, "pinned witness no longer falsifies the sequent"
         return True, f"countermodel of size {alg.size} rechecked"
@@ -345,21 +336,11 @@ class Corpus:
         size = int(entry.evidence[1])
         seqs = [parse_sequent(s.strip()) for s in entry.statement.split(";;")]
         algebras = list(enumerate_algebras(size, theory_class(entry.theory)))
-        jobs = getattr(self, "jobs", 1)
-        if jobs > 1 and len(algebras) > 4:
-            from concurrent.futures import ProcessPoolExecutor
-
-            chunks = [algebras[i::jobs] for i in range(jobs)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for witness in pool.map(_check_chunk, [(seqs, c) for c in chunks]):
-                    if witness is not None:
-                        return False, f"fails at {witness}"
-        else:
-            for alg in algebras:
-                for seq in seqs:
-                    w = falsifying_assignment(seq, alg)
-                    if w is not None:
-                        return False, f"fails in a size-{alg.size} algebra at {w}"
+        for alg in algebras:
+            for seq in seqs:
+                w = falsifying_assignment(seq, alg)
+                if w is not None:
+                    return False, f"fails in a size-{alg.size} algebra at {w}"
         return True, f"valid in all {len(algebras)} algebras of size <= {size}"
 
     def _ev_builtin(self, entry: CorpusEntry):
@@ -374,16 +355,6 @@ class Corpus:
         if missing:
             return False, f"members not verified: {missing}"
         return True, f"{len(members)} members verified"
-
-
-def _check_chunk(args):
-    seqs, algebras = args
-    for alg in algebras:
-        for seq in seqs:
-            w = falsifying_assignment(seq, alg)
-            if w is not None:
-                return (alg.size, w)
-    return None
 
 
 def _split_model_file(text: str):
@@ -401,8 +372,8 @@ def _split_model_file(text: str):
     return seq_line, assign_line, "\n".join(rest)
 
 
-def run_corpus(pattern: str | None = None, jobs: int = 1) -> CorpusReport:
-    return Corpus().run(pattern, jobs)
+def run_corpus(pattern: str | None = None) -> CorpusReport:
+    return Corpus().run(pattern)
 
 
 # k-indexed family: (A * ... * A)^, A^^ |- A, assembled from the proved

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..syntax import Imp, ONE, Tensor, Var, expand_derived, parse_formula
+from ..syntax import Imp, Tensor, Var, expand_derived, parse_formula
 from ..sequent import (
     Sequent,
     bounded_prove,
@@ -27,15 +27,15 @@ from ..theories import ALc, ALi, ALm, LLc, LLi, ML
 from ..algebra import (
     enumerate_algebras,
     enumerate_classified,
-    eval_formula,
     falsifying_assignment,
     find_countermodel,
     lukasiewicz_chain,
     seq_holds,
     theory_class,
     valid,
+    value_tables,
 )
-from ..translate import check_dns, translate
+from ..translate import _dd, check_dns, translate
 
 P, Q, R = Var("P"), Var("Q"), Var("R")
 A, B, C = Var("A"), Var("B"), Var("C")
@@ -43,10 +43,6 @@ A, B, C = Var("A"), Var("B"), Var("C")
 
 def _f(text: str):
     return parse_formula(text)
-
-
-def _dd(f):
-    return Imp(Imp(f, ONE), ONE)
 
 
 # Regression theorems of theory+DNE used as the DNS2 premise list; the same
@@ -190,13 +186,11 @@ def bi_rose_rosser(corpus, entry):
     for alg in enumerate_algebras(5, theory_class(LLc)):
         count += 1
         for f in probes:
-            g = rose_rosser_embed(f)
-            names = sorted({"A", "B", "C"})
-            from itertools import product
-
-            for vec in product(range(alg.size), repeat=3):
-                v = dict(zip(names, vec))
-                if eval_formula(f, alg, v) != eval_formula(g, alg, v):
+            pair = (f, rose_rosser_embed(f))
+            for cols, (tf, tg) in value_tables(pair, alg, ["A", "B", "C"]):
+                if tf != tg:
+                    i = next(i for i, (a, b) in enumerate(zip(tf, tg)) if a != b)
+                    v = {x: c[i] for x, c in cols.items()}
                     return False, f"embedding changes the value of {f} at {v}"
     return True, f"A1-A4 valid in L_2..L_11; embedding exact in {count} algebras"
 

@@ -695,10 +695,13 @@ def parse_script(text: str) -> EqScript:
         if not line:
             continue
         if line.startswith("lemma "):
-            head, claim_text = line.split(" claim ", 1)
+            head, claim_text = _cut(line, " claim ", line)
             parts = head.split()
-            sid = parts[1]
-            theory = theory_by_name(parts[parts.index("theory") + 1])
+            if "theory" not in parts[1:-1]:
+                raise EqError(f"lemma line has no 'theory <name>': {line!r}")
+            if parts.index("theory") == 1:
+                raise EqError(f"lemma line has no id before 'theory': {line!r}")
+            sid, theory = parts[1], theory_by_name(parts[parts.index("theory") + 1])
             claim = _split_claim(claim_text)
         elif line.startswith("assume "):
             if theory is None:
@@ -714,7 +717,7 @@ def parse_script(text: str) -> EqScript:
             if " by " not in body:
                 raise EqError(f"step needs a justification: {line!r}")
             ftext, just = body.split(" by ", 1)
-            steps.append(_parse_step(rel, parse_formula(ftext), just.strip()))
+            steps.append(_parse_step(rel, parse_formula(ftext), just.strip(), line))
         else:
             raise EqError(f"unparsable script line: {line!r}")
     if sid is None or claim is None or start is None:
@@ -722,23 +725,36 @@ def parse_script(text: str) -> EqScript:
     return EqScript(sid, theory, claim[0], claim[1], claim[2], start, tuple(steps), tuple(assumes))
 
 
-def _parse_step(rel: str, result: Formula, just: str) -> EqStep:
+def _cut(text: str, sep: str, line: str) -> tuple[str, str]:
+    """text split at its last sep; EqError naming the line if there is none."""
+    head, found, tail = text.rpartition(sep)
+    if not found:
+        raise EqError(f"script line has no {sep!r}: {line!r}")
+    return head, tail
+
+
+def _easy_depth(text: str, line: str) -> int | None:
+    depth = text.split()[1:2]
+    try:
+        return int(depth[0]) if depth else None
+    except ValueError:
+        raise EqError(f"easy depth {depth[0]!r} is not an integer: {line!r}") from None
+
+
+def _parse_step(rel: str, result: Formula, just: str, line: str) -> EqStep:
     if just.startswith("easy"):
-        parts = just.split()
-        depth = int(parts[1]) if len(parts) > 1 else None
-        return EqStep("easy", rel, result, depth=depth)
+        return EqStep("easy", rel, result, depth=_easy_depth(just, line))
     if just.startswith("def "):
-        conn, pos = just[len("def ") :].rsplit(" at ", 1)
+        conn, pos = _cut(just[len("def ") :], " at ", line)
         return EqStep("def", rel, result, conn=conn.strip(), pos=parse_position(pos))
     if just.startswith(("ins ", "del ")):
         kind = just[:3]
-        body, inner = just[4:].rsplit(" by ", 1)
-        ftext, pos = body.rsplit(" at ", 1)
+        body, inner = _cut(just[4:], " by ", line)
+        ftext, pos = _cut(body, " at ", line)
         inner = inner.strip()
         depth = None
         if inner.startswith("easy"):
-            parts = inner.split()
-            depth = int(parts[1]) if len(parts) > 1 else None
+            depth = _easy_depth(inner, line)
             inner = "easy"
         return EqStep(
             kind,
@@ -753,7 +769,7 @@ def _parse_step(rel: str, result: Formula, just: str) -> EqStep:
     if just.endswith(" rev"):
         reverse = True
         just = just[: -len(" rev")]
-    name, pos = just.rsplit(" at ", 1)
+    name, pos = _cut(just, " at ", line)
     return EqStep(
         "rewrite", rel, result, lemma=name.strip(), reverse=reverse, pos=parse_position(pos)
     )

@@ -595,31 +595,9 @@ def _chain_to(d: Formula, args, minor_parts, depth: int, st: _Search):
 
 def _chain(s: Sequent, d: Formula, args, rest, depth: int, st: _Search):
     """Nested ImpE spine applying context implication d to n minor proofs."""
-    n = len(args)
-    for parts in _splits(rest, n):
-        minors = []
-        ok = True
-        for i, (arg, part) in enumerate(zip(args, parts)):
-            budget = depth - 1 - (n - 1 - i)
-            m = _search(Sequent(part, arg), budget, st)
-            if m is None:
-                ok = False
-                break
-            minors.append(m)
-        if not ok:
-            continue
-        spine = ProofTree(Sequent((d,), d), "AxASM", inst=(d,))
-        cur = d
-        for m in minors:
-            assert isinstance(cur, Imp)
-            spine = ProofTree(
-                Sequent(m.conclusion.context + spine.conclusion.context, cur.right),
-                "ImpE",
-                (m, spine),
-                inst=(cur.left, cur.right),
-            )
-            cur = cur.right
-        if spine.conclusion == s:
+    for parts in _splits(rest, len(args)):
+        spine = _chain_to(d, args, parts, depth, st)
+        if spine is not None and spine.conclusion == s:
             return spine
     return None
 

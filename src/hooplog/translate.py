@@ -147,15 +147,21 @@ def _reduce_once(cur: Formula, kit):
     # kit order is priority order: a later lemma fires only when no earlier
     # one matches anywhere.  Within one lemma, innermost redexes go first.
     # Formulas stay structural so recorded positions replay in both
-    # directions; comparisons go through ac_normalize.
+    # directions; comparisons go through ac_normalize.  The sites are listed
+    # once with the type of their normal form: a side whose normal form is
+    # not a variable matches only sites of its type, so the rest skip ac_match.
+    sites = [(p, subterm_at(cur, p)) for p in sorted(positions(cur), key=len, reverse=True)]
+    sites = [(p, sub, type(ac_normalize(sub))) for p, sub in sites]
+    cur_nf = ac_normalize(cur)
     for entry, rev in kit:
         src, tgt = entry.sides(rev)
-        for pos in sorted(positions(cur), key=len, reverse=True):
-            sub = subterm_at(cur, pos)
+        head = type(ac_normalize(src))
+        for pos, sub, sub_head in sites:
+            if head is not Var and head is not sub_head:
+                continue
             for sigma in ac_match(src, sub):
-                new_sub = substitute(tgt, sigma)
-                out = replace_at(cur, pos, new_sub)
-                if ac_normalize(out) == ac_normalize(cur):
+                out = replace_at(cur, pos, substitute(tgt, sigma))
+                if ac_normalize(out) == cur_nf:
                     continue
                 step = EqStep(
                     "rewrite", EQUIV, out, lemma=entry.id, reverse=rev, pos=pos

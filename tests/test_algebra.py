@@ -1,10 +1,15 @@
+import random
 from itertools import permutations, product
 
 import pytest
 
+import hooplog.algebra as algebra_module
 from hooplog.algebra import (
     FLAGS,
+    AlgebraError,
     FiniteAlgebra,
+    _BLOCK_ROWS,
+    _assignment_blocks,
     _complete_tables,
     _pocrims_of_size,
     _poset_representatives,
@@ -23,9 +28,24 @@ from hooplog.algebra import (
     seq_holds,
     theory_class,
     valid,
+    value_tables,
 )
-from hooplog.sequent import parse_sequent
-from hooplog.syntax import FormulaError, parse_formula
+from hooplog.sequent import Sequent, parse_sequent
+from hooplog.syntax import (
+    ONE,
+    ZERO,
+    FormulaError,
+    Imp,
+    Neg,
+    Nor,
+    SDisj,
+    SImp,
+    Tensor,
+    Var,
+    WConj,
+    parse_formula,
+    variables,
+)
 from hooplog.theories import ALm, LLi, ALL_THEORIES
 
 
@@ -270,6 +290,14 @@ def test_completed_tables_are_associative():
                 )
 
 
+def test_completed_tables_are_all_pocrims():
+    for n in range(1, 7):
+        for leq in _poset_representatives(n):
+            for add, res, top in _complete_tables(n, leq):
+                flags = check_class(FiniteAlgebra(n, add, res, top)).flags
+                assert "pocrim" in flags, (n, add)
+
+
 @pytest.mark.parametrize("required, forbidden", [({"hoopz"}, set()), (set(), {"idempotnt"})])
 def test_unknown_class_flags_are_rejected(required, forbidden):
     with pytest.raises(ValueError, match="FLAGS"):
@@ -294,3 +322,160 @@ def test_enumeration_accepts_every_flag():
 def test_parse_algebra_rejects_out_of_range_tables(text, message):
     with pytest.raises(FormulaError, match=message):
         parse_algebra(text)
+
+
+# The value-table kernel against an uncached evaluator that walks the
+# formula once per assignment.
+
+
+def _reference_eval(f, m, v):
+    if isinstance(f, Var):
+        if f.name not in v:
+            raise AlgebraError(f"unassigned variable {f.name}")
+        return v[f.name]
+    if f is ONE:
+        if m.top is None:
+            raise AlgebraError("the constant 1 needs a bounded algebra")
+        return m.top
+    if f is ZERO:
+        return 0
+    if isinstance(f, Neg):
+        if m.top is None:
+            raise AlgebraError("negation needs a bounded algebra")
+        return m.res[_reference_eval(f.body, m, v)][m.top]
+    a = _reference_eval(f.left, m, v)
+    b = _reference_eval(f.right, m, v)
+    add, res = m.add, m.res
+    if isinstance(f, Imp):
+        return res[a][b]
+    if isinstance(f, Tensor):
+        return add[a][b]
+    if isinstance(f, WConj):
+        return add[a][res[a][b]]
+    if isinstance(f, SDisj):
+        return res[res[b][a]][a]
+    if isinstance(f, SImp):
+        return res[a][add[a][b]]
+    assert isinstance(f, Nor)
+    if m.top is None:
+        raise AlgebraError("!! needs a bounded algebra")
+    return add[res[a][m.top]][res[b][a]]
+
+
+def _reference_holds(s, m, v):
+    acc = 0
+    for f in s.context:
+        acc = m.add[acc][_reference_eval(f, m, v)]
+    return m.res[acc][_reference_eval(s.goal, m, v)] == 0
+
+
+def _reference_falsifying(s, m):
+    names = sorted(set().union(*(variables(f) for f in (*s.context, s.goal))))
+    for vec in product(range(m.size), repeat=len(names)):
+        v = dict(zip(names, vec))
+        if not _reference_holds(s, m, v):
+            return v
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except AlgebraError as e:
+        return "error", str(e)
+
+
+def _nodes(f):
+    yield f
+    for c in f.children():
+        yield from _nodes(c)
+
+
+_CONNECTIVES = (Imp, Tensor, WConj, SDisj, SImp, Nor)
+_LEAVES = (ONE, ZERO, Var("A"), Var("B"), Var("C"), Var("A"), Var("B"))
+
+
+def _random_formula(rng, size):
+    if size <= 1:
+        return rng.choice(_LEAVES)
+    if size == 2 or rng.random() < 0.2:
+        return Neg(_random_formula(rng, size - 1))
+    left = rng.randint(1, size - 2)
+    return rng.choice(_CONNECTIVES)(
+        _random_formula(rng, left), _random_formula(rng, size - 1 - left)
+    )
+
+
+def _random_sequents(seed, count):
+    rng = random.Random(seed)
+    return [
+        Sequent(
+            tuple(_random_formula(rng, rng.randint(1, 5)) for _ in range(rng.randint(0, 2))),
+            _random_formula(rng, rng.randint(1, 7)),
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("block_rows", [_BLOCK_ROWS, 5], ids=["default-blocks", "5-row-blocks"])
+def test_value_tables_agree_with_a_per_assignment_evaluator(monkeypatch, block_rows):
+    monkeypatch.setattr(algebra_module, "_BLOCK_ROWS", block_rows)
+    sequents = _random_sequents(4, 80)
+    used = {type(g) for s in sequents for f in (*s.context, s.goal) for g in _nodes(f)}
+    assert set(_CONNECTIVES) | {Neg, Var} <= used
+    algs = list(enumerate_algebras(4))
+    algs += [lukasiewicz_chain(k) for k in range(2, 8)]
+    algs += [godel_chain(k) for k in range(2, 8)]
+    topless = [FiniteAlgebra(m.size, m.add, m.res, None) for m in algs if m.top is not None]
+    errors = 0
+    for m in algs + topless:
+        v = {x: (3 * i + 1) % m.size for i, x in enumerate("ABC")}
+        for s in sequents:
+            got = _outcome(falsifying_assignment, s, m)
+            assert got == _outcome(_reference_falsifying, s, m), (s, m)
+            errors += got[0] == "error"
+            assert _outcome(seq_holds, s, m, v) == _outcome(_reference_holds, s, m, v)
+            assert _outcome(eval_formula, s.goal, m, v) == _outcome(
+                _reference_eval, s.goal, m, v
+            )
+    assert errors > 0
+
+
+def test_unassigned_variable_is_reported_in_evaluation_order():
+    m = lukasiewicz_chain(3)
+    s = parse_sequent("A, B -o 1 |- C")
+    unbounded = FiniteAlgebra(m.size, m.add, m.res, None)
+    for alg in (m, unbounded):
+        for v in ({"B": 0, "C": 0}, {"A": 0, "C": 0}, {"A": 0, "B": 0}, {"A": 0}):
+            assert _outcome(seq_holds, s, alg, v) == _outcome(_reference_holds, s, alg, v)
+    assert _outcome(seq_holds, s, unbounded, {"A": 0}) == ("error", "unassigned variable B")
+
+
+def test_blocks_cover_the_assignments_in_product_order():
+    names = ["A", "B", "C", "D", "E"]
+    blocks = list(_assignment_blocks(names, 7))
+    assert len(blocks) > 1
+    rows = []
+    for cols, n_rows in blocks:
+        assert list(cols) == names and n_rows <= _BLOCK_ROWS
+        assert all(len(c) == n_rows for c in cols.values())
+        rows.extend(zip(*cols.values()))
+    assert rows == list(product(range(7), repeat=5))
+
+
+def test_first_falsifying_assignment_in_a_later_block():
+    m = lukasiewicz_chain(7)
+    s = parse_sequent("A * B, C -o D |- E \\/ (B * B)")
+    first_cols, n_rows = next(_assignment_blocks(["A", "B", "C", "D", "E"], m.size))
+    w = falsifying_assignment(s, m)
+    assert w == _reference_falsifying(s, m) == {"A": 0, "B": 1, "C": 0, "D": 0, "E": 2}
+    assert n_rows < m.size**5 and first_cols["B"] == [0] * n_rows
+
+
+def test_value_tables_give_one_list_per_formula_and_block():
+    m = lukasiewicz_chain(4)
+    f, g = parse_formula("A -o B"), parse_formula("B^ -o A^")
+    for cols, (tf, tg) in value_tables((f, g), m, ["A", "B"]):
+        assert tf == tg == [
+            _reference_eval(f, m, {"A": a, "B": b}) for a, b in zip(cols["A"], cols["B"])
+        ]

@@ -112,3 +112,30 @@ def test_check_derivation_without_substitution_exits_2(tmp_path, capsys):
     assert main(["check", str(f), "--theory", "ALm"]) == 2
     err = capsys.readouterr().err
     assert "malformed derivation line '1. A -o A | axiom I'" in err
+
+
+_HEADER = "lemma bad theory ALm claim A ~= A"
+
+
+@pytest.mark.parametrize(
+    "bad_line, lines, message",
+    [
+        ("lemma bad theory ALm A ~= A", [], "no ' claim '"),
+        ("lemma bad claim A ~= A", [], "no 'theory <name>'"),
+        ("lemma theory ALm claim A ~= A", [], "no id before 'theory'"),
+        ("= A by axiom-l", [_HEADER, "start A"], "no ' at '"),
+        ("= A by def /\\", [_HEADER, "start A"], "no ' at '"),
+        ("= A by ins 0 by easy", [_HEADER, "start A"], "no ' at '"),
+        ("= A by del 0 by easy", [_HEADER, "start A"], "no ' at '"),
+        ("= A by easy deep", [_HEADER, "start A"], "'deep' is not an integer"),
+    ],
+    ids=["no-claim", "no-theory", "no-id", "rewrite", "def", "ins", "del", "easy-depth"],
+)
+def test_check_script_names_the_bad_line(tmp_path, capsys, bad_line, lines, message):
+    f = tmp_path / "bad.eq"
+    f.write_text("\n".join(lines + [bad_line]) + "\n")
+    assert main(["check", str(f), "--kind", "script"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and repr(bad_line) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -2,13 +2,26 @@ from itertools import product
 
 import pytest
 
-from hooplog.syntax import Imp, ONE, Var, expand_derived, parse_formula
+from hooplog.eqengine import EQUIV, EqStep, ac_match, ac_normalize
+from hooplog.syntax import (
+    Imp,
+    ONE,
+    Var,
+    expand_derived,
+    parse_formula,
+    positions,
+    replace_at,
+    substitute,
+    subterm_at,
+)
 from hooplog.theories import ALi, ALm, LLi
 from hooplog.translate import (
     TRANSLATIONS,
+    _kit_for,
     check_dns,
     equivalence_script,
     provability_script,
+    reduce_with_kit,
     translate,
 )
 from hooplog.algebra import enumerate_algebras, eval_formula, theory_class
@@ -133,3 +146,46 @@ def test_dns2_failure_has_countermodel(corpus):
     from hooplog.sequent import Sequent
 
     assert not seq_holds(Sequent((), bad), alg, v)
+
+
+def _per_lemma_reduce_once(cur, kit):
+    """One kit rewrite that rescans every position for every lemma."""
+    for entry, rev in kit:
+        src, tgt = entry.sides(rev)
+        for pos in sorted(positions(cur), key=len, reverse=True):
+            sub = subterm_at(cur, pos)
+            for sigma in ac_match(src, sub):
+                out = replace_at(cur, pos, substitute(tgt, sigma))
+                if ac_normalize(out) == ac_normalize(cur):
+                    continue
+                return out, EqStep("rewrite", EQUIV, out, lemma=entry.id, reverse=rev, pos=pos)
+    return None
+
+
+def _per_lemma_reduce(f, kit):
+    trace = [(f, None)]
+    for _ in range(400):
+        nxt = _per_lemma_reduce_once(trace[-1][0], kit)
+        if nxt is None:
+            return trace
+        trace.append(nxt)
+    raise AssertionError("no fixed point within 400 steps")
+
+
+@pytest.mark.parametrize("theory", [ALi, LLi], ids=lambda t: t.name)
+def test_one_pass_reduction_matches_the_per_lemma_scan(corpus, theory):
+    from hooplog.corpus.builtins import regression_list
+
+    inputs = []
+    for f in regression_list(theory):
+        inputs.append(expand_derived(f))
+        for scheme in TRANSLATIONS:
+            inputs += [translate(scheme, f), _dd(translate(scheme, f))]
+    steps = 0
+    for t in (theory, theory.classical()):
+        kit = _kit_for(t, corpus.registry)
+        for g in inputs:
+            trace = reduce_with_kit(g, kit)
+            assert trace == _per_lemma_reduce(g, kit), (t.name, g)
+            steps += len(trace) - 1
+    assert steps > 0
