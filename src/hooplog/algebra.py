@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from typing import TYPE_CHECKING
 
 from .syntax import (
     Formula,
@@ -52,8 +53,10 @@ from .syntax import (
     is_zero,
     variables,
 )
-from .sequent import Sequent
 from .theories import TheoryId
+
+if TYPE_CHECKING:
+    from .sequent import Sequent
 
 FLAGS = ("pocrim", "hoop", "bounded", "involutive", "idempotent")
 
@@ -524,6 +527,16 @@ def find_countermodel(
     s: Sequent, t: TheoryId, size_max: int
 ) -> tuple[FiniteAlgebra, Assignment] | None:
     """First algebra of t's class (by the enumeration order) falsifying s."""
+    return _first_countermodel(s, t, size_max)
+
+
+def _first_countermodel(
+    s: Sequent, t: TheoryId, size_max: int
+) -> tuple[FiniteAlgebra, Assignment] | None:
+    """The body of `find_countermodel`.  `bounded_prove` calls it directly,
+    so traces of `find_countermodel` count only countermodel searches.
+    Theories above minimal interpret 1 as the top, so they skip algebras
+    without one."""
     needs_top = t.level != "minimal"
     for alg in enumerate_algebras(size_max, theory_class(t)):
         if needs_top and alg.top is None:

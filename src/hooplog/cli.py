@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .syntax import FormulaError, Formula, format_formula, parse_formula
 from .theories import theory_by_name
@@ -126,7 +127,7 @@ def _print_tree(f: Formula, indent: int) -> None:
 
 
 def _cmd_check(args) -> int:
-    text = open(args.file).read()
+    text = Path(args.file).read_text()
     kind = args.kind or _sniff(text)
     theory = theory_by_name(args.theory)
     if kind == "proof":
@@ -201,7 +202,7 @@ def _cmd_models_enum(args) -> int:
 
 
 def _cmd_models_classify(args) -> int:
-    alg = parse_algebra(open(args.file).read())
+    alg = parse_algebra(Path(args.file).read_text())
     rep = check_class(alg)
     if rep.failure:
         print(f"not a pocrim: {rep.failure}")

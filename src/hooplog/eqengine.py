@@ -667,11 +667,14 @@ def apply_rewrite(
 # Positions are dot-joined child indices, `root` for the empty path.
 
 
-def parse_position(text: str) -> tuple[int, ...]:
+def parse_position(text: str, line: str) -> tuple[int, ...]:
     text = text.strip()
     if text in ("root", "-", ""):
         return ()
-    return tuple(int(t) for t in text.split("."))
+    try:
+        return tuple(int(t) for t in text.split("."))
+    except ValueError:
+        raise EqError(f"position {text!r} is not dot-joined integers: {line!r}") from None
 
 
 def format_position(pos: tuple[int, ...]) -> str:
@@ -706,7 +709,9 @@ def parse_script(text: str) -> EqScript:
         elif line.startswith("assume "):
             if theory is None:
                 raise EqError("assume lines must follow the lemma header")
-            name, rest = line[len("assume ") :].split(" ", 1)
+            name, _, rest = line[len("assume ") :].partition(" ")
+            if not rest:
+                raise EqError(f"assume line has no claim after its id: {line!r}")
             l, rel, r = _split_claim(rest)
             assumes.append(LemmaEntry(name, l, r, rel, theory, "local hypothesis"))
         elif line.startswith("start "):
@@ -746,7 +751,8 @@ def _parse_step(rel: str, result: Formula, just: str, line: str) -> EqStep:
         return EqStep("easy", rel, result, depth=_easy_depth(just, line))
     if just.startswith("def "):
         conn, pos = _cut(just[len("def ") :], " at ", line)
-        return EqStep("def", rel, result, conn=conn.strip(), pos=parse_position(pos))
+        pos = parse_position(pos, line)
+        return EqStep("def", rel, result, conn=conn.strip(), pos=pos)
     if just.startswith(("ins ", "del ")):
         kind = just[:3]
         body, inner = _cut(just[4:], " by ", line)
@@ -760,7 +766,7 @@ def _parse_step(rel: str, result: Formula, just: str, line: str) -> EqStep:
             kind,
             rel,
             result,
-            pos=parse_position(pos),
+            pos=parse_position(pos, line),
             formula=parse_formula(ftext),
             just=inner,
             depth=depth,
@@ -771,7 +777,12 @@ def _parse_step(rel: str, result: Formula, just: str, line: str) -> EqStep:
         just = just[: -len(" rev")]
     name, pos = _cut(just, " at ", line)
     return EqStep(
-        "rewrite", rel, result, lemma=name.strip(), reverse=reverse, pos=parse_position(pos)
+        "rewrite",
+        rel,
+        result,
+        lemma=name.strip(),
+        reverse=reverse,
+        pos=parse_position(pos, line),
     )
 
 

@@ -11,12 +11,22 @@ ImpE over an implication drawn from the context (plus the DNE and EFQ cut
 candidates `G^^ -o G` and `1 -o G` when the theory has those axioms), then
 TensorE on a context tensor.  Failed (sequent, budget) pairs are memoised per
 invocation.
+
+Before any search a root sequent of at most 5 variables is evaluated in
+the algebras of size 2 and 3 of the theory's class (the Boolean algebra,
+and the three-element Lukasiewicz and Goedel chains where the class admits
+them).  Every rule and axiom of a theory is sound in its class, so a
+sequent one of them falsifies has no proof at any depth, and
+`bounded_prove` returns None at once, as the search would have.  Only the root is checked: which proof the search finds
+depends on what its per-call memo holds when each node is reached, so
+cutting inner nodes could change the proof found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .algebra import _first_countermodel
 from .syntax import (
     Formula,
     FormulaError,
@@ -27,6 +37,7 @@ from .syntax import (
     formula_key,
     parse_formula,
     substitute,
+    variables,
 )
 from .theories import TheoryId
 
@@ -390,12 +401,29 @@ class _Search:
     hit: dict[Sequent, ProofTree] = field(default_factory=dict)
 
 
+# The root sequent is checked before search in the algebras of size at most
+# _REFUTE_SIZE (on random sequents, sizes 4 and 5 refuted nothing more and
+# cost more on provable ones), and only when it has at most _REFUTE_VARS
+# variables: 3^5 = 243 assignments, one value-table block per algebra, so
+# the check's cost does not grow with the number of variables.
+_REFUTE_SIZE = 3
+_REFUTE_VARS = 5
+
+
 def bounded_prove(s: Sequent, theory: TheoryId, depth: int) -> ProofTree | None:
-    """Deterministic depth-bounded search; sound, complete only up to depth."""
+    """Deterministic depth-bounded search; sound, complete only up to depth.
+
+    None without search when s has at most 5 variables and an algebra of
+    size 2 or 3 of the theory's class falsifies it: no proof exists then.
+    This check is made on the root only, because the search's memo depends
+    on the path taken, so pruning inner nodes could change which proof is
+    found."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    st = _Search(theory)
-    return _search(s, depth, st)
+    names = set().union(*map(variables, s.context), variables(s.goal))
+    if len(names) <= _REFUTE_VARS and _first_countermodel(s, theory, _REFUTE_SIZE):
+        return None
+    return _search(s, depth, _Search(theory))
 
 
 def _splits(ctx: tuple[Formula, ...], parts: int):

@@ -32,16 +32,7 @@ class TheoryId:
         return _NAMES[(self.base, self.level)]
 
     def axioms(self) -> frozenset[str]:
-        ax = {"ASM"}
-        if self.base == "lukasiewicz":
-            ax.add("CWC")
-        if self.base == "full":
-            ax.add("CON")
-        if _LEVEL_ORD[self.level] >= 1:
-            ax.add("EFQ")
-        if self.level == "classical":
-            ax.add("DNE")
-        return frozenset(ax)
+        return _AXIOMS[self.base, self.level]
 
     def leq(self, other: "TheoryId") -> bool:
         """True when everything provable here is provable in `other`."""
@@ -56,6 +47,22 @@ class TheoryId:
     def __str__(self) -> str:
         return self.name
 
+
+def _axiom_set(base: str, level: str) -> frozenset[str]:
+    ax = {"ASM"}
+    if base == "lukasiewicz":
+        ax.add("CWC")
+    if base == "full":
+        ax.add("CON")
+    if _LEVEL_ORD[level] >= 1:
+        ax.add("EFQ")
+    if level == "classical":
+        ax.add("DNE")
+    return frozenset(ax)
+
+
+# Built once: the search asks for a theory's axioms at every node.
+_AXIOMS = {(b, l): _axiom_set(b, l) for b in BASES for l in LEVELS}
 
 _NAMES = {
     ("affine", "minimal"): "ALm",

@@ -128,8 +128,13 @@ _HEADER = "lemma bad theory ALm claim A ~= A"
         ("= A by ins 0 by easy", [_HEADER, "start A"], "no ' at '"),
         ("= A by del 0 by easy", [_HEADER, "start A"], "no ' at '"),
         ("= A by easy deep", [_HEADER, "start A"], "'deep' is not an integer"),
+        ("assume foo", [_HEADER], "no claim after its id"),
+        ("= A by axiom-l at x.1", [_HEADER, "start A"], "'x.1' is not dot-joined integers"),
     ],
-    ids=["no-claim", "no-theory", "no-id", "rewrite", "def", "ins", "del", "easy-depth"],
+    ids=[
+        "no-claim", "no-theory", "no-id", "rewrite", "def", "ins", "del", "easy-depth",
+        "assume", "position",
+    ],
 )
 def test_check_script_names_the_bad_line(tmp_path, capsys, bad_line, lines, message):
     f = tmp_path / "bad.eq"

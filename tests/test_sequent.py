@@ -1,8 +1,15 @@
+import random
+
 import pytest
 
-from hooplog.syntax import Tensor, Var, parse_formula
-from hooplog.theories import ALm, ALi, ALc, LLm, LLi, ML, theory_by_name
+from hooplog import sequent
+from hooplog.algebra import _first_countermodel
+from hooplog.syntax import ONE, ZERO, Imp, Neg, Tensor, Var, WConj, parse_formula
+from hooplog.theories import ALL_THEORIES, ALm, ALi, ALc, LLm, LLi, ML, theory_by_name
 from hooplog.sequent import (
+    _REFUTE_SIZE,
+    _Search,
+    _search,
     Sequent,
     ax_asm,
     ax_cwc,
@@ -27,6 +34,7 @@ def test_theory_axiom_sets():
     assert theory_by_name("LLi").axioms() == frozenset({"ASM", "CWC", "EFQ"})
     assert theory_by_name("BL").axioms() == frozenset({"ASM", "CON", "EFQ", "DNE"})
     assert ALm.leq(LLi) and not LLi.leq(ALm) and not ALc.leq(LLm)
+    assert LLi.axioms() is theory_by_name("LLi").axioms()
 
 
 def test_asm_leaf_with_extra_context():
@@ -221,3 +229,74 @@ def test_search_is_sound_on_a_formula_pool():
                     assert check_proof(p, theory), (ctx, goal, theory)
                     assert p.conclusion == Sequent(ctx, goal)
     assert found > 50
+
+
+def _random_formula(rng: random.Random, size: int):
+    """A formula of `size` nodes over A, B and the constants."""
+    if size == 1:
+        r = rng.random()
+        return ONE if r < 0.15 else ZERO if r < 0.2 else Var(rng.choice("AB"))
+    if size == 2:
+        return Neg(_random_formula(rng, 1))
+    left = rng.randint(1, size - 2)
+    op = rng.choice((Imp, Imp, Imp, Tensor, Tensor, WConj))
+    return op(_random_formula(rng, left), _random_formula(rng, size - 1 - left))
+
+
+def _text(p):
+    return None if p is None else format_proof(p)
+
+
+@pytest.fixture(scope="module")
+def searched():
+    """(theory, sequent, raw search result) for seeded random sequents, every
+    theory in turn; the raw search is the one without the root pre-check."""
+    rng = random.Random(5)
+    out = []
+    for k in range(900):
+        t = ALL_THEORIES[k % 9]
+        ctx = [_random_formula(rng, rng.randint(1, 4)) for _ in range(k // 9 % 3)]
+        s = Sequent(ctx, _random_formula(rng, rng.randint(1, 5)))
+        out.append((t, s, _search(s, 6, _Search(t))))
+    return out
+
+
+def test_root_pre_check_finds_the_raw_search_proofs(searched):
+    proved = refuted = 0
+    for t, s, raw in searched:
+        got = bounded_prove(s, t, 6)
+        assert _text(got) == _text(raw), (t, s)
+        proved += got is not None
+        refuted += _first_countermodel(s, t, _REFUTE_SIZE) is not None
+    assert proved > 150 and refuted > 450
+
+
+def test_refuted_root_runs_no_search(monkeypatch):
+    calls = []
+    try_all = sequent._try_all
+
+    def counting(*args):
+        calls.append(args)
+        return try_all(*args)
+
+    monkeypatch.setattr(sequent, "_try_all", counting)
+    s = parse_sequent("A |- A * A")
+    assert bounded_prove(s, ALm, 10) is None
+    assert calls == []
+    assert _search(s, 10, _Search(ALm)) is None and calls
+
+
+def test_pre_check_skips_roots_with_many_variables(monkeypatch):
+    checked = []
+    first = sequent._first_countermodel
+
+    def counting(s, *args):
+        checked.append(s)
+        return first(s, *args)
+
+    monkeypatch.setattr(sequent, "_first_countermodel", counting)
+    five = parse_sequent("A1, A2, A3, A4, A5 |- A1")
+    six = parse_sequent("A1, A2, A3, A4, A5, A6 |- A1 * A1")
+    assert bounded_prove(five, ALm, 10) is not None
+    assert bounded_prove(six, ALm, 10) is None
+    assert checked == [five]
