@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .syntax import FormulaError, Formula, format_formula, parse_formula
+from .syntax import FormulaError, Formula, Var, format_formula, parse_formula
 from .theories import theory_by_name
 from .sequent import (
     bounded_prove,
@@ -117,11 +117,11 @@ def _cmd_parse(args) -> int:
 
 
 def _print_tree(f: Formula, indent: int) -> None:
-    label = type(f).__name__.lstrip("_")
     if not f.children():
+        label = "Var" if isinstance(f, Var) else "Const"
         print("  " * indent + f"{label} {format_formula(f)}")
         return
-    print("  " * indent + label)
+    print("  " * indent + type(f).__name__)
     for c in f.children():
         _print_tree(c, indent + 1)
 

@@ -161,7 +161,7 @@ def _auto_evidence(entry: LemmaEntry, depth: int):
 
 def register_kit(registry: LemmaRegistry) -> None:
     for name, claim, theory, depth in _KIT:
-        lhs, rel, rhs = _split_claim(claim)
+        lhs, rel, rhs = _split_claim(claim, claim)
         entry = LemmaEntry(name, lhs, rhs, rel, theory_by_name(theory), "kit")
         proof = _auto_evidence(entry, depth)
         if proof is None:
@@ -245,7 +245,7 @@ class Corpus:
 
     def _ev_auto(self, entry: CorpusEntry):
         depth = int(entry.evidence[1])
-        lhs, rel, rhs = _split_claim(entry.statement)
+        lhs, rel, rhs = _split_claim(entry.statement, entry.statement)
         lemma = LemmaEntry(entry.id, lhs, rhs, rel, entry.theory, "auto")
         proof = _auto_evidence(lemma, depth)
         if proof is None:

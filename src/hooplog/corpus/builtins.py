@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..syntax import Imp, Tensor, Var, expand_derived, parse_formula
+from ..syntax import Imp, Tensor, Var, core_dneg, expand_derived, parse_formula
 from ..sequent import (
     Sequent,
     bounded_prove,
@@ -35,7 +35,7 @@ from ..algebra import (
     valid,
     value_tables,
 )
-from ..translate import _dd, check_dns, translate
+from ..translate import check_dns, translate
 
 P, Q, R = Var("P"), Var("Q"), Var("R")
 A, B, C = Var("A"), Var("B"), Var("C")
@@ -52,7 +52,7 @@ A3_FORMULA = _f("((P -o Q) -o Q) -o (Q -o P) -o P")
 A4_FORMULA = _f("(P^ -o Q^) -o Q -o P")
 A6_FORMULA = _f("((P -o Q) -o R) -o ((Q -o P) -o R) -o R")
 DNE_INSTANCES = [
-    Imp(_dd(expand_derived(x)), expand_derived(x))
+    Imp(core_dneg(expand_derived(x)), expand_derived(x))
     for x in (P, Q, _f("P * Q"), _f("P -o Q"))
 ]
 
@@ -227,7 +227,7 @@ def bi_gentzen_not_ali(corpus, entry):
     """DNS2 fails for the Gentzen translation over ALi: the translated DNE
     instance on P * Q has a finite countermodel."""
     x = expand_derived(_f("P * Q"))
-    failing = translate("gentzen", Imp(_dd(x), x))
+    failing = translate("gentzen", Imp(core_dneg(x), x))
     got = find_countermodel(Sequent((), failing), ALi, 10)
     if got is None:
         return False, "no countermodel within size 10"
@@ -239,7 +239,7 @@ def bi_gentzen_not_ali(corpus, entry):
 
 def bi_glivenko_not_ali(corpus, entry):
     x = expand_derived(P)
-    failing = translate("glivenko", Imp(_dd(x), x))
+    failing = translate("glivenko", Imp(core_dneg(x), x))
     got = find_countermodel(Sequent((), failing), ALi, 10)
     if got is None:
         return False, "no countermodel within size 10"

@@ -20,20 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
+    DEFINITIONS,
     Formula,
     FormulaError,
     Imp,
     MIXED,
     Neg,
-    Nor,
-    ONE,
     POSITIVE,
-    SDisj,
-    SImp,
     Tensor,
     Var,
-    WConj,
     ZERO,
+    core_neg,
     expand_derived,
     expand_one_level,
     format_formula,
@@ -68,22 +65,20 @@ class RewriteError(EqError):
 def _spine(f: Formula) -> list[Formula]:
     if isinstance(f, Tensor):
         return _spine(f.left) + _spine(f.right)
-    if is_zero(f):
-        return []
     return [f]
+
+
+_ZERO_CORE = expand_derived(ZERO)
 
 
 def _build_spine(parts: list[Formula]) -> Formula:
     if not parts:
-        return Imp(ONE, ONE)
+        return _ZERO_CORE
     parts = sorted(parts, key=formula_key)
     out = parts[-1]
     for p in reversed(parts[:-1]):
         out = Tensor(p, out)
     return out
-
-
-_ZERO_CORE = Imp(ONE, ONE)
 
 
 def ac_normalize(f: Formula) -> Formula:
@@ -116,7 +111,7 @@ def _ac_normalize(f: Formula) -> Formula:
             parts.extend(_spine(h))
         return _build_spine(parts)
     if isinstance(f, Neg):
-        return Imp(ac_normalize(f.body), ONE)
+        return core_neg(ac_normalize(f.body))
     return type(f)(ac_normalize(f.left), ac_normalize(f.right))
 
 
@@ -164,9 +159,6 @@ def _match(p: Formula, s: Formula, sigma: Subst, mv: set[str] | None):
     if not p.children():
         if p == s:
             yield sigma
-        return
-    if isinstance(p, Neg):
-        yield from _match(p.body, s.body, sigma, mv)
         return
     for mid in _match(p.left, s.left, sigma, mv):
         yield from _match(p.right, s.right, mid, mv)
@@ -383,16 +375,6 @@ def _compose(rel_a: str, rel_b: str) -> str:
     return GEQ if rel_a == rel_b == GEQ else LEQ
 
 
-_CONNS = {
-    "^": Neg,
-    "0": type(ZERO),
-    "/\\": WConj,
-    "\\/": SDisj,
-    "=>": SImp,
-    "!!": Nor,
-}
-
-
 def check_script(
     script: EqScript, registry: LemmaRegistry, easy_depth: int = 8
 ) -> ScriptReport:
@@ -538,14 +520,14 @@ def _matches_provable(entry: LemmaEntry, g: Formula) -> bool:
 
 
 def _check_def(cur: Formula, step: EqStep) -> str:
-    if step.conn not in _CONNS:
+    if step.conn not in DEFINITIONS:
         raise EqError(f"unknown connective {step.conn!r}")
-    want = _CONNS[step.conn]
+    cls = DEFINITIONS[step.conn][0]
     try:
         sub = subterm_at(cur, step.pos)
     except FormulaError:
         raise EqError(f"position {step.pos} does not exist")
-    if _is_conn(sub, step.conn):
+    if type(sub) is cls:
         out = replace_at(cur, step.pos, expand_one_level(sub))
         if ac_eq(out, step.result):
             return EQUIV
@@ -555,19 +537,13 @@ def _check_def(cur: Formula, step: EqStep) -> str:
         res_sub = subterm_at(step.result, step.pos)
     except FormulaError:
         raise EqError(f"position {step.pos} does not exist in the result")
-    if not _is_conn(res_sub, step.conn):
+    if type(res_sub) is not cls:
         raise EqError(f"{step.conn} occurs at {step.pos} in neither side")
     if not ac_eq(expand_one_level(res_sub), sub):
         raise EqError(f"folding {step.conn} does not match the current subterm")
     if not ac_eq(replace_at(cur, step.pos, res_sub), step.result):
         raise EqError("fold result differs outside the stated position")
     return EQUIV
-
-
-def _is_conn(f: Formula, conn: str) -> bool:
-    if conn == "0":
-        return is_zero(f)
-    return isinstance(f, _CONNS[conn]) and not is_zero(f)
 
 
 def _check_provable(step, script, local, registry, easy_depth) -> None:
@@ -681,12 +657,14 @@ def format_position(pos: tuple[int, ...]) -> str:
     return ".".join(str(i) for i in pos) if pos else "root"
 
 
-def _split_claim(text: str):
+def _split_claim(text: str, line: str):
+    """The two sides and the relation of a claim; EqError naming the line
+    if there is no relation."""
     for sep, rel in ((" ~= ", EQUIV), (" >= ", GEQ)):
         if sep in text:
             l, r = text.split(sep, 1)
             return parse_formula(l), rel, parse_formula(r)
-    raise EqError(f"claim needs '~=' or '>=': {text!r}")
+    raise EqError(f"claim needs '~=' or '>=': {line!r}")
 
 
 def parse_script(text: str) -> EqScript:
@@ -705,14 +683,14 @@ def parse_script(text: str) -> EqScript:
             if parts.index("theory") == 1:
                 raise EqError(f"lemma line has no id before 'theory': {line!r}")
             sid, theory = parts[1], theory_by_name(parts[parts.index("theory") + 1])
-            claim = _split_claim(claim_text)
+            claim = _split_claim(claim_text, line)
         elif line.startswith("assume "):
             if theory is None:
                 raise EqError("assume lines must follow the lemma header")
             name, _, rest = line[len("assume ") :].partition(" ")
             if not rest:
                 raise EqError(f"assume line has no claim after its id: {line!r}")
-            l, rel, r = _split_claim(rest)
+            l, rel, r = _split_claim(rest, line)
             assumes.append(LemmaEntry(name, l, r, rel, theory, "local hypothesis"))
         elif line.startswith("start "):
             start = parse_formula(line[len("start ") :])

@@ -25,6 +25,8 @@ from .syntax import (
     ONE,
     Tensor,
     Var,
+    core_dneg,
+    core_neg,
     expand_derived,
     format_formula,
     formula_key,
@@ -35,6 +37,7 @@ from .sequent import (
     ProofTree,
     Sequent,
     Verdict,
+    _ctx_minus,
     bounded_prove,
     check_proof,
     imp_e,
@@ -44,11 +47,6 @@ from .theories import ALL_THEORIES, TheoryId
 
 _A, _B, _C = Var("A"), Var("B"), Var("C")
 
-
-def _neg(f: Formula) -> Formula:
-    return Imp(f, ONE)
-
-
 SCHEMAS: dict[str, Formula] = {
     "Comp": Imp(Imp(_A, _B), Imp(Imp(_B, _C), Imp(_A, _C))),
     "Comm": Imp(Tensor(_A, _B), Tensor(_B, _A)),
@@ -56,7 +54,7 @@ SCHEMAS: dict[str, Formula] = {
     "Uncurry": Imp(Imp(_A, Imp(_B, _C)), Imp(Tensor(_A, _B), _C)),
     "Wk": Imp(Tensor(_A, _B), _A),
     "EFQ": Imp(ONE, _A),
-    "DNE": Imp(_neg(_neg(_A)), _A),
+    "DNE": Imp(core_dneg(_A), _A),
     "CWC": Imp(
         Tensor(_A, Imp(_A, _B)), Tensor(_B, Imp(_B, _A))
     ),
@@ -64,7 +62,7 @@ SCHEMAS: dict[str, Formula] = {
     "A1": Imp(_A, Imp(_B, _A)),
     "A2": Imp(Imp(_A, _B), Imp(Imp(_B, _C), Imp(_A, _C))),
     "A3": Imp(Imp(Imp(_A, _B), _B), Imp(Imp(_B, _A), _A)),
-    "A4": Imp(Imp(_neg(_A), _neg(_B)), Imp(_B, _A)),
+    "A4": Imp(Imp(core_neg(_A), core_neg(_B)), Imp(_B, _A)),
 }
 
 _BASE = ("Comp", "Comm", "Curry", "Uncurry", "Wk")
@@ -151,7 +149,7 @@ def rose_rosser_embed(f: Formula) -> Formula:
 
     def go(g: Formula) -> Formula:
         if isinstance(g, Tensor):
-            return _neg(Imp(go(g.left), _neg(go(g.right))))
+            return core_neg(Imp(go(g.left), core_neg(go(g.right))))
         if isinstance(g, Imp):
             return Imp(go(g.left), go(g.right))
         return g
@@ -414,38 +412,20 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
     s = p.conclusion
     if rule == "AxASM":
         a = s.goal
-        gamma = list(_minus(s.context, [a]))
+        gamma = list(_ctx_minus(s.context, (a,)))
         if not gamma:
             return _Node([a], b.ident(a))
         return _Node([a] + gamma, b.axiom("Wk", A=a, B=_comb(gamma)))
     if rule == "AxCON":
-        a = s.goal.left
-        gamma = list(_minus(s.context, [a]))
-        con = b.axiom("Con", A=a)
-        if not gamma:
-            return _Node([a], con)
-        wk = b.axiom("Wk", A=a, B=_comb(gamma))
-        return _Node([a] + gamma, b.comp(wk, con))
+        return _weakened(b, s, s.goal.left, b.axiom("Con", A=s.goal.left))
     if rule == "AxEFQ":
-        gamma = list(_minus(s.context, [ONE]))
-        efq = b.axiom("EFQ", A=s.goal)
-        if not gamma:
-            return _Node([ONE], efq)
-        wk = b.axiom("Wk", A=ONE, B=_comb(gamma))
-        return _Node([ONE] + gamma, b.comp(wk, efq))
+        return _weakened(b, s, ONE, b.axiom("EFQ", A=s.goal))
     if rule == "AxDNE":
-        a = s.goal
-        dd = Imp(Imp(a, ONE), ONE)
-        gamma = list(_minus(s.context, [dd]))
-        dne = b.axiom("DNE", A=a)
-        if not gamma:
-            return _Node([dd], dne)
-        wk = b.axiom("Wk", A=dd, B=_comb(gamma))
-        return _Node([dd] + gamma, b.comp(wk, dne))
+        return _weakened(b, s, core_dneg(s.goal), b.axiom("DNE", A=s.goal))
     if rule == "AxCWC":
         bb, a = s.goal.left, s.goal.right.right
         ab = Imp(a, bb)
-        gamma = list(_minus(s.context, [a, ab]))
+        gamma = list(_ctx_minus(s.context, (a, ab)))
         cwc = b.axiom("CWC", A=a, B=bb)
         if not gamma:
             return _Node([a, ab], cwc)
@@ -531,6 +511,15 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
     raise FormulaError(f"unknown rule {rule!r}")
 
 
+def _weakened(b: _Builder, s: Sequent, hyp: Formula, idx: int) -> _Node:
+    """From |- hyp -o goal at idx build the node for the axiom leaf s, whose
+    context is hyp plus the weakened rest."""
+    gamma = list(_ctx_minus(s.context, (hyp,)))
+    if not gamma:
+        return _Node([hyp], idx)
+    return _Node([hyp] + gamma, b.comp(b.axiom("Wk", A=hyp, B=_comb(gamma)), idx))
+
+
 def _join(b: _Builder, o1: list[Formula], o2: list[Formula], idx: int, goal: Formula) -> _Node:
     """From |- comb(o1) -o (comb(o2) -o goal) build the node for o1 ++ o2."""
     c1, c2 = _comb(o1), _comb(o2)
@@ -538,13 +527,6 @@ def _join(b: _Builder, o1: list[Formula], o2: list[Formula], idx: int, goal: For
     order = o1 + o2
     glue = b.split_comb(o1, c2)  # comb(order) -o c1*c2
     return _Node(order, b.comp(glue, unc))
-
-
-def _minus(ctx, remove):
-    out = list(ctx)
-    for f in remove:
-        out.remove(f)
-    return out
 
 
 # Hilbert -> sequent replay

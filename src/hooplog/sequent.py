@@ -33,6 +33,7 @@ from .syntax import (
     Imp,
     ONE,
     Tensor,
+    core_dneg,
     format_formula,
     formula_key,
     parse_formula,
@@ -243,7 +244,7 @@ def _check_axiom_shape(p: ProofTree, path) -> Verdict:
     elif r == "AxEFQ":
         need = (ONE,)
     elif r == "AxDNE":
-        need = (Imp(Imp(goal, ONE), ONE),)
+        need = (core_dneg(goal),)
     elif r == "AxCWC":
         # goal B * (B -o A); context must contain A and A -o B
         if not (
@@ -277,7 +278,7 @@ def ax_efq(a: Formula, gamma=()) -> ProofTree:
 
 
 def ax_dne(a: Formula, gamma=()) -> ProofTree:
-    dd = Imp(Imp(a, ONE), ONE)
+    dd = core_dneg(a)
     return ProofTree(Sequent(tuple(gamma) + (dd,), a), "AxDNE", inst=(a,))
 
 
@@ -488,7 +489,8 @@ def _try_all(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
             return ProofTree(s, "AxCON", inst=(goal.left,))
     if "EFQ" in axioms and ONE in ctx:
         return ProofTree(s, "AxEFQ", inst=(goal,))
-    if "DNE" in axioms and Imp(Imp(goal, ONE), ONE) in ctx:
+    dd = core_dneg(goal) if "DNE" in axioms else None
+    if dd is not None and dd in ctx:
         return ProofTree(s, "AxDNE", inst=(goal,))
 
     if depth == 1:
@@ -532,8 +534,7 @@ def _try_all(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
                 return p
 
     # Cut candidates licensed by DNE / EFQ.
-    if "DNE" in axioms:
-        dd = Imp(Imp(goal, ONE), ONE)
+    if dd is not None:
         minor = _search(Sequent(ctx, dd), depth - 1, st)
         if minor is not None:
             major = _search(Sequent((), Imp(dd, goal)), depth - 1, st)

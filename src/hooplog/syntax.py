@@ -1,10 +1,16 @@
 r"""Formula terms, the ASCII grammar, and structural operations.
 
 The language has variables, the constant 1 (falsehood), implication -o and
-multiplicative conjunction *.  Four derived binary connectives (/\, \/, =>,
-!!) plus postfix negation ^ and the constant 0 are kept as explicit nodes so
-that proof scripts can unfold definitions step by step; `expand_derived`
-rewrites any formula to the -o/*/1 core.
+multiplicative conjunction *.  The derived connectives -- the constant 0,
+postfix negation ^ and the binary /\, \/, => and !! -- are kept as explicit
+nodes so that proof scripts can unfold definitions step by step.  Each one
+is defined once, in the table `DEFINITIONS`, as formula text over its
+operands A and B, and everything that depends on a definition reads that
+table: `expand_derived` (the -o/*/1 core form) and `expand_one_level`
+substitute the operands into it, `signed_polarity` takes each operand's
+sign from where it occurs in it, `core_neg` and `core_dneg` give the core
+forms of A^ and A^^, the parser and printer take the symbols from it, and
+the chain checker's `def` steps name connectives by its keys.
 
 Formulas are hash-consed: there is exactly one node per structure.  The
 constructors `Var`, `Neg` and the binary classes look the structure up in a
@@ -86,6 +92,12 @@ class _Const(Formula):
         return (_const_by_tag, (self.tag,))
 
 
+class _Zero(_Const):
+    """The class of 0 alone, so that 0 has a row in `DEFINITIONS`."""
+
+    __slots__ = ()
+
+
 class _Binary(Formula):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
@@ -165,7 +177,20 @@ class Nor(_Binary):
 
 
 ONE = _Const("1", 1)
-ZERO = _Const("0", 2)
+ZERO = _Zero("0", 2)
+
+
+# The derived connectives: symbol -> (node class, definition over the
+# operands A and B).  Each definition is written here and nowhere else; the
+# texts are parsed once, at the end of this module.
+DEFINITIONS = {
+    "0": (_Zero, "1 -o 1"),
+    "^": (Neg, "A -o 1"),
+    "/\\": (WConj, "A * (A -o B)"),
+    "\\/": (SDisj, "(B -o A) -o A"),
+    "=>": (SImp, "A -o A * B"),
+    "!!": (Nor, "(A -o 1) * (B -o A)"),
+}
 
 
 def _const_by_tag(tag: str) -> Formula:
@@ -185,15 +210,6 @@ def formula_key(f: Formula) -> tuple:
     return f._key
 
 
-DERIVED_TYPES = (Neg, WConj, SDisj, SImp, Nor)
-
-
-def is_core(f: Formula) -> bool:
-    if isinstance(f, DERIVED_TYPES) or is_zero(f):
-        return False
-    return all(is_core(c) for c in f.children())
-
-
 def expand_derived(f: Formula) -> Formula:
     """Rewrite to core form: only Var, 1, -o and * remain.  Cached in the
     node's `_core` slot, which holds True when the node is core itself."""
@@ -208,44 +224,36 @@ def expand_derived(f: Formula) -> Formula:
 
 
 def _expand_derived(f: Formula) -> Formula:
-    if isinstance(f, Var) or is_one(f):
-        return f
-    if is_zero(f):
-        return Imp(ONE, ONE)
-    if isinstance(f, Neg):
-        return Imp(expand_derived(f.body), ONE)
-    l = expand_derived(f.left) if isinstance(f, _Binary) else None
-    r = expand_derived(f.right) if isinstance(f, _Binary) else None
-    if isinstance(f, Imp):
-        return Imp(l, r)
-    if isinstance(f, Tensor):
-        return Tensor(l, r)
-    if isinstance(f, WConj):
-        return Tensor(l, Imp(l, r))
-    if isinstance(f, SDisj):
-        return Imp(Imp(r, l), l)
-    if isinstance(f, SImp):
-        return Imp(l, Tensor(l, r))
-    if isinstance(f, Nor):
-        return Tensor(Imp(l, ONE), Imp(r, l))
-    raise FormulaError(f"unknown node {f!r}")
+    operands = [expand_derived(c) for c in f.children()]
+    if type(f) in _DEFINED:
+        return _fill(_DEFINED[type(f)], operands)
+    return type(f)(*operands) if operands else f
 
 
 def expand_one_level(f: Formula) -> Formula:
     """Unfold only the outermost derived connective, children untouched."""
-    if is_zero(f):
-        return Imp(ONE, ONE)
-    if isinstance(f, Neg):
-        return Imp(f.body, ONE)
-    if isinstance(f, WConj):
-        return Tensor(f.left, Imp(f.left, f.right))
-    if isinstance(f, SDisj):
-        return Imp(Imp(f.right, f.left), f.left)
-    if isinstance(f, SImp):
-        return Imp(f.left, Tensor(f.left, f.right))
-    if isinstance(f, Nor):
-        return Tensor(Imp(f.left, ONE), Imp(f.right, f.left))
-    raise FormulaError(f"not a derived connective: {f!r}")
+    if type(f) not in _DEFINED:
+        raise FormulaError(f"not a derived connective: {f!r}")
+    return _fill(_DEFINED[type(f)], f.children())
+
+
+def core_neg(f: Formula) -> Formula:
+    """f -o 1: the definition of f^, with f left as it is."""
+    return _fill(_DEFINED[Neg], (f,))
+
+
+def core_dneg(f: Formula) -> Formula:
+    """(f -o 1) -o 1: the definition of f^^, with f left as it is."""
+    return core_neg(core_neg(f))
+
+
+def _fill(t: Formula, operands) -> Formula:
+    """The core definition t with operands[0] for A and operands[1] for B."""
+    if isinstance(t, Var):
+        return operands["AB".index(t.name)]
+    if isinstance(t, _Const):
+        return t
+    return type(t)(_fill(t.left, operands), _fill(t.right, operands))
 
 
 def substitute(f: Formula, sigma: dict[str, Formula]) -> Formula:
@@ -317,55 +325,50 @@ NEGATIVE = "negative"
 MIXED = "mixed"
 
 
-def polarity_at(f: Formula, pos: Position) -> str:
-    """Sign of the occurrence at `pos` in a core formula.
+def signed_polarity(f: Formula, pos: Position) -> str:
+    """Sign of the occurrence at `pos`: positive, negative or mixed.
 
-    The sign flips on each left edge of -o and is preserved by * and by
-    right edges of -o.  Derived connectives are rejected: their left
-    operands occur with both signs after expansion.
+    The sign flips on each left edge of -o and is kept by * and by right
+    edges of -o.  An operand of a derived connective takes the sign of its
+    occurrences in the connective's definition, `mixed` when they have both
+    signs (the left operands of /\\, \\/, => and !!), and any path through
+    a mixed operand is mixed.
     """
-    if not is_core(f):
-        raise FormulaError("polarity_at requires core form")
     sign = POSITIVE
     cur = f
     for i in pos:
         kids = cur.children()
         if i >= len(kids):
             raise FormulaError(f"invalid position {pos} in {f!r}")
-        if isinstance(cur, Imp) and i == 0:
+        step = _SIGNS[type(cur)][i]
+        if step == MIXED:
+            sign = MIXED
+        elif step == NEGATIVE and sign != MIXED:
             sign = NEGATIVE if sign == POSITIVE else POSITIVE
         cur = kids[i]
     return sign
 
 
-def signed_polarity(f: Formula, pos: Position) -> str:
-    """Like polarity_at but total on derived nodes.
-
-    Left operands of /\\, \\/, => and !! expand to both signs, so any path
-    through one is `mixed`; right operands keep a determinate sign (positive
-    for /\\, \\/ and =>, negative for !!).
-    """
-    sign = POSITIVE
-    cur = f
-    for i in pos:
-        kids = cur.children()
-        if i >= len(kids):
-            raise FormulaError(f"invalid position {pos} in {f!r}")
-        if sign != MIXED:
-            flip = NEGATIVE if sign == POSITIVE else POSITIVE
-            if isinstance(cur, (Imp, Neg)) and i == 0:
-                sign = flip
-            elif isinstance(cur, (WConj, SDisj, SImp, Nor)) and i == 0:
-                sign = MIXED
-            elif isinstance(cur, Nor) and i == 1:
-                sign = flip
-        cur = kids[i]
-    return sign
+def _operand_signs(definition: Formula) -> tuple[str, ...]:
+    """Per operand A, B, the sign of its occurrences in a core definition."""
+    found: dict[str, set[str]] = {}
+    for p in positions(definition):
+        g = subterm_at(definition, p)
+        if isinstance(g, Var):
+            found.setdefault(g.name, set()).add(signed_polarity(definition, p))
+    return tuple(s.pop() if len(s) == 1 else MIXED for _, s in sorted(found.items()))
 
 
 # Parsing
 
-_TIER2 = {"*": Tensor, "/\\": WConj, "\\/": SDisj, "!!": Nor}
+# Every connective's symbol and node class.  -o and => are the
+# right-associative levels, loosest first; every other binary connective is
+# in the tier of left-associative chains.
+_CLASS = {"-o": Imp, "*": Tensor} | {sym: cls for sym, (cls, _) in DEFINITIONS.items()}
+_SYMBOL = {cls: sym for sym, cls in _CLASS.items()}
+_RIGHT = ("-o", "=>")
+_TIER2 = {s for s, cls in _CLASS.items() if issubclass(cls, _Binary) and s not in _RIGHT}
+_DIGRAPHS = tuple(s for s in _CLASS if len(s) == 2)
 
 
 class _Tokenizer:
@@ -395,13 +398,7 @@ class _Tokenizer:
             elif c in "01":
                 self.tokens.append(("const", c, start))
                 i += 1
-            elif t.startswith("-o", i):
-                self.tokens.append(("op", "-o", start))
-                i += 2
-            elif t.startswith("=>", i):
-                self.tokens.append(("op", "=>", start))
-                i += 2
-            elif t.startswith("/\\", i) or t.startswith("\\/", i) or t.startswith("!!", i):
+            elif t.startswith(_DIGRAPHS, i):
                 self.tokens.append(("op", t[i : i + 2], start))
                 i += 2
             elif c in "*^()":
@@ -422,28 +419,23 @@ class _Tokenizer:
 
 def parse_formula(text: str) -> Formula:
     tz = _Tokenizer(text)
-    f = _parse_imp(tz)
+    f = _parse_right(tz, 0)
     kind, val, at = tz.peek()
     if kind != "eof":
         raise ParseError(f"unexpected {val!r}", at + 1)
     return f
 
 
-def _parse_imp(tz: _Tokenizer) -> Formula:
-    left = _parse_simp(tz)
+def _parse_right(tz: _Tokenizer, level: int) -> Formula:
+    """The right-associative level `_RIGHT[level]`; past the last level, a
+    tier-2 chain."""
+    if level == len(_RIGHT):
+        return _parse_tier2(tz)
+    left = _parse_right(tz, level + 1)
     kind, val, _ = tz.peek()
-    if kind == "op" and val == "-o":
+    if kind == "op" and val == _RIGHT[level]:
         tz.next()
-        return Imp(left, _parse_imp(tz))
-    return left
-
-
-def _parse_simp(tz: _Tokenizer) -> Formula:
-    left = _parse_tier2(tz)
-    kind, val, _ = tz.peek()
-    if kind == "op" and val == "=>":
-        tz.next()
-        return SImp(left, _parse_simp(tz))
+        return _CLASS[val](left, _parse_right(tz, level))
     return left
 
 
@@ -460,7 +452,7 @@ def _parse_tier2(tz: _Tokenizer) -> Formula:
                     f"mixing {chain_op!r} and {val!r} needs parentheses", at + 1
                 )
             tz.next()
-            left = _TIER2[val](left, _parse_postfix(tz))
+            left = _CLASS[val](left, _parse_postfix(tz))
         else:
             return left
 
@@ -483,7 +475,7 @@ def _parse_atom(tz: _Tokenizer) -> Formula:
     if kind == "const":
         return ONE if val == "1" else ZERO
     if kind == "op" and val == "(":
-        f = _parse_imp(tz)
+        f = _parse_right(tz, 0)
         kind2, val2, at2 = tz.next()
         if not (kind2 == "op" and val2 == ")"):
             raise ParseError("expected ')'", at2 + 1)
@@ -493,43 +485,34 @@ def _parse_atom(tz: _Tokenizer) -> Formula:
 
 # Printing
 
-_TIER2_SYM = {Tensor: "*", WConj: "/\\", SDisj: "\\/", Nor: "!!"}
-
 
 def format_formula(f: Formula) -> str:
     """Minimal-parenthesis rendering; parse_formula(format_formula(f)) == f."""
     return _fmt(f, 0, None)
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Imp):
-        return 1
-    if isinstance(f, SImp):
-        return 2
-    if type(f) in _TIER2_SYM:
-        return 3
-    if isinstance(f, Neg):
-        return 4
-    return 5
-
-
 def _fmt(f: Formula, need: int, chain_op) -> str:
-    # need: minimal precedence at this slot; chain_op: the tier-2 connective
-    # whose left-assoc chain this slot continues, if any.
+    # need: minimal precedence at this slot (1 -o, 2 =>, 3 tier 2, 4 ^);
+    # chain_op: the tier-2 connective whose left-assoc chain this slot
+    # continues, if any.
     if isinstance(f, Var):
         return f.name
     if isinstance(f, _Const):
         return f.tag
     if isinstance(f, Neg):
         return _fmt(f.body, 4, None) + "^"
-    if isinstance(f, Imp):
-        s = _fmt(f.left, 2, None) + " -o " + _fmt(f.right, 1, None)
-        return f"({s})" if _prec(f) < need else s
-    if isinstance(f, SImp):
-        s = _fmt(f.left, 3, None) + " => " + _fmt(f.right, 2, None)
-        return f"({s})" if _prec(f) < need else s
-    op = _TIER2_SYM[type(f)]
+    op = _SYMBOL[type(f)]
+    if op in _RIGHT:
+        p = 1 + _RIGHT.index(op)
+        s = _fmt(f.left, p + 1, None) + f" {op} " + _fmt(f.right, p, None)
+        return f"({s})" if p < need else s
     s = _fmt(f.left, 3, type(f)) + f" {op} " + _fmt(f.right, 4, None)
-    if _prec(f) < need or (need == 3 and chain_op is not None and chain_op is not type(f)):
+    if need > 3 or (need == 3 and chain_op is not None and chain_op is not type(f)):
         return f"({s})"
     return s
+
+
+# The parsed definitions, and the operand signs read off them.
+_DEFINED = {cls: parse_formula(text) for cls, text in DEFINITIONS.values()}
+_SIGNS = {Imp: (NEGATIVE, POSITIVE), Tensor: (POSITIVE, POSITIVE)}
+_SIGNS |= {cls: _operand_signs(d) for cls, d in _DEFINED.items()}

@@ -25,6 +25,8 @@ from .syntax import (
     Tensor,
     Var,
     ZERO,
+    core_dneg,
+    core_neg,
     expand_derived,
     format_formula,
     positions,
@@ -51,10 +53,6 @@ from .eqengine import (
 TRANSLATIONS = ("kolmogorov", "goedel", "gentzen", "glivenko")
 
 
-def _dd(f: Formula) -> Formula:
-    return Imp(Imp(f, ONE), ONE)
-
-
 def translate(scheme: str, f: Formula) -> Formula:
     """Apply one of the four translations to the core form of f."""
     f = expand_derived(f)
@@ -65,31 +63,31 @@ def translate(scheme: str, f: Formula) -> Formula:
     if scheme == "gentzen":
         return _gentzen(f)
     if scheme == "glivenko":
-        return ONE if f == ONE else _dd(f)
+        return ONE if f == ONE else core_dneg(f)
     raise ValueError(f"unknown translation {scheme!r}")
 
 
 def _kolmogorov(f: Formula) -> Formula:
     if isinstance(f, Var):
-        return _dd(f)
+        return core_dneg(f)
     if f == ONE:
         return ONE
     if isinstance(f, Imp):
-        return _dd(Imp(_kolmogorov(f.left), _kolmogorov(f.right)))
-    return _dd(Tensor(_kolmogorov(f.left), _kolmogorov(f.right)))
+        return core_dneg(Imp(_kolmogorov(f.left), _kolmogorov(f.right)))
+    return core_dneg(Tensor(_kolmogorov(f.left), _kolmogorov(f.right)))
 
 
 def _goedel(f: Formula) -> Formula:
     if isinstance(f, Var) or f == ONE:
         return f
     if isinstance(f, Imp):
-        return Imp(Tensor(_goedel(f.left), Imp(_goedel(f.right), ONE)), ONE)
+        return core_neg(Tensor(_goedel(f.left), core_neg(_goedel(f.right))))
     return Tensor(_goedel(f.left), _goedel(f.right))
 
 
 def _gentzen(f: Formula) -> Formula:
     if isinstance(f, Var):
-        return _dd(f)
+        return core_dneg(f)
     if f == ONE:
         return ONE
     return type(f)(_gentzen(f.left), _gentzen(f.right))
@@ -332,11 +330,11 @@ def check_dns(
     for f in formulas:
         t = translate(scheme, f)
         script = equivalence_script(
-            f"dns3-{scheme}", _dd(t), t, theory, registry, depth
+            f"dns3-{scheme}", core_dneg(t), t, theory, registry, depth
         )
         entry = _scripted("DNS3", f, script, "stable in " + theory.name)
         if entry.status != "pass":
-            entry = _refute_or_keep(entry, [Sequent((_dd(t),), t)], theory, model_size)
+            entry = _refute_or_keep(entry, [Sequent((core_dneg(t),), t)], theory, model_size)
         report.entries.append(entry)
     return report
 

@@ -32,6 +32,7 @@ from hooplog.algebra import (
 )
 from hooplog.sequent import Sequent, parse_sequent
 from hooplog.syntax import (
+    DEFINITIONS,
     ONE,
     ZERO,
     FormulaError,
@@ -43,6 +44,7 @@ from hooplog.syntax import (
     Tensor,
     Var,
     WConj,
+    expand_derived,
     parse_formula,
     variables,
 )
@@ -415,6 +417,23 @@ def _random_sequents(seed, count):
         )
         for _ in range(count)
     ]
+
+
+def test_value_lines_agree_with_the_definitions():
+    """The evaluator has a value line of its own for each derived
+    connective; each must give the value of the connective's definition."""
+    a, b = Var("A"), Var("B")
+    derived = (ZERO, Neg(a), WConj(a, b), SDisj(a, b), SImp(a, b), Nor(a, b))
+    assert {type(f) for f in derived} == {cls for cls, _ in DEFINITIONS.values()}
+    algs = list(enumerate_algebras(4))
+    algs += [lukasiewicz_chain(k) for k in range(2, 6)]
+    algs += [godel_chain(k) for k in range(2, 6)]
+    for m in algs:
+        for x, y in product(range(m.size), repeat=2):
+            v = {"A": x, "B": y}
+            for f in derived:
+                want = eval_formula(expand_derived(f), m, v)
+                assert eval_formula(f, m, v) == want, (f, m, v)
 
 
 @pytest.mark.parametrize("block_rows", [_BLOCK_ROWS, 5], ids=["default-blocks", "5-row-blocks"])

@@ -130,10 +130,12 @@ _HEADER = "lemma bad theory ALm claim A ~= A"
         ("= A by easy deep", [_HEADER, "start A"], "'deep' is not an integer"),
         ("assume foo", [_HEADER], "no claim after its id"),
         ("= A by axiom-l at x.1", [_HEADER, "start A"], "'x.1' is not dot-joined integers"),
+        ("assume foo bar", [_HEADER], "claim needs '~=' or '>='"),
+        ("lemma x theory ALm claim A B", [], "claim needs '~=' or '>='"),
     ],
     ids=[
         "no-claim", "no-theory", "no-id", "rewrite", "def", "ins", "del", "easy-depth",
-        "assume", "position",
+        "assume", "position", "assume-relation", "claim-relation",
     ],
 )
 def test_check_script_names_the_bad_line(tmp_path, capsys, bad_line, lines, message):

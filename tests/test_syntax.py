@@ -1,6 +1,11 @@
+import random
+import re
+from pathlib import Path
+
 import pytest
 
 from hooplog.syntax import (
+    DEFINITIONS,
     Imp,
     Neg,
     Nor,
@@ -13,9 +18,9 @@ from hooplog.syntax import (
     WConj,
     ZERO,
     expand_derived,
+    expand_one_level,
     format_formula,
     parse_formula,
-    polarity_at,
     positions,
     replace_at,
     signed_polarity,
@@ -97,9 +102,9 @@ def test_expand_derived_idempotent_and_core():
     f = parse_formula("(A \\/ B) /\\ ((A => B) !! 0)")
     e = expand_derived(f)
     assert expand_derived(e) == e
-    from hooplog.syntax import is_core
-
-    assert is_core(e)
+    for p in positions(e):
+        g = subterm_at(e, p)
+        assert isinstance(g, (Var, Imp, Tensor)) or g is ONE
 
 
 def test_substitute():
@@ -119,11 +124,13 @@ def test_substitute_composes_on_disjoint_domains():
 
 def test_polarity():
     f = Imp(A, B)
-    assert polarity_at(f, (0,)) == "negative"
-    assert polarity_at(Imp(Imp(A, B), C), (0, 0)) == "positive"
-    assert polarity_at(Tensor(A, B), (1,)) == "positive"
+    assert signed_polarity(f, (0,)) == "negative"
+    assert signed_polarity(Imp(Imp(A, B), C), (0, 0)) == "positive"
+    assert signed_polarity(Tensor(A, B), (1,)) == "positive"
+    assert signed_polarity(Neg(Imp(A, B)), (0, 0)) == "positive"
+    assert signed_polarity(Imp(WConj(A, B), C), (0, 0)) == "mixed"
     with pytest.raises(Exception):
-        polarity_at(WConj(A, B), (0,))
+        signed_polarity(f, (2,))
 
 
 def test_signed_polarity_mixed_on_derived_left():
@@ -132,6 +139,40 @@ def test_signed_polarity_mixed_on_derived_left():
     assert signed_polarity(f, (1,)) == "positive"
     assert signed_polarity(Nor(A, B), (1,)) == "negative"
     assert signed_polarity(SDisj(A, B), (1,)) == "positive"
+
+
+def _random_formula(rng, size):
+    if size <= 1:
+        return rng.choice((ONE, ZERO, A, B, C))
+    if size == 2 or rng.random() < 0.2:
+        return Neg(_random_formula(rng, size - 1))
+    left = rng.randint(1, size - 2)
+    return rng.choice((Imp, Tensor, WConj, SDisj, SImp, Nor))(
+        _random_formula(rng, left), _random_formula(rng, size - 1 - left)
+    )
+
+
+def test_print_parse_roundtrip_on_random_formulas():
+    rng = random.Random(6)
+    formulas = [_random_formula(rng, rng.randint(1, 16)) for _ in range(500)]
+    subterms = {subterm_at(f, p) for f in formulas for p in positions(f)}
+    assert {Imp, Tensor, WConj, SDisj, SImp, Nor, Neg, Var} <= {type(g) for g in subterms}
+    assert ONE in subterms and ZERO in subterms
+    for f in formulas:
+        assert parse_formula(format_formula(f)) is f, format_formula(f)
+
+
+def test_readme_definitions_match_the_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Formula grammar")[1].split("```")[1]
+    rows = [re.split(r"\s{2,}", line.strip()) for line in block.strip().splitlines()]
+    covered = set()
+    for lhs, _equals, rhs, _name in rows:
+        f = parse_formula(lhs)
+        # A^ on a right side is read through its own row, A -o 1
+        assert expand_one_level(f) is parse_formula(rhs.replace("A^", "(A -o 1)")), lhs
+        covered.add(type(f))
+    assert covered == {cls for cls, _ in DEFINITIONS.values()}
 
 
 def test_positions_and_replace():
@@ -151,9 +192,9 @@ def test_polarity_stable_under_tensor_reassociation():
     for g in (grouped, normal):
         for pos in positions(g):
             if subterm_at(g, pos) in (A, B, C):
-                assert polarity_at(g, pos) == "negative"
+                assert signed_polarity(g, pos) == "negative"
             if subterm_at(g, pos) == D:
-                assert polarity_at(g, pos) == "positive"
+                assert signed_polarity(g, pos) == "positive"
 
 
 # Hash-consing: one node per structure
