@@ -18,10 +18,11 @@ isomorphism class is kept (an isomorphism of such orders fixes 0, so every
 algebra class first shows up on that labelling).  For each kept order the
 add table is filled cell by cell, by backtracking, with monotone candidates;
 after each placement only the associativity instances that read the new
-cell are checked.  Completed tables get their residuals derived, are
-verified by `check_class`, whose flags are kept with the algebra, and are
-merged by `canonical_key`, the first labelling found standing for its
-class.  Each size is enumerated once per process and cached.
+cell are checked; once row b is complete, so is column b (the table is
+symmetric), and its residuals are derived there, the branch cut if one is
+missing.  Completed tables are verified by `check_class`, whose flags are
+kept with the algebra, and merged by `canonical_key`, the first labelling
+found standing for its class.  Each size is enumerated once per process.
 
 How formulas are evaluated: assignments to the sorted variables come in
 product order, in blocks of at most _BLOCK_ROWS rows over the trailing
@@ -332,7 +333,7 @@ def _chain_poset(n: int):
 
 def _complete_tables(n: int, leq) -> list[tuple]:
     """Backtrack over commutative monotone integral add tables for a fixed
-    order, deriving residuals; returns completed (add, res, top) triples."""
+    order that residuate; returns completed (add, res, top) triples."""
     geq = [[leq[j][i] for j in range(n)] for i in range(n)]
     ups = [frozenset(j for j in range(n) if geq[j][i]) for i in range(n)]
     add = [[0] * n for _ in range(n)]
@@ -340,6 +341,7 @@ def _complete_tables(n: int, leq) -> list[tuple]:
         add[0][a] = add[a][0] = a
     filled = [[i == 0 or j == 0 for j in range(n)] for i in range(n)]
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    top = next((t for t in range(n) if all(geq[t][a] for a in range(n))), None)
     out: list[tuple] = []
 
     def candidates(i, j):
@@ -380,71 +382,72 @@ def _complete_tables(n: int, leq) -> list[tuple]:
                             return False
         return True
 
+    def residuates(b):
+        # Column b of add is final: res[b][c] is the least a with a+b >= c,
+        # which comes first in the numeric order if it exists.
+        for c in range(n):
+            sat = [a for a in range(n) if geq[add[a][b]][c]]
+            if not sat or not all(leq[sat[0]][x] for x in sat):
+                return False
+            res[b][c] = sat[0]
+        return True
+
     def place(k):
         if k == len(cells):
-            res = _derive_res(n, add, leq, geq)
-            if res is None:
-                return
-            tops = [t for t in range(n) if all(geq[t][a] for a in range(n))]
-            out.append(
-                (
-                    tuple(tuple(row) for row in add),
-                    res,
-                    tops[0] if tops else None,
-                )
-            )
+            out.append((tuple(map(tuple, add)), tuple(map(tuple, res)), top))
             return
         i, j = cells[k]
         for c in candidates(i, j):
             add[i][j] = add[j][i] = c
             filled[i][j] = filled[j][i] = True
-            if assoc_ok(i, j):
+            if assoc_ok(i, j) and (j < n - 1 or residuates(i)):
                 place(k + 1)
             filled[i][j] = filled[j][i] = False
         add[i][j] = add[j][i] = 0
 
+    res = [list(range(n)) for _ in range(n)]  # row 0 is final: 0 is the identity
     place(0)
     return out
 
 
-def _derive_res(n, add, leq, geq):
-    res = [[0] * n for _ in range(n)]
-    for b in range(n):
-        for c in range(n):
-            sat = [a for a in range(n) if geq[add[a][b]][c]]
-            if not sat:
-                return None
-            least = [a for a in sat if all(leq[a][x] for x in sat)]
-            if not least:
-                return None
-            res[b][c] = least[0]
-    return tuple(tuple(row) for row in res)
-
-
 def canonical_key(m: FiniteAlgebra) -> tuple:
     """Lexicographically minimal flattened (add, res, top) over carrier
-    permutations fixing 0.  The permuted rows are built one at a time, and a
-    permutation is dropped as soon as a row exceeds the best key's row."""
+    permutations p fixing 0, searched depth first over prefixes of p.  A
+    prefix of length k is dropped when row 1 of its key over its k columns,
+    an image not yet placed read as k, is already above the best key's row
+    1; a complete key is built row by row, dropped once a row exceeds the
+    best key's row."""
     n = m.size
     best: list | None = None
-    for perm in permutations(range(1, n)):
-        p = (0,) + perm
-        inv = [0] * n
-        for i, x in enumerate(p):
-            inv[x] = i
-        key = []
-        tied = best is not None
-        for src in [m.add[x] for x in p] + [m.res[x] for x in p]:
-            row = tuple([inv[src[y]] for y in p])
-            if tied:
-                if row > best[len(key)]:
-                    break
-                tied = row == best[len(key)]
-            key.append(row)
-        else:
+    p, inv = [0], [0] + [n] * (n - 1)
+
+    def extend(k):
+        nonlocal best
+        if k == n:
+            key = []
+            tied = best is not None
+            for src in [m.add[x] for x in p] + [m.res[x] for x in p]:
+                row = tuple([inv[src[y]] for y in p])
+                if tied:
+                    if row > best[len(key)]:
+                        return
+                    tied = row == best[len(key)]
+                key.append(row)
             top = -1 if m.top is None else inv[m.top]
             if not tied or top < best[-1]:
                 best = key + [top]
+            return
+        for x in range(1, n):
+            if inv[x] == n:
+                p.append(x)
+                inv[x] = k
+                row = m.add[p[1]]
+                if best is None or tuple([min(inv[row[y]], k + 1) for y in p]) <= best[1][: k + 1]:
+                    extend(k + 1)
+                inv[x] = n
+                p.pop()
+
+    extend(1)
     return tuple(best[:n]), tuple(best[n : 2 * n]), best[-1]
 
 

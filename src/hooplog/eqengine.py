@@ -27,6 +27,7 @@ from .syntax import (
     MIXED,
     Neg,
     POSITIVE,
+    ParseError,
     Tensor,
     Var,
     ZERO,
@@ -657,13 +658,21 @@ def format_position(pos: tuple[int, ...]) -> str:
     return ".".join(str(i) for i in pos) if pos else "root"
 
 
+def _formula(text: str, line: str) -> Formula:
+    """parse_formula, with a parse error naming the script line."""
+    try:
+        return parse_formula(text)
+    except ParseError as e:
+        raise EqError(f"{e}: {line!r}") from None
+
+
 def _split_claim(text: str, line: str):
     """The two sides and the relation of a claim; EqError naming the line
-    if there is no relation."""
+    if there is no relation or a side does not parse."""
     for sep, rel in ((" ~= ", EQUIV), (" >= ", GEQ)):
         if sep in text:
             l, r = text.split(sep, 1)
-            return parse_formula(l), rel, parse_formula(r)
+            return _formula(l, line), rel, _formula(r, line)
     raise EqError(f"claim needs '~=' or '>=': {line!r}")
 
 
@@ -693,14 +702,14 @@ def parse_script(text: str) -> EqScript:
             l, rel, r = _split_claim(rest, line)
             assumes.append(LemmaEntry(name, l, r, rel, theory, "local hypothesis"))
         elif line.startswith("start "):
-            start = parse_formula(line[len("start ") :])
+            start = _formula(line[len("start ") :], line)
         elif line.startswith(">= ") or line.startswith("= "):
             rel = GEQ if line.startswith(">= ") else EQUIV
             body = line[3:] if line.startswith(">= ") else line[2:]
             if " by " not in body:
                 raise EqError(f"step needs a justification: {line!r}")
             ftext, just = body.split(" by ", 1)
-            steps.append(_parse_step(rel, parse_formula(ftext), just.strip(), line))
+            steps.append(_parse_step(rel, _formula(ftext, line), just.strip(), line))
         else:
             raise EqError(f"unparsable script line: {line!r}")
     if sid is None or claim is None or start is None:
@@ -745,7 +754,7 @@ def _parse_step(rel: str, result: Formula, just: str, line: str) -> EqStep:
             rel,
             result,
             pos=parse_position(pos, line),
-            formula=parse_formula(ftext),
+            formula=_formula(ftext, line),
             just=inner,
             depth=depth,
         )

@@ -23,6 +23,7 @@ from .syntax import (
     FormulaError,
     Imp,
     ONE,
+    ParseError,
     Tensor,
     Var,
     core_dneg,
@@ -604,6 +605,8 @@ def parse_derivation(text: str) -> HilbertDerivation:
             lines.append(_parse_derivation_line(line))
         except ValueError:  # a split with too few parts, or a bad number
             raise FormulaError(f"malformed derivation line {line!r}") from None
+        except ParseError as e:  # the formula or a substitution value
+            raise FormulaError(f"{e}: {line!r}") from None
     return HilbertDerivation(tuple(lines))
 
 

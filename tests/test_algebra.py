@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations, product
 
@@ -18,6 +19,7 @@ from hooplog.algebra import (
     canonical_key,
     check_class,
     enumerate_algebras,
+    enumerate_classified,
     eval_formula,
     falsifying_assignment,
     find_countermodel,
@@ -234,6 +236,27 @@ def test_canonical_key_is_invariant_under_relabelling():
         assert key == _full_key(alg), format_algebra(alg)
         for perm in permutations(range(1, 5)):
             assert canonical_key(_relabel(alg, (0,) + perm)) == key
+
+
+def test_canonical_key_is_the_brute_force_key_at_size_6():
+    rng = random.Random(6)
+    algs = [alg for alg in enumerate_algebras(6) if alg.size == 6]
+    assert len(algs) == 129
+    for alg in algs:
+        key = canonical_key(alg)
+        assert key == _full_key(alg), format_algebra(alg)
+        perm = list(range(1, 6))
+        rng.shuffle(perm)
+        assert canonical_key(_relabel(alg, [0] + perm)) == key, perm
+
+
+def test_enumeration_stream_up_to_size_6_is_pinned():
+    digest = hashlib.sha256()
+    for alg, flags in enumerate_classified(6):
+        digest.update((format_algebra(alg) + " ".join(sorted(flags)) + "\n").encode())
+    assert digest.hexdigest() == (
+        "a37cc0b44e35783b727015de982609c54e6a7be795dc178964f9d521b19392c8"
+    )
 
 
 def _residuals(n, add, leq):

@@ -114,6 +114,23 @@ def test_check_derivation_without_substitution_exits_2(tmp_path, capsys):
     assert "malformed derivation line '1. A -o A | axiom I'" in err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1. A -o (A | axiom Wk {A=A; B=A}", "expected ')'"),
+        ("1. A -o A | axiom Wk {A=(A; B=A}", "expected ')'"),
+    ],
+    ids=["formula", "substitution"],
+)
+def test_check_derivation_names_the_line_of_a_parse_error(tmp_path, capsys, line, message):
+    f = tmp_path / "bad.hilbert"
+    f.write_text(line + "\n")
+    assert main(["check", str(f), "--theory", "ALm"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and repr(line) in err
+    assert "Traceback" not in err
+
+
 _HEADER = "lemma bad theory ALm claim A ~= A"
 
 
@@ -132,10 +149,16 @@ _HEADER = "lemma bad theory ALm claim A ~= A"
         ("= A by axiom-l at x.1", [_HEADER, "start A"], "'x.1' is not dot-joined integers"),
         ("assume foo bar", [_HEADER], "claim needs '~=' or '>='"),
         ("lemma x theory ALm claim A B", [], "claim needs '~=' or '>='"),
+        ("lemma bad theory ALm claim A ~= (A", [], "expected ')'"),
+        ("assume foo A ~= B -o", [_HEADER], "expected a formula"),
+        ("start (A -o B)^ (", [_HEADER], "unexpected '('"),
+        ("= (A by easy", [_HEADER, "start A"], "expected ')'"),
+        ("= A by ins (B at 1 by easy", [_HEADER, "start A"], "expected ')'"),
     ],
     ids=[
         "no-claim", "no-theory", "no-id", "rewrite", "def", "ins", "del", "easy-depth",
         "assume", "position", "assume-relation", "claim-relation",
+        "claim-formula", "assume-formula", "start-formula", "step-formula", "ins-formula",
     ],
 )
 def test_check_script_names_the_bad_line(tmp_path, capsys, bad_line, lines, message):
