@@ -15,14 +15,23 @@ that stream and returns the first falsifying (algebra, assignment).
 How a size is enumerated: the partial orders with bottom 0 are generated
 with the numeric order as a linear extension, and only the first of each
 isomorphism class is kept (an isomorphism of such orders fixes 0, so every
-algebra class first shows up on that labelling).  For each kept order the
-add table is filled cell by cell, by backtracking, with monotone candidates;
-after each placement only the associativity instances that read the new
-cell are checked; once row b is complete, so is column b (the table is
-symmetric), and its residuals are derived there, the branch cut if one is
-missing.  Completed tables are verified by `check_class`, whose flags are
-kept with the algebra, and merged by `canonical_key`, the first labelling
-found standing for its class.  Each size is enumerated once per process.
+algebra class first shows up on that labelling); when a class is first
+met, its relabellings in the stream are marked by a depth-first walk of
+its linear extensions from 0, each step placing an element whose lower
+covers are all placed.  For each kept order the add table is filled cell
+by cell, by backtracking, with monotone candidates; after each placement
+only the associativity instances that read the new cell are checked, the
+filled cells with a given sum being indexed by that sum (appended on
+placement, truncated on undo); once row b is complete, so is column b
+(the table is symmetric), and its residuals are derived there, the branch
+cut if one is missing.  Completed tables are verified by `check_class`,
+whose flags are kept with the algebra, and merged by `canonical_key`, the
+first labelling found standing for its class: a branch and bound over
+relabellings fixing 0 that bounds every add row of the key from a prefix
+(the labels placed so far, the unplaced columns' bounds sorted), prunes a
+prefix whose bounds already exceed the best key, and tries the children
+of a prefix in ascending order of their bounds.  Each size is enumerated
+once per process.
 
 How formulas are evaluated: assignments to the sorted variables come in
 product order, in blocks of at most _BLOCK_ROWS rows over the trailing
@@ -36,7 +45,7 @@ the one-row case of the same kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .syntax import (
@@ -316,15 +325,38 @@ def _poset_representatives(n: int):
     poset by the permutation p of its elements gives another poset of the
     stream exactly when p lists them in a linear extension; those
     relabellings are marked as seen when the class is first met."""
-    perms = [(0,) + p for p in permutations(range(1, n))]
-    seen = set()
+    seen: set = set()
     for leq in _posets_with_bottom(n):
-        if leq in seen:
-            continue
-        yield leq
-        for p in perms:
-            if not any(leq[p[j]][p[i]] for j in range(n) for i in range(j)):
-                seen.add(tuple(tuple(leq[x][y] for y in p) for x in p))
+        if leq not in seen:
+            yield leq
+            _mark_relabellings(leq, seen)
+
+
+def _mark_relabellings(leq, seen: set) -> None:
+    """Add to seen the relabelling of leq by each of its linear extensions
+    from 0, walked depth first: each step places an element whose lower
+    covers are all placed."""
+    n = len(leq)
+    below = [[y for y in range(n) if y != x and leq[y][x]] for x in range(n)]
+    covers = [
+        [y for y in below[x] if not any(leq[y][z] for z in below[x] if z != y)]
+        for x in range(n)
+    ]
+    p, placed = [0], [True] + [False] * (n - 1)
+
+    def walk():
+        if len(p) == n:
+            seen.add(tuple(tuple(leq[x][y] for y in p) for x in p))
+            return
+        for x in range(1, n):
+            if not placed[x] and all(placed[y] for y in covers[x]):
+                p.append(x)
+                placed[x] = True
+                walk()
+                placed[x] = False
+                p.pop()
+
+    walk()
 
 
 def _chain_poset(n: int):
@@ -340,6 +372,8 @@ def _complete_tables(n: int, leq) -> list[tuple]:
     for a in range(n):
         add[0][a] = add[a][0] = a
     filled = [[i == 0 or j == 0 for j in range(n)] for i in range(n)]
+    # by_sum[v]: the filled ordered cells (x, y) with add[x][y] == v
+    by_sum = [[(0, v), (v, 0)] if v else [(0, 0)] for v in range(n)]
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     top = next((t for t in range(n) if all(geq[t][a] for a in range(n))), None)
     out: list[tuple] = []
@@ -375,11 +409,9 @@ def _complete_tables(n: int, leq) -> list[tuple]:
             for t in range(n):
                 if not (holds(a, b, t) and holds(t, a, b)):
                     return False
-            for x in range(n):
-                for y in range(n):
-                    if filled[x][y] and add[x][y] == a:
-                        if not (holds(x, y, b) and holds(b, x, y)):
-                            return False
+            for x, y in by_sum[a]:
+                if not (holds(x, y, b) and holds(b, x, y)):
+                    return False
         return True
 
     def residuates(b):
@@ -397,11 +429,14 @@ def _complete_tables(n: int, leq) -> list[tuple]:
             out.append((tuple(map(tuple, add)), tuple(map(tuple, res)), top))
             return
         i, j = cells[k]
+        new = [(i, j)] if i == j else [(i, j), (j, i)]
         for c in candidates(i, j):
             add[i][j] = add[j][i] = c
             filled[i][j] = filled[j][i] = True
+            by_sum[c].extend(new)
             if assoc_ok(i, j) and (j < n - 1 or residuates(i)):
                 place(k + 1)
+            del by_sum[c][-len(new) :]
             filled[i][j] = filled[j][i] = False
         add[i][j] = add[j][i] = 0
 
@@ -412,42 +447,76 @@ def _complete_tables(n: int, leq) -> list[tuple]:
 
 def canonical_key(m: FiniteAlgebra) -> tuple:
     """Lexicographically minimal flattened (add, res, top) over carrier
-    permutations p fixing 0, searched depth first over prefixes of p.  A
-    prefix of length k is dropped when row 1 of its key over its k columns,
-    an image not yet placed read as k, is already above the best key's row
-    1; a complete key is built row by row, dropped once a row exceeds the
-    best key's row."""
+    permutations p fixing 0, found by a best-first branch and bound over
+    prefixes of p.
+
+    A prefix places labels 0..k.  Each placed row i >= 1 of the add key is
+    bounded below by its images at the placed columns (an image not yet
+    placed read as k+1), followed by the lower bounds min(label, k+1) of its
+    unplaced columns sorted ascending, the least arrangement of that
+    multiset.  Every completion of the prefix has each of these rows at or
+    above its bound, so its key is at or above the list of bounds, compared
+    lexicographically row by row; a prefix whose bounds compare above the
+    best key's rows is pruned.  Children are tried in ascending order of
+    their bounds, ties by element number, so the first leaf is near the
+    minimum; a leaf's key is built row by row, dropped once a row exceeds
+    the best key's."""
     n = m.size
+    add = m.add
     best: list | None = None
     p, inv = [0], [0] + [n] * (n - 1)
 
-    def extend(k):
+    def bounded_rows(k):
+        # lower bounds of rows 1..k of the add key over completions of a
+        # prefix placing labels 0..k
+        rest = [y for y in range(n) if inv[y] == n]
+        lab = inv[:]
+        for y in rest:
+            lab[y] = k + 1
+        return [
+            tuple([lab[src[y]] for y in p] + sorted([lab[src[y]] for y in rest]))
+            for src in [add[x] for x in p[1:]]
+        ]
+
+    def leaf():
         nonlocal best
-        if k == n:
-            key = []
-            tied = best is not None
-            for src in [m.add[x] for x in p] + [m.res[x] for x in p]:
-                row = tuple([inv[src[y]] for y in p])
-                if tied:
-                    if row > best[len(key)]:
-                        return
-                    tied = row == best[len(key)]
-                key.append(row)
-            top = -1 if m.top is None else inv[m.top]
-            if not tied or top < best[-1]:
-                best = key + [top]
+        key = []
+        tied = best is not None
+        for src in [add[x] for x in p] + [m.res[x] for x in p]:
+            row = tuple([inv[src[y]] for y in p])
+            if tied:
+                if row > best[len(key)]:
+                    return
+                tied = row == best[len(key)]
+            key.append(row)
+        top = -1 if m.top is None else inv[m.top]
+        if not tied or top < best[-1]:
+            best = key + [top]
+
+    def extend(k):
+        # labels 0..k are placed; place label k+1
+        if k == n - 1:
+            leaf()
             return
+        children = []
         for x in range(1, n):
             if inv[x] == n:
                 p.append(x)
-                inv[x] = k
-                row = m.add[p[1]]
-                if best is None or tuple([min(inv[row[y]], k + 1) for y in p]) <= best[1][: k + 1]:
-                    extend(k + 1)
+                inv[x] = k + 1
+                children.append((bounded_rows(k + 1), x))
                 inv[x] = n
                 p.pop()
+        children.sort()
+        for rows, x in children:
+            if best is not None and rows > best[1 : k + 2]:
+                continue
+            p.append(x)
+            inv[x] = k + 1
+            extend(k + 1)
+            inv[x] = n
+            p.pop()
 
-    extend(1)
+    extend(0)
     return tuple(best[:n]), tuple(best[n : 2 * n]), best[-1]
 
 

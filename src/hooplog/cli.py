@@ -3,7 +3,7 @@
 Every subcommand is non-interactive and exits 0 on success, 1 when the
 checked object is rejected or a search refutes/exhausts, and 2 on usage or
 input errors.  Budgets are explicit flags: proof depth defaults to 8 and
-model size to 6.
+model size to 6, and a size, depth or budget below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -45,6 +45,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of the size, depth and budget flags."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hooplog")
     sub = p.add_subparsers(required=True)
@@ -57,24 +68,24 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("file")
     q.add_argument("--kind", choices=("proof", "derivation", "script"), default=None)
     q.add_argument("--theory", default="ALm")
-    q.add_argument("--depth", type=int, default=8)
+    q.add_argument("--depth", type=_at_least_one, default=8)
     q.set_defaults(func=_cmd_check)
 
     q = sub.add_parser("prove", help="bounded backward search for a sequent")
     q.add_argument("sequent")
     q.add_argument("--theory", default="ALm")
-    q.add_argument("--depth", type=int, default=8)
+    q.add_argument("--depth", type=_at_least_one, default=8)
     q.set_defaults(func=_cmd_prove)
 
     q = sub.add_parser("models", help="finite algebra tools")
     msub = q.add_subparsers(required=True)
     f = msub.add_parser("find", help="search for a countermodel")
     f.add_argument("--theory", default="ALm")
-    f.add_argument("--max-size", type=int, default=6)
+    f.add_argument("--max-size", type=_at_least_one, default=6)
     f.add_argument("--falsify", required=True, metavar="SEQUENT")
     f.set_defaults(func=_cmd_models_find)
     e = msub.add_parser("enum", help="enumerate algebras up to isomorphism")
-    e.add_argument("--max-size", type=int, default=4)
+    e.add_argument("--max-size", type=_at_least_one, default=4)
     e.add_argument("--require", default="pocrim")
     e.add_argument("--forbid", default="")
     e.set_defaults(func=_cmd_models_enum)
@@ -90,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("dns-check", help="verify the three translation requirements")
     q.add_argument("--scheme", choices=TRANSLATIONS, required=True)
     q.add_argument("--theory", default="ALi")
-    q.add_argument("--budget", type=int, default=8)
-    q.add_argument("--max-size", type=int, default=6)
+    q.add_argument("--budget", type=_at_least_one, default=8)
+    q.add_argument("--max-size", type=_at_least_one, default=6)
     q.set_defaults(func=_cmd_dns)
 
     q = sub.add_parser("corpus", help="the result catalogue")

@@ -18,6 +18,7 @@ in the strength lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .syntax import (
     DEFINITIONS,
@@ -495,8 +496,6 @@ def _provable_patterns(entry: LemmaEntry):
 
 def _curried_forms(lhs: Formula, rhs: Formula):
     """Curried implication forms x1 -o ... -o xk -o rhs of a * premise."""
-    from itertools import permutations
-
     parts = _spine(ac_normalize(lhs))
     if len(parts) < 2 or len(parts) > 4:
         return []

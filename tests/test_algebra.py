@@ -1,6 +1,8 @@
 import hashlib
 import random
+from functools import cache
 from itertools import permutations, product
+from operator import itemgetter
 
 import pytest
 
@@ -11,7 +13,9 @@ from hooplog.algebra import (
     FiniteAlgebra,
     _BLOCK_ROWS,
     _assignment_blocks,
+    _chain_poset,
     _complete_tables,
+    _mark_relabellings,
     _pocrims_of_size,
     _poset_representatives,
     _posets_with_bottom,
@@ -219,13 +223,38 @@ def _relabel(m, p):
     return FiniteAlgebra(n, table(m.add), table(m.res), None if m.top is None else inv[m.top])
 
 
+@cache
+def _relabellings(n):
+    """Every permutation p fixing 0, as p, its inverse as a bytes translation
+    table, and a getter of the entries of a row in the order of p."""
+    out = []
+    for q in permutations(range(1, n)):
+        p = (0,) + q
+        inverse = bytes(p.index(x) for x in range(n)).ljust(256, b"\0")
+        # itemgetter of one index returns the entry, not a 1-tuple
+        get = itemgetter(*p) if n > 1 else lambda row: (row[0],)
+        out.append((p, inverse, get))
+    return out
+
+
 def _full_key(m):
-    """canonical_key by brute force: every relabelling fixing 0, whole keys."""
-    keys = []
-    for perm in permutations(range(1, m.size)):
-        r = _relabel(m, (0,) + perm)
-        keys.append((r.add, r.res, -1 if r.top is None else r.top))
-    return min(keys)
+    """canonical_key by brute force: every relabelling fixing 0 is a
+    candidate, and the key is built row by row, each row the least over the
+    candidates left, which keep only the relabellings giving that row.  Row
+    i under p is row p[i] of the table mapped through the inverse of p and
+    read in the order of p."""
+    n = m.size
+    candidates = _relabellings(n)
+    key = []
+    for table in (m.add, m.res):
+        rows = [bytes(row) for row in table]
+        for i in range(n):
+            relabelled = [get(rows[p[i]].translate(inv)) for p, inv, get in candidates]
+            least = min(relabelled)
+            key.append(least)
+            candidates = [c for c, row in zip(candidates, relabelled) if row == least]
+    top = min(-1 if m.top is None else inv[m.top] for _, inv, _ in candidates)
+    return tuple(key[:n]), tuple(key[n:]), top
 
 
 def test_canonical_key_is_invariant_under_relabelling():
@@ -248,6 +277,65 @@ def test_canonical_key_is_the_brute_force_key_at_size_6():
         perm = list(range(1, 6))
         rng.shuffle(perm)
         assert canonical_key(_relabel(alg, [0] + perm)) == key, perm
+
+
+def _poset(n, covers):
+    """The down-set matrix of the order on 0..n-1 generated by covers."""
+    leq = [[x == y or (x, y) in covers for y in range(n)] for x in range(n)]
+    for z in range(n):
+        for x in range(n):
+            for y in range(n):
+                leq[x][y] = leq[x][y] or (leq[x][z] and leq[z][y])
+    return tuple(map(tuple, leq))
+
+
+def test_canonical_key_is_the_brute_force_key_at_size_7():
+    # Size 6 need not reach every branch of the key's bound: on the chain
+    # and the order between, bound rows with one repeated tail value and
+    # ties carried past row 1 each occur thousands of times.
+    rng = random.Random(7)
+    chain = _chain_poset(7)
+    flat = _poset(7, {(0, x) for x in range(1, 7)})
+    between = _poset(7, {(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 6), (5, 6)})
+    tables = [_complete_tables(7, leq) for leq in (chain, flat, between)]
+    # no two of 1..6 have an upper bound in the flat order, so no sum exists
+    assert [len(t) for t in tables] == [451, 0, 24]
+    for add, res, top in tables[0] + tables[2]:
+        alg = FiniteAlgebra(7, add, res, top)
+        key = canonical_key(alg)
+        assert key == _full_key(alg), format_algebra(alg)
+        perm = list(range(1, 7))
+        rng.shuffle(perm)
+        assert canonical_key(_relabel(alg, [0] + perm)) == key, perm
+
+
+def _extension_relabellings(leq):
+    """The relabellings of leq by the permutations fixing 0 that list it in
+    a linear extension, found among all (n-1)! of them."""
+    n = len(leq)
+    return {
+        tuple(tuple(leq[x][y] for y in p) for x in p)
+        for p in ((0,) + q for q in permutations(range(1, n)))
+        if not any(leq[p[j]][p[i]] for j in range(n) for i in range(j))
+    }
+
+
+def test_marked_relabellings_are_those_by_linear_extensions():
+    for n in range(1, 7):
+        for leq in _poset_representatives(n):
+            seen = set()
+            _mark_relabellings(leq, seen)
+            assert seen == _extension_relabellings(leq), leq
+
+
+def test_poset_representatives_are_those_of_the_permutation_rule():
+    for n in range(1, 7):
+        seen, expected = set(), []
+        for leq in _posets_with_bottom(n):
+            if leq not in seen:
+                expected.append(leq)
+                seen |= _extension_relabellings(leq)
+        assert list(_poset_representatives(n)) == expected, n
 
 
 def test_enumeration_stream_up_to_size_6_is_pinned():

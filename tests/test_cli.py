@@ -169,3 +169,25 @@ def test_check_script_names_the_bad_line(tmp_path, capsys, bad_line, lines, mess
     assert message in captured.err and repr(bad_line) in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["models", "enum", "--max-size", "-3"], "--max-size"),
+        (["models", "enum", "--max-size", "0"], "--max-size"),
+        (["models", "find", "--falsify", "A |- B", "--max-size", "-1"], "--max-size"),
+        (["dns-check", "--scheme", "kolmogorov", "--budget", "-1"], "--budget"),
+        (["dns-check", "--scheme", "kolmogorov", "--max-size", "0"], "--max-size"),
+        (["prove", "A |- A", "--depth", "0"], "--depth"),
+        (["check", "any.proof", "--depth", "-2"], "--depth"),
+    ],
+    ids=["enum-negative", "enum-zero", "find", "dns-budget", "dns-size", "prove", "check"],
+)
+def test_size_and_depth_flags_below_1_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be at least 1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -1,6 +1,22 @@
+import random
+
 import pytest
 
-from hooplog.syntax import Tensor, Var, parse_formula
+from hooplog.algebra import enumerate_algebras, value_tables
+from hooplog.syntax import (
+    ONE,
+    ZERO,
+    Imp,
+    Neg,
+    Nor,
+    SDisj,
+    SImp,
+    Tensor,
+    Var,
+    WConj,
+    parse_formula,
+    variables,
+)
 from hooplog.theories import ALm, ALi, LLm
 from hooplog.sequent import Sequent, bounded_prove
 from hooplog.eqengine import (
@@ -38,6 +54,29 @@ def test_ac_normalize_examples():
     assert ac_normalize(parse_formula("A * B")) == ac_normalize(parse_formula("B * A"))
     f = parse_formula("A -o B")
     assert ac_normalize(f) == f
+
+
+def _random_formula(rng, depth):
+    """A formula over A, B, C, 0 and 1 and every connective."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice((A, B, C, ZERO, ONE))
+    kind = rng.choice((Imp, Tensor, Neg, WConj, SDisj, SImp, Nor))
+    if kind is Neg:
+        return Neg(_random_formula(rng, depth - 1))
+    return kind(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def test_ac_normalize_keeps_the_value_tables_of_random_formulas():
+    rng = random.Random(4)
+    formulas = [_random_formula(rng, 4) for _ in range(300)]
+    algebras = [m for m in enumerate_algebras(4) if m.top is not None]
+    assert len(algebras) == 11
+    for f in formulas:
+        nf = ac_normalize(f)
+        names = sorted(variables(f) | variables(nf))
+        for m in algebras:
+            for _, (tf, tnf) in value_tables((f, nf), m, names):
+                assert tf == tnf, (f, nf, m)
 
 
 def test_ac_normalize_idempotent_and_permutation_invariant():
