@@ -582,17 +582,12 @@ def enumerate_algebras(
     return (alg for alg, _ in enumerate_classified(size_max, required, forbidden))
 
 
+# The class flag that validates each axiom beyond ASM.
+_AXIOM_FLAG = {"CWC": "hoop", "CON": "idempotent", "EFQ": "bounded", "DNE": "involutive"}
+
+
 def theory_class(t: TheoryId) -> frozenset[str]:
-    req = {"pocrim"}
-    if t.base == "lukasiewicz":
-        req.add("hoop")
-    elif t.base == "full":
-        req.add("idempotent")
-    if t.level in ("intuitionistic", "classical"):
-        req.add("bounded")
-    if t.level == "classical":
-        req.add("involutive")
-    return frozenset(req)
+    return frozenset(["pocrim"] + [_AXIOM_FLAG[a] for a in t.axioms() if a != "ASM"])
 
 
 def find_countermodel(
@@ -607,12 +602,9 @@ def _first_countermodel(
 ) -> tuple[FiniteAlgebra, Assignment] | None:
     """The body of `find_countermodel`.  `bounded_prove` calls it directly,
     so traces of `find_countermodel` count only countermodel searches.
-    Theories above minimal interpret 1 as the top, so they skip algebras
-    without one."""
-    needs_top = t.level != "minimal"
+    Theories above minimal interpret 1 as the top; their classes require
+    `bounded`, and every enumerated algebra with that flag has one."""
     for alg in enumerate_algebras(size_max, theory_class(t)):
-        if needs_top and alg.top is None:
-            continue
         v = falsifying_assignment(s, alg)
         if v is not None:
             return alg, v
@@ -643,18 +635,21 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("size"):
-            size = int(line.split()[1])
-        elif line.startswith("top"):
-            top = int(line.split()[1])
-        elif line == "add:":
-            target = add
-        elif line == "res:":
-            target = res
-        else:
-            if target is None:
-                raise FormulaError(f"unexpected algebra line {line!r}")
-            target.append(tuple(int(x) for x in line.split()))
+        try:
+            if line.startswith("size"):
+                size = int(line.split()[1])
+            elif line.startswith("top"):
+                top = int(line.split()[1])
+            elif line == "add:":
+                target = add
+            elif line == "res:":
+                target = res
+            else:
+                if target is None:
+                    raise FormulaError(f"unexpected algebra line {line!r}")
+                target.append(tuple(int(x) for x in line.split()))
+        except (IndexError, ValueError):  # a missing or non-integer number
+            raise FormulaError(f"malformed algebra line {line!r}") from None
     if size is None or size < 1 or len(add) != size or len(res) != size:
         raise FormulaError("malformed algebra file")
     for name, rows in (("add", add), ("res", res)):

@@ -13,6 +13,10 @@ Entries are processed in index order; an entry whose claim has lemma shape
 is registered and becomes citable by later scripts.  `run_corpus` rebuilds
 the registry from scratch and re-verifies every entry, so a regression in
 any proof, script or model is a hard failure naming the entry.
+
+Each proof is kept once.  A registered lemma's trees and scripts live in
+`registry.evidence`; `Corpus.proofs` holds only the pinned trees of
+`proof` entries, which are not registered, each with its theory.
 """
 
 from __future__ import annotations
@@ -21,14 +25,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from ..syntax import (
-    Imp,
-    Neg,
-    Tensor,
-    ZERO,
-    expand_derived,
-    parse_formula,
-)
+from ..syntax import expand_derived
 from ..sequent import (
     ProofTree,
     Sequent,
@@ -57,10 +54,7 @@ from ..algebra import (
     seq_holds,
     theory_class,
 )
-
-TIER_PROVED = "proved"
-TIER_REFUTED = "refuted"
-TIER_CHECKED = "model-checked-only"
+from .builtins import TABLE, generate_k_contradiction  # the latter is re-exported
 
 
 @dataclass
@@ -71,7 +65,6 @@ class CorpusEntry:
     statement: str
     evidence: tuple
     core: bool = False
-    note: str = ""
 
 
 @dataclass
@@ -80,7 +73,6 @@ class EntryResult:
     ok: bool
     detail: str
     seconds: float
-    depth_used: int | None = None
 
 
 @dataclass
@@ -210,10 +202,9 @@ class Corpus:
     def __init__(self):
         self.registry = LemmaRegistry()
         self.entries = load_index()
-        self.proofs: dict[str, ProofTree] = {}
+        self.proofs: dict[str, tuple[ProofTree, TheoryId]] = {}
         self.scripts: dict[str, EqScript] = {}
         self.verified: set[str] = set()
-        self._builtins = _builtin_table()
 
     def run(self, pattern: str | None = None) -> CorpusReport:
         register_kit(self.registry)
@@ -240,9 +231,6 @@ class Corpus:
             return False, f"unknown evidence kind {kind!r}"
         return handler(entry)
 
-    def _register(self, entry: CorpusEntry, lemma: LemmaEntry, proof) -> None:
-        self.registry.register(lemma, proof)
-
     def _ev_auto(self, entry: CorpusEntry):
         depth = int(entry.evidence[1])
         lhs, rel, rhs = _split_claim(entry.statement, entry.statement)
@@ -250,10 +238,7 @@ class Corpus:
         proof = _auto_evidence(lemma, depth)
         if proof is None:
             return False, f"bounded search failed at depth {depth}"
-        self._register(entry, lemma, proof)
-        trees = proof if isinstance(proof, tuple) else (proof,)
-        for i, t in enumerate(trees):
-            self.proofs[f"{entry.id}[{i}]"] = t
+        self.registry.register(lemma, proof)
         return True, f"bounded proof, depth {depth}"
 
     def _ev_script(self, entry: CorpusEntry):
@@ -267,7 +252,7 @@ class Corpus:
                 entry.id, script.claim_lhs, script.claim_rhs, script.claim_rel,
                 entry.theory, "script",
             )
-            self._register(entry, lemma, script)
+            self.registry.register(lemma, script)
         return True, f"script, {len(script.steps)} steps"
 
     def _ev_scripts(self, entry: CorpusEntry):
@@ -284,7 +269,7 @@ class Corpus:
         lemma = LemmaEntry(
             entry.id, fwd.claim_lhs, fwd.claim_rhs, EQUIV, entry.theory, "scripts"
         )
-        self._register(entry, lemma, (fwd, bwd))
+        self.registry.register(lemma, (fwd, bwd))
         return True, f"two scripts, {len(fwd.steps)}+{len(bwd.steps)} steps"
 
     def _ev_script_auto(self, entry: CorpusEntry):
@@ -299,11 +284,10 @@ class Corpus:
         if bwd is None:
             return False, f"converse search failed at depth {depth}"
         self.scripts[entry.id] = fwd
-        self.proofs[entry.id + ".rev"] = bwd
         lemma = LemmaEntry(
             entry.id, fwd.claim_lhs, fwd.claim_rhs, EQUIV, entry.theory, "script+auto"
         )
-        self._register(entry, lemma, (fwd, bwd))
+        self.registry.register(lemma, (fwd, bwd))
         return True, f"script ({len(fwd.steps)} steps) + converse depth {depth}"
 
     def _ev_proof(self, entry: CorpusEntry):
@@ -314,7 +298,7 @@ class Corpus:
         v = check_proof(tree, entry.theory)
         if not v:
             return False, v.message
-        self.proofs[entry.id] = tree
+        self.proofs[entry.id] = (tree, entry.theory)
         return True, f"sequent proof, height {tree.height()}"
 
     def _ev_model(self, entry: CorpusEntry):
@@ -344,7 +328,7 @@ class Corpus:
         return True, f"valid in all {len(algebras)} algebras of size <= {size}"
 
     def _ev_builtin(self, entry: CorpusEntry):
-        fn = self._builtins.get(entry.evidence[1])
+        fn = TABLE.get(entry.evidence[1])
         if fn is None:
             return False, f"unknown builtin {entry.evidence[1]!r}"
         return fn(self, entry)
@@ -374,56 +358,3 @@ def _split_model_file(text: str):
 
 def run_corpus(pattern: str | None = None) -> CorpusReport:
     return Corpus().run(pattern)
-
-
-# k-indexed family: (A * ... * A)^, A^^ |- A, assembled from the proved
-# induction-step lemma by iterating its rewrite k-1 times.
-
-
-def k_contradiction_sequent(k: int) -> Sequent:
-    a = parse_formula("A")
-    t = a
-    for _ in range(k - 1):
-        t = Tensor(a, t)
-    return Sequent((Neg(t), Neg(Neg(a))), a)
-
-
-def k_contradiction_script(k: int) -> EqScript:
-    from ..eqengine import EqStep
-
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    a = parse_formula("A")
-    goal_of = []
-    t = a
-    for _ in range(k):
-        goal_of.append(Imp(Neg(t), Imp(Neg(Neg(a)), a)))
-        t = Tensor(a, t)
-    steps = [EqStep("easy", GEQ, goal_of[0], depth=8)]
-    for j in range(1, k):
-        steps.append(
-            EqStep("rewrite", GEQ, goal_of[j], lemma="kcontr-step", pos=())
-        )
-    return EqScript(
-        f"kcontr-{k}",
-        theory_by_name("LLi"),
-        ZERO,
-        GEQ,
-        goal_of[k - 1],
-        ZERO,
-        tuple(steps),
-    )
-
-
-def generate_k_contradiction(k: int, registry: LemmaRegistry):
-    """The sequent for k copies plus a script assembled from the induction
-    lemma; returns (sequent, script, verdict)."""
-    script = k_contradiction_script(k)
-    rep = check_script(script, registry)
-    return k_contradiction_sequent(k), script, rep
-
-
-def _builtin_table():
-    from . import builtins as b
-
-    return b.TABLE

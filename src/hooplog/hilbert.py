@@ -68,18 +68,12 @@ SCHEMAS: dict[str, Formula] = {
 
 _BASE = ("Comp", "Comm", "Curry", "Uncurry", "Wk")
 
+# The schema that adds each axiom beyond ASM, in the order systems list them.
+_AXIOM_SCHEMA = {"CWC": "CWC", "CON": "Con", "EFQ": "EFQ", "DNE": "DNE"}
+
 
 def system_for(theory: TheoryId) -> tuple[str, ...]:
-    out = list(_BASE)
-    if theory.base == "lukasiewicz":
-        out.append("CWC")
-    if theory.base == "full":
-        out.append("Con")
-    if theory.level in ("intuitionistic", "classical"):
-        out.append("EFQ")
-    if theory.level == "classical":
-        out.append("DNE")
-    return tuple(out)
+    return _BASE + tuple(v for k, v in _AXIOM_SCHEMA.items() if k in theory.axioms())
 
 
 ROSE_ROSSER = ("A1", "A2", "A3", "A4")

@@ -45,14 +45,6 @@ from .theories import TheoryId
 RULES = ("ImpI", "ImpE", "TensorI", "TensorE")
 AXIOMS = ("AxASM", "AxCON", "AxEFQ", "AxDNE", "AxCWC")
 
-_AXIOM_NAME = {
-    "AxASM": "ASM",
-    "AxCON": "CON",
-    "AxEFQ": "EFQ",
-    "AxDNE": "DNE",
-    "AxCWC": "CWC",
-}
-
 
 def _sorted_ctx(ctx) -> tuple[Formula, ...]:
     return tuple(sorted(ctx, key=formula_key))
@@ -174,7 +166,7 @@ def _check_node(p: ProofTree, theory: TheoryId, path) -> Verdict:
     if r in AXIOMS:
         if p.premises:
             return _reject(f"{r}: axiom leaves take no premises", path)
-        name = _AXIOM_NAME[r]
+        name = r.removeprefix("Ax")
         if name not in theory.axioms():
             return _reject(f"{r}: schema {name} is not available in {theory}", path)
         v = _check_axiom_shape(p, path)
@@ -370,26 +362,6 @@ def contraction_axiom_premise(a: Formula, gamma=()) -> ProofTree:
     for g in gamma:
         p = weaken(p, g)
     return p
-
-
-def contraction_interderivable(direction: str, a: Formula, premise=None, gamma=()):
-    """Template for either direction of the axiom/rule interderivation.
-
-    'rule-from-axiom' turns a proof of Gamma, A, A |- B into a checkable
-    proof of Gamma, A |- B (one TensorE against the CON leaf).
-    'axiom-from-rule' returns the contraction-free premise Gamma, A, A |-
-    A * A together with the sequent one rule application yields, which is
-    exactly the CON leaf's conclusion.
-    """
-    if direction == "rule-from-axiom":
-        if premise is None:
-            raise FormulaError("this direction needs the premise proof")
-        return contraction_rule_from_axiom(premise, a)
-    if direction == "axiom-from-rule":
-        prem = contraction_axiom_premise(a, gamma)
-        contracted = Sequent(tuple(gamma) + (a,), Tensor(a, a))
-        return prem, contracted
-    raise FormulaError(f"unknown direction {direction!r}")
 
 
 # Bounded backward search
@@ -651,31 +623,39 @@ def _fmt_node(p: ProofTree, indent: int, lines: list[str]):
 def parse_proof(text: str) -> ProofTree:
     rows = []
     for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("#"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         stripped = raw.lstrip(" ")
         indent = (len(raw) - len(stripped)) // 2
-        # ' | ' separates the fields; it cannot occur inside '|-'
-        rule, rest = stripped.split(" | ", 1)
-        seq, _, inst = rest.rpartition(" | ")
-        if not seq:
-            seq, inst = inst, ""
-        inst_formulas = tuple(
-            parse_formula(t) for t in inst.split(";") if t.strip()
-        )
-        rows.append((indent, rule.strip(), parse_sequent(seq), inst_formulas))
+        try:
+            rows.append((indent, *_parse_proof_line(stripped), line))
+        except ValueError:  # no ' | ' after the rule name
+            raise FormulaError(f"malformed proof line {line!r}") from None
+        except FormulaError as e:  # the sequent or an instantiation formula
+            raise FormulaError(f"{e}: {line!r}") from None
     if not rows:
         raise FormulaError("empty proof text")
     tree, rest = _build(rows, 0, 0)
     if rest != len(rows):
-        raise FormulaError("dangling proof lines")
+        raise FormulaError(f"dangling proof lines from {rows[rest][-1]!r}")
     return tree
 
 
+def _parse_proof_line(line: str):
+    # ' | ' separates the fields; it cannot occur inside '|-'
+    rule, rest = line.split(" | ", 1)
+    seq, _, inst = rest.rpartition(" | ")
+    if not seq:
+        seq, inst = inst, ""
+    inst_formulas = tuple(parse_formula(t) for t in inst.split(";") if t.strip())
+    return rule.strip(), parse_sequent(seq), inst_formulas
+
+
 def _build(rows, i, indent):
-    ind, rule, seq, inst = rows[i]
+    ind, rule, seq, inst, line = rows[i]
     if ind != indent:
-        raise FormulaError(f"bad indentation on proof line {i + 1}")
+        raise FormulaError(f"bad indentation on proof line {line!r}")
     prems = []
     j = i + 1
     while j < len(rows) and rows[j][0] == indent + 1:

@@ -307,26 +307,13 @@ def check_dns(
         t = translate(scheme, f)
         script = provability_script(f"dns2-{scheme}", t, theory, registry, depth)
         if script is not None:
-            report.entries.append(
-                DnsEntry("DNS2", f, "pass", f"proved in {theory.name}", script)
-            )
-            continue
-        got = find_countermodel(Sequent((), t), theory, model_size)
-        if got is not None:
-            alg, v = got
-            report.entries.append(
-                DnsEntry(
-                    "DNS2",
-                    f,
-                    "fail",
-                    f"countermodel of size {alg.size}",
-                    countermodel=(alg, v),
-                )
-            )
+            entry = DnsEntry("DNS2", f, "pass", f"proved in {theory.name}", script)
         else:
-            report.entries.append(
-                DnsEntry("DNS2", f, "inconclusive", "budget exhausted")
+            entry = _refute_or_keep(
+                DnsEntry("DNS2", f, "inconclusive", "budget exhausted"),
+                [Sequent((), t)], theory, model_size,
             )
+        report.entries.append(entry)
     for f in formulas:
         t = translate(scheme, f)
         script = equivalence_script(

@@ -7,8 +7,6 @@ lines; every tolerance and budget is pinned here.
 import time
 from itertools import product
 
-import pytest
-
 from hooplog.syntax import Imp, ONE, Var, expand_derived, parse_formula
 from hooplog.theories import ALi, LLc, LLi, ALL_THEORIES
 from hooplog.sequent import Sequent, parse_sequent
@@ -38,17 +36,6 @@ P, Q = Var("P"), Var("Q")
 
 def _dd(f):
     return Imp(Imp(f, ONE), ONE)
-
-
-@pytest.fixture(scope="module")
-def corpus_run():
-    from hooplog.corpus import Corpus
-
-    c = Corpus()
-    t0 = time.perf_counter()
-    report = c.run()
-    elapsed = time.perf_counter() - t0
-    return c, report, elapsed
 
 
 def _line(n, ok, detail):

@@ -36,6 +36,7 @@ from hooplog.algebra import (
     valid,
     value_tables,
 )
+from hooplog.hilbert import system_for
 from hooplog.sequent import Sequent, parse_sequent
 from hooplog.syntax import (
     DEFINITIONS,
@@ -435,6 +436,29 @@ def test_enumeration_accepts_every_flag():
 def test_parse_algebra_rejects_out_of_range_tables(text, message):
     with pytest.raises(FormulaError, match=message):
         parse_algebra(text)
+
+
+# Each axiom beyond ASM adds one class flag and one Hilbert schema.
+_CLASS_AND_SYSTEM = {
+    "ALm": ("", ""),
+    "ALi": ("bounded", "EFQ"),
+    "ALc": ("bounded involutive", "EFQ DNE"),
+    "LLm": ("hoop", "CWC"),
+    "LLi": ("bounded hoop", "CWC EFQ"),
+    "LLc": ("bounded hoop involutive", "CWC EFQ DNE"),
+    "ML": ("idempotent", "Con"),
+    "IL": ("bounded idempotent", "Con EFQ"),
+    "BL": ("bounded idempotent involutive", "Con EFQ DNE"),
+}
+
+
+@pytest.mark.parametrize("t", ALL_THEORIES, ids=lambda t: t.name)
+def test_theory_class_and_hilbert_system_follow_the_axioms(t):
+    flags, schemas = _CLASS_AND_SYSTEM[t.name]
+    assert theory_class(t) == frozenset(["pocrim", *flags.split()])
+    assert system_for(t) == ("Comp", "Comm", "Curry", "Uncurry", "Wk", *schemas.split())
+    if t.level != "minimal":  # 1 is read as the top, so every algebra needs one
+        assert all(alg.top is not None for alg in enumerate_algebras(5, theory_class(t)))
 
 
 # The value-table kernel against an uncached evaluator that walks the

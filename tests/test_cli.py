@@ -97,6 +97,25 @@ def test_models_classify_out_of_range_entry(tmp_path, capsys):
     assert "add row 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, bad_line",
+    [
+        ("size\nadd:\n0\nres:\n0\n", "size"),
+        ("size 1\ntop\nadd:\n0\nres:\n0\n", "top"),
+        ("size x\nadd:\n0\nres:\n0\n", "size x"),
+        ("size 2\nadd:\n0 1\n1 y\nres:\n0 0\n1 0\n", "1 y"),
+    ],
+    ids=["size-without-number", "top-without-number", "size-not-integer", "entry-not-integer"],
+)
+def test_models_classify_names_the_malformed_line(tmp_path, capsys, text, bad_line):
+    f = tmp_path / "bad.model"
+    f.write_text(text)
+    assert main(["models", "classify", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: malformed algebra line {bad_line!r}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_check_malformed_script_exits_2(tmp_path, capsys):
     f = tmp_path / "bad.eq"
     f.write_text("lemma bad theory ALm claim A ~= A\nstart A\nthis is not a step\n")
@@ -129,6 +148,27 @@ def test_check_derivation_names_the_line_of_a_parse_error(tmp_path, capsys, line
     err = capsys.readouterr().err
     assert message in err and repr(line) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "lines, bad_line, message",
+    [
+        (["AxASM A |- A"], "AxASM A |- A", "malformed proof line"),
+        (["AxASM | A |- (A | A"], "AxASM | A |- (A | A", "expected ')'"),
+        (["AxASM | A |- A | (A"], "AxASM | A |- A | (A", "expected ')'"),
+        (["AxASM | A, A | A"], "AxASM | A, A | A", "a sequent needs '|-'"),
+        (["AxASM | A |- A | A", "    AxASM | B |- B | B"], "AxASM | B |- B | B",
+         "dangling proof lines from"),
+    ],
+    ids=["no-fields", "sequent-formula", "instance-formula", "no-turnstile", "dangling"],
+)
+def test_check_proof_names_the_bad_line(tmp_path, capsys, lines, bad_line, message):
+    f = tmp_path / "bad.proof"
+    f.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(f), "--kind", "proof"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and repr(bad_line) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 _HEADER = "lemma bad theory ALm claim A ~= A"

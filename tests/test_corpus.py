@@ -1,19 +1,6 @@
-import pytest
-
 from hooplog.eqengine import EQUIV
 from hooplog.syntax import format_formula, parse_formula
 from hooplog.sequent import parse_sequent
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    from hooplog.corpus import Corpus
-
-    c = Corpus()
-    report = c.run()
-    bad = [r for r in report.results if not r.ok]
-    assert not bad, [(r.entry.id, r.detail) for r in bad]
-    return c
 
 
 def test_index_is_well_formed(corpus):

@@ -12,6 +12,7 @@ from hooplog.sequent import (
     _search,
     Sequent,
     ax_asm,
+    ax_con,
     ax_cwc,
     bounded_prove,
     check_proof,
@@ -162,18 +163,6 @@ def test_bounded_prove_soundness_spot():
         assert p is not None and check_proof(p, t)
 
 
-def test_contraction_interderivable_dispatcher():
-    from hooplog.sequent import ax_con, contraction_interderivable
-
-    prem = weaken(tensor_i(ax_asm(A), ax_asm(A)), B)
-    tree = contraction_interderivable("rule-from-axiom", A, premise=prem)
-    assert check_proof(tree, ML) and tree.conclusion == parse_sequent("B, A |- A * A")
-
-    back, contracted = contraction_interderivable("axiom-from-rule", A, gamma=(B,))
-    assert check_proof(back, ALm)
-    assert contracted == ax_con(A, gamma=(B,)).conclusion
-
-
 def test_contraction_interderivable():
     prem = tensor_i(ax_asm(A), ax_asm(A))
     derived = contraction_rule_from_axiom(weaken(prem, B), A)
@@ -184,6 +173,8 @@ def test_contraction_interderivable():
     back = contraction_axiom_premise(A, gamma=(B,))
     assert back.conclusion == parse_sequent("B, A, A |- A * A")
     assert check_proof(back, ALm)
+    # contracting the premise's A, A gives exactly the CON axiom's sequent
+    assert ax_con(A, gamma=(B,)).conclusion == parse_sequent("B, A |- A * A")
 
     inst = substitute_proof(derived, {"A": P, "B": P})
     assert check_proof(inst, ML)

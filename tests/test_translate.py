@@ -30,16 +30,6 @@ from hooplog.theories import ALc
 P, Q = Var("P"), Var("Q")
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    from hooplog.corpus import Corpus
-
-    c = Corpus()
-    rep = c.run()
-    assert rep.ok
-    return c
-
-
 def _dd(f):
     return Imp(Imp(f, ONE), ONE)
 
