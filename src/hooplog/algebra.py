@@ -636,10 +636,13 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         if not line:
             continue
         try:
-            if line.startswith("size"):
-                size = int(line.split()[1])
-            elif line.startswith("top"):
-                top = int(line.split()[1])
+            head, *rest = line.split()
+            if head == "size":
+                (value,) = rest
+                size = int(value)
+            elif head == "top":
+                (value,) = rest
+                top = int(value)
             elif line == "add:":
                 target = add
             elif line == "res:":
@@ -648,7 +651,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
                 if target is None:
                     raise FormulaError(f"unexpected algebra line {line!r}")
                 target.append(tuple(int(x) for x in line.split()))
-        except (IndexError, ValueError):  # a missing or non-integer number
+        except ValueError:  # a missing, extra or non-integer number
             raise FormulaError(f"malformed algebra line {line!r}") from None
     if size is None or size < 1 or len(add) != size or len(res) != size:
         raise FormulaError("malformed algebra file")

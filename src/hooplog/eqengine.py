@@ -18,6 +18,7 @@ in the strength lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .syntax import (
@@ -130,7 +131,7 @@ def ac_match(
     pattern: Formula,
     subject: Formula,
     sigma: Subst | None = None,
-    metavars: set[str] | None = None,
+    metavars: frozenset[str] | set[str] | None = None,
 ):
     """Yield substitutions with pattern[sigma] AC-equal to subject.
 
@@ -228,6 +229,10 @@ def _match_spines(pparts: list[Formula], sparts: list[Formula], sigma: Subst, mv
 
 @dataclass(frozen=True)
 class LemmaEntry:
+    """A citable claim `lhs >= rhs` or `lhs ~= rhs` in a theory.  The forms
+    that rewrite steps (`fresh`) and provability citations
+    (`provable_patterns`) match against are built once, on first use."""
+
     id: str
     lhs: Formula
     rhs: Formula
@@ -237,6 +242,34 @@ class LemmaEntry:
 
     def sides(self, reverse: bool) -> tuple[Formula, Formula]:
         return (self.rhs, self.lhs) if reverse else (self.lhs, self.rhs)
+
+    @cached_property
+    def fresh(self) -> tuple[Formula, Formula, frozenset[str]]:
+        """lhs and rhs with the metavariables renamed apart from any script
+        variable (`?` prefixed), and the renamed names."""
+        names = variables(self.lhs) | variables(self.rhs)
+        ren = {v: Var("?" + v) for v in names}
+        return (
+            substitute(self.lhs, ren),
+            substitute(self.rhs, ren),
+            frozenset("?" + v for v in names),
+        )
+
+    @cached_property
+    def provable_patterns(self) -> tuple[Formula, ...]:
+        """The provable forms of the lemma, derived connectives expanded:
+        its implication forms, curried when a side is a * spine, and its
+        other side when one side is the constant 0."""
+        pats = [Imp(self.lhs, self.rhs)]
+        pats.extend(_curried_forms(self.lhs, self.rhs))
+        if self.relation == EQUIV:
+            pats.append(Imp(self.rhs, self.lhs))
+            pats.extend(_curried_forms(self.rhs, self.lhs))
+            if is_zero(self.rhs):
+                pats.append(self.lhs)
+        if is_zero(self.lhs):
+            pats.append(self.rhs)
+        return tuple(expand_derived(p) for p in pats)
 
 
 class LemmaRegistry:
@@ -326,7 +359,7 @@ class LemmaRegistry:
             return False, "script theory is not below the lemma theory"
         rep = check_script(script, self, easy_depth)
         if not rep.ok:
-            return False, f"script rejected at step {rep.step}: {rep.message}"
+            return False, f"script {script.id} rejected at step {rep.step}: {rep.message}"
         return True, ""
 
 
@@ -432,23 +465,12 @@ def _check_step(cur, step, script, local, registry, easy_depth) -> str:
     raise EqError(f"unknown step kind {step.kind!r}")
 
 
-def _freshen(entry: LemmaEntry) -> tuple[Formula, Formula, set[str]]:
-    """Rename the lemma's metavariables apart from any script variable."""
-    names = variables(entry.lhs) | variables(entry.rhs)
-    ren = {v: Var("?" + v) for v in names}
-    return (
-        substitute(entry.lhs, ren),
-        substitute(entry.rhs, ren),
-        {"?" + v for v in names},
-    )
-
-
 def _check_rewrite(cur: Formula, step: EqStep, entry: LemmaEntry) -> str:
     try:
         sub = subterm_at(cur, step.pos)
     except FormulaError:
         raise RewriteError(f"position {step.pos} does not exist")
-    lhs, rhs, fresh = _freshen(entry)
+    lhs, rhs, fresh = entry.fresh
     src, tgt = (rhs, lhs) if step.reverse else (lhs, rhs)
     for sigma in ac_match(src, sub, metavars=fresh):
         # metavariables occurring only on the target side are solved by
@@ -481,19 +503,6 @@ def _rewrite_relation(cur: Formula, step: EqStep, entry: LemmaEntry) -> str:
     return LEQ
 
 
-def _provable_patterns(entry: LemmaEntry):
-    pats = [Imp(entry.lhs, entry.rhs)]
-    pats.extend(_curried_forms(entry.lhs, entry.rhs))
-    if entry.relation == EQUIV:
-        pats.append(Imp(entry.rhs, entry.lhs))
-        pats.extend(_curried_forms(entry.rhs, entry.lhs))
-        if is_zero(entry.rhs):
-            pats.append(entry.lhs)
-    if is_zero(entry.lhs):
-        pats.append(entry.rhs)
-    return pats
-
-
 def _curried_forms(lhs: Formula, rhs: Formula):
     """Curried implication forms x1 -o ... -o xk -o rhs of a * premise."""
     parts = _spine(ac_normalize(lhs))
@@ -513,8 +522,8 @@ def _matches_provable(entry: LemmaEntry, g: Formula) -> bool:
     form of the lemma: its implication form, or its other side when one side
     is the constant 0."""
     target = expand_derived(g)
-    for pat in _provable_patterns(entry):
-        for _sigma in ac_match(expand_derived(pat), target):
+    for pat in entry.provable_patterns:
+        for _sigma in ac_match(pat, target):
             return True
     return False
 

@@ -152,9 +152,28 @@ def rose_rosser_embed(f: Formula) -> Formula:
     return go(f)
 
 
+class _Id:
+    """|- a -o a, standing in for a line index until a line needs it."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: Formula):
+        self.a = a
+
+
+Ref = int | _Id
+
+
 class _Builder:
     """Accumulates derivation lines; helper results are memoised so shared
-    sub-derivations are emitted once."""
+    sub-derivations are emitted once.
+
+    Combinators take and return a `Ref`: a line index, or an `_Id` for an
+    identity `|- a -o a` whose lines are not yet emitted.  Composition drops
+    an identity, modus ponens against one returns the minor premise, and
+    `lift` and the congruences map one to an identity; `line` emits its
+    lines only where a line must cite it (an mp minor premise, `c_rule`,
+    `extract`), so identities that the combinators cancel cost nothing."""
 
     def __init__(self, schemas: tuple[str, ...]):
         self.schemas = schemas
@@ -162,13 +181,10 @@ class _Builder:
         self.by_formula: dict[Formula, int] = {}
         self.memo: dict[tuple, int] = {}
 
-    def derivation(self) -> HilbertDerivation:
-        return HilbertDerivation(tuple(self.lines))
-
-    def extract(self, idx: int) -> HilbertDerivation:
-        """The sub-derivation reachable from line idx, renumbered."""
+    def extract(self, ref: Ref) -> HilbertDerivation:
+        """The sub-derivation reachable from ref, renumbered."""
         needed: set[int] = set()
-        stack = [idx]
+        stack = [self.line(ref)]
         while stack:
             k = stack.pop()
             if k in needed:
@@ -202,39 +218,64 @@ class _Builder:
         sig = dict(subst)
         return self._emit(substitute(SCHEMAS[name], sig), ("axiom", name, sig))
 
-    def mp(self, i: int, j: int) -> int:
+    def mp(self, i: Ref, j: Ref) -> Ref:
+        fi = self.formula(i)
+        if isinstance(j, _Id):
+            if j.a != fi:
+                raise FormulaError("mp: major premise does not match")
+            return i
         fj = self.lines[j][0]
-        fi = self.lines[i][0]
         if not (isinstance(fj, Imp) and fj.left == fi):
             raise FormulaError("mp: major premise does not match")
-        return self._emit(fj.right, ("mp", i, j))
+        return self._emit(fj.right, ("mp", self.line(i), j))
 
-    def formula(self, i: int) -> Formula:
+    def formula(self, i: Ref) -> Formula:
+        if isinstance(i, _Id):
+            return Imp(i.a, i.a)
         return self.lines[i][0]
 
-    # Derived combinators.
-
-    def comp(self, i: int, j: int) -> int:
-        """From |- X -o Y and |- Y -o Z conclude |- X -o Z."""
-        fi, fj = self.formula(i), self.formula(j)
-        step = self.axiom("Comp", A=fi.left, B=fi.right, C=fj.right)
-        return self.mp(j, self.mp(i, step))
-
-    def ident(self, a: Formula) -> int:
-        """|- a -o a, via a K instance flipped against a stock theorem."""
-        key = ("ident", a)
-        if key in self.memo:
-            return self.memo[key]
+    def line(self, i: Ref) -> int:
+        """The line index of i, emitting an identity's lines on first need:
+        two commutations for a tensor, uncurry then curry for a curried
+        implication, else a K instance flipped against a * a -o a."""
+        if not isinstance(i, _Id):
+            return i
+        a = i.a
+        got = self.by_formula.get(Imp(a, a))
+        if got is not None:
+            return got
+        if isinstance(a, Tensor):
+            x, y = a.left, a.right
+            return self.comp(self.axiom("Comm", A=x, B=y), self.axiom("Comm", A=y, B=x))
+        if isinstance(a, Imp) and isinstance(a.right, Imp):
+            x, y, z = a.left, a.right.left, a.right.right
+            return self.comp(
+                self.axiom("Uncurry", A=x, B=y, C=z), self.axiom("Curry", A=x, B=y, C=z)
+            )
         thm = self.axiom("Wk", A=a, B=a)  # the stock theorem t := a * a -o a
         t = self.formula(thm)
         k2 = self.mp(
             self.axiom("Wk", A=a, B=t), self.axiom("Curry", A=a, B=t, C=a)
         )  # a -o (t -o a)
-        out = self.mp(thm, self.c_rule(k2))
-        self.memo[key] = out
-        return out
+        return self.mp(thm, self.c_rule(k2))
 
-    def c_rule(self, i: int) -> int:
+    # Derived combinators.
+
+    def comp(self, i: Ref, j: Ref) -> Ref:
+        """From |- X -o Y and |- Y -o Z conclude |- X -o Z."""
+        if isinstance(i, _Id):
+            return j
+        if isinstance(j, _Id):
+            return i
+        fi, fj = self.formula(i), self.formula(j)
+        step = self.axiom("Comp", A=fi.left, B=fi.right, C=fj.right)
+        return self.mp(j, self.mp(i, step))
+
+    def ident(self, a: Formula) -> _Id:
+        """|- a -o a, emitted only where a line cites it."""
+        return _Id(a)
+
+    def c_rule(self, i: Ref) -> int:
         """From |- X -o (Y -o Z) conclude |- Y -o (X -o Z)."""
         f = self.formula(i)
         x, y, z = f.left, f.right.left, f.right.right
@@ -243,8 +284,10 @@ class _Builder:
         swapped = self.comp(comm, unc)  # y*x -o z
         return self.mp(swapped, self.axiom("Curry", A=y, B=x, C=z))
 
-    def lift(self, c: Formula, i: int) -> int:
+    def lift(self, c: Formula, i: Ref) -> Ref:
         """From |- P -o Q conclude |- (C -o P) -o (C -o Q)."""
+        if isinstance(i, _Id):
+            return _Id(Imp(c, i.a))
         f = self.formula(i)
         step = self.axiom("Comp", A=c, B=f.left, C=f.right)
         return self.mp(i, self.c_rule(step))
@@ -259,15 +302,19 @@ class _Builder:
         self.memo[key] = out
         return out
 
-    def cong_left(self, i: int, c: Formula) -> int:
+    def cong_left(self, i: Ref, c: Formula) -> Ref:
         """From |- X -o Y conclude |- X * C -o Y * C."""
+        if isinstance(i, _Id):
+            return _Id(Tensor(i.a, c))
         f = self.formula(i)
         x, y = f.left, f.right
         chained = self.comp(i, self.pair(y, c))  # x -o (c -o y*c)
         return self.mp(chained, self.axiom("Uncurry", A=x, B=c, C=Tensor(y, c)))
 
-    def cong_right(self, i: int, c: Formula) -> int:
+    def cong_right(self, i: Ref, c: Formula) -> Ref:
         """From |- X -o Y conclude |- C * X -o C * Y."""
+        if isinstance(i, _Id):
+            return _Id(Tensor(c, i.a))
         f = self.formula(i)
         x, y = f.left, f.right
         comm1 = self.axiom("Comm", A=c, B=x)
@@ -309,7 +356,7 @@ class _Builder:
     # the order lists: a context element may itself be a tensor, so the comb
     # shape cannot be recovered from the formula.
 
-    def split_comb(self, o1: list[Formula], cb: Formula) -> int:
+    def split_comb(self, o1: list[Formula], cb: Formula) -> Ref:
         """|- comb(o1 ++ [cb]) -o comb(o1) * cb."""
         if len(o1) == 1:
             return self.ident(Tensor(o1[0], cb))
@@ -332,12 +379,12 @@ class _Builder:
         inner = self.swap_comb(order[1:], k - 1)
         return self.cong_right(inner, order[0])
 
-    def perm_comb(self, src: list[Formula], dst: list[Formula]) -> int:
+    def perm_comb(self, src: list[Formula], dst: list[Formula]) -> Ref:
         """|- comb(src) -o comb(dst) for a permutation of equal multisets."""
         if sorted(src, key=formula_key) != sorted(dst, key=formula_key):
             raise FormulaError("perm_comb: not a permutation")
         cur = list(src)
-        idx: int | None = None
+        idx: Ref | None = None
         for i in range(len(dst)):
             j = cur.index(dst[i], i)
             while j > i:
@@ -349,7 +396,7 @@ class _Builder:
             return self.ident(_comb(src))
         return idx
 
-    def curry_iso(self, order: list[Formula], goal: Formula) -> int:
+    def curry_iso(self, order: list[Formula], goal: Formula) -> Ref:
         """|- (comb(order) -o goal) -o (x1 -o x2 -o ... -o goal)."""
         if len(order) == 1:
             return self.ident(Imp(order[0], goal))
@@ -371,7 +418,7 @@ def _comb(order) -> Formula:
 @dataclass
 class _Node:
     order: list[Formula]  # context enumeration; empty means |- goal directly
-    idx: int  # line index of comb(order) -o goal, or of goal itself
+    idx: Ref  # comb(order) -o goal, or goal itself
 
 
 def sequent_to_hilbert(
@@ -506,7 +553,7 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
     raise FormulaError(f"unknown rule {rule!r}")
 
 
-def _weakened(b: _Builder, s: Sequent, hyp: Formula, idx: int) -> _Node:
+def _weakened(b: _Builder, s: Sequent, hyp: Formula, idx: Ref) -> _Node:
     """From |- hyp -o goal at idx build the node for the axiom leaf s, whose
     context is hyp plus the weakened rest."""
     gamma = list(_ctx_minus(s.context, (hyp,)))
@@ -515,7 +562,7 @@ def _weakened(b: _Builder, s: Sequent, hyp: Formula, idx: int) -> _Node:
     return _Node([hyp] + gamma, b.comp(b.axiom("Wk", A=hyp, B=_comb(gamma)), idx))
 
 
-def _join(b: _Builder, o1: list[Formula], o2: list[Formula], idx: int, goal: Formula) -> _Node:
+def _join(b: _Builder, o1: list[Formula], o2: list[Formula], idx: Ref, goal: Formula) -> _Node:
     """From |- comb(o1) -o (comb(o2) -o goal) build the node for o1 ++ o2."""
     c1, c2 = _comb(o1), _comb(o2)
     unc = b.mp(idx, b.axiom("Uncurry", A=c1, B=c2, C=goal))  # c1*c2 -o goal

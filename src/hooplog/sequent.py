@@ -265,15 +265,6 @@ def ax_con(a: Formula, gamma=()) -> ProofTree:
     return ProofTree(Sequent(tuple(gamma) + (a,), Tensor(a, a)), "AxCON", inst=(a,))
 
 
-def ax_efq(a: Formula, gamma=()) -> ProofTree:
-    return ProofTree(Sequent(tuple(gamma) + (ONE,), a), "AxEFQ", inst=(a,))
-
-
-def ax_dne(a: Formula, gamma=()) -> ProofTree:
-    dd = core_dneg(a)
-    return ProofTree(Sequent(tuple(gamma) + (dd,), a), "AxDNE", inst=(a,))
-
-
 def ax_cwc(a: Formula, b: Formula, gamma=()) -> ProofTree:
     ctx = tuple(gamma) + (a, Imp(a, b))
     return ProofTree(Sequent(ctx, Tensor(b, Imp(b, a))), "AxCWC", inst=(a, b))
@@ -627,7 +618,9 @@ def parse_proof(text: str) -> ProofTree:
         if not line or line.startswith("#"):
             continue
         stripped = raw.lstrip(" ")
-        indent = (len(raw) - len(stripped)) // 2
+        indent, odd = divmod(len(raw) - len(stripped), 2)
+        if odd:
+            raise FormulaError(f"bad indentation on proof line {line!r}")
         try:
             rows.append((indent, *_parse_proof_line(stripped), line))
         except ValueError:  # no ' | ' after the rule name

@@ -104,8 +104,13 @@ def test_models_classify_out_of_range_entry(tmp_path, capsys):
         ("size 1\ntop\nadd:\n0\nres:\n0\n", "top"),
         ("size x\nadd:\n0\nres:\n0\n", "size x"),
         ("size 2\nadd:\n0 1\n1 y\nres:\n0 0\n1 0\n", "1 y"),
+        ("size 1 7\nadd:\n0\nres:\n0\n", "size 1 7"),
+        ("size 1\ntop 0 junk\nadd:\n0\nres:\n0\n", "top 0 junk"),
     ],
-    ids=["size-without-number", "top-without-number", "size-not-integer", "entry-not-integer"],
+    ids=[
+        "size-without-number", "top-without-number", "size-not-integer", "entry-not-integer",
+        "size-trailing-number", "top-trailing-word",
+    ],
 )
 def test_models_classify_names_the_malformed_line(tmp_path, capsys, text, bad_line):
     f = tmp_path / "bad.model"
@@ -159,8 +164,11 @@ def test_check_derivation_names_the_line_of_a_parse_error(tmp_path, capsys, line
         (["AxASM | A, A | A"], "AxASM | A, A | A", "a sequent needs '|-'"),
         (["AxASM | A |- A | A", "    AxASM | B |- B | B"], "AxASM | B |- B | B",
          "dangling proof lines from"),
+        (["ImpI | |- A -o A | A", "   AxASM | A |- A | A"], "AxASM | A |- A | A",
+         "bad indentation on proof line"),
     ],
-    ids=["no-fields", "sequent-formula", "instance-formula", "no-turnstile", "dangling"],
+    ids=["no-fields", "sequent-formula", "instance-formula", "no-turnstile", "dangling",
+         "odd-indent"],
 )
 def test_check_proof_names_the_bad_line(tmp_path, capsys, lines, bad_line, message):
     f = tmp_path / "bad.proof"
@@ -231,3 +239,24 @@ def test_size_and_depth_flags_below_1_are_usage_errors(capsys, argv, flag):
     captured = capsys.readouterr()
     assert f"argument {flag}: must be at least 1" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "formula, code", [("A -o B", 0), ("a -o", 2)], ids=["parses", "parse-error"]
+)
+def test_python_dash_m_runs_the_cli(formula, code):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hooplog
+
+    env = dict(os.environ, PYTHONPATH=str(Path(hooplog.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "hooplog", "parse", formula],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    assert ("Imp" in done.stdout) == (code == 0)

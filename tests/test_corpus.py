@@ -1,3 +1,5 @@
+import pytest
+
 from hooplog.eqengine import EQUIV
 from hooplog.syntax import format_formula, parse_formula
 from hooplog.sequent import parse_sequent
@@ -118,3 +120,61 @@ def test_broken_script_is_a_hard_failure(corpus, tmp_path, monkeypatch):
     rep = cp.run_corpus("axiom-l")
     assert not rep.ok
     assert any(r.entry.id == "axiom-l" and not r.ok for r in rep.results)
+    detail = rep.results[0].detail
+    assert "'axiom-l'" in detail and "axiom-l-fwd" in detail and "step 2" in detail
+    assert "lemma 'vee-upper-left' does not rewrite B" in detail
+
+
+_SWAP_BROKEN = "lemma swap theory ALm claim A * B ~= B * A\nstart A * B\n= B * A by wk-tensor at root\n"
+_SWAP_FWD = "lemma swap theory ALm claim A * B >= B * A\nstart A * B\n>= B * A by easy\n"
+_SWAP_REV_BROKEN = "lemma swap-rev theory ALm claim B * A >= A * B\nstart B * A\n>= A * B by wk-tensor at root\n"
+
+
+@pytest.mark.parametrize(
+    "evidence, script_id",
+    [
+        (("script", "broken.eq"), "swap"),
+        (("script+auto", "broken.eq", "5"), "swap"),
+        (("scripts", "fwd.eq", "rev-broken.eq"), "swap-rev"),
+    ],
+    ids=["script", "script+auto", "scripts"],
+)
+def test_broken_registered_script_names_entry_step_and_message(monkeypatch, evidence, script_id):
+    # a registered script is checked only by the registry; its rejection
+    # is the entry's detail
+    import hooplog.corpus as cp
+    from hooplog.theories import ALm
+
+    files = {"broken.eq": _SWAP_BROKEN, "fwd.eq": _SWAP_FWD, "rev-broken.eq": _SWAP_REV_BROKEN}
+    c = cp.Corpus()
+    monkeypatch.setattr(cp, "_data_text", files.__getitem__)
+    c.entries = [cp.CorpusEntry("swap-entry", "proved", ALm, "A * B ~= B * A", evidence)]
+    (result,) = c.run().results
+    assert not result.ok
+    assert "'swap-entry'" in result.detail
+    assert f"script {script_id} rejected at step 0" in result.detail
+    assert "lemma 'wk-tensor' does not rewrite" in result.detail
+    assert "swap-entry" not in c.registry and "swap-entry" not in c.scripts
+
+
+def test_each_corpus_script_is_checked_once_per_run(monkeypatch):
+    from collections import Counter
+    from pathlib import Path
+
+    import hooplog.corpus as cp
+    import hooplog.eqengine as eq
+
+    calls = Counter()
+    real = eq.check_script
+
+    def counting(script, *args, **kwargs):
+        calls[script.id] += 1
+        return real(script, *args, **kwargs)
+
+    monkeypatch.setattr(eq, "check_script", counting)
+    monkeypatch.setattr(cp, "check_script", counting)
+    assert cp.Corpus().run().ok
+    files = sorted(Path(cp.__file__).parent.joinpath("data").glob("*.eq"))
+    ids = {f.name: eq.parse_script(f.read_text()).id for f in files}
+    assert len(ids) == 64 and len(set(ids.values())) == 64
+    assert {name: calls[sid] for name, sid in ids.items()} == {name: 1 for name in ids}

@@ -233,3 +233,44 @@ start A * (A -o B)
     s = parse_script(text)
     assert check_script(s, reg)
     assert format_script(parse_script(format_script(s))) == format_script(s)
+
+
+def test_lemma_forms_equal_their_per_call_constructions(corpus):
+    # the forms each entry keeps, against the constructions that rewriting
+    # and provability citations used to rebuild on every step
+    from itertools import permutations
+
+    from hooplog.eqengine import _spine
+    from hooplog.syntax import expand_derived, is_zero, substitute
+
+    def curried(lhs, rhs):
+        parts = _spine(ac_normalize(lhs))
+        if not 2 <= len(parts) <= 4:
+            return []
+        out = []
+        for perm in permutations(parts):
+            f = rhs
+            for p in reversed(perm):
+                f = Imp(p, f)
+            out.append(f)
+        return out
+
+    def patterns(e):
+        pats = [Imp(e.lhs, e.rhs)] + curried(e.lhs, e.rhs)
+        if e.relation == EQUIV:
+            pats += [Imp(e.rhs, e.lhs)] + curried(e.rhs, e.lhs)
+            if is_zero(e.rhs):
+                pats.append(e.lhs)
+        if is_zero(e.lhs):
+            pats.append(e.rhs)
+        return tuple(expand_derived(p) for p in pats)
+
+    entries = list(corpus.registry.entries.values())
+    assert len(entries) > 60
+    for e in entries:
+        names = variables(e.lhs) | variables(e.rhs)
+        ren = {v: Var("?" + v) for v in names}
+        want = (substitute(e.lhs, ren), substitute(e.rhs, ren), {"?" + v for v in names})
+        assert e.fresh == want, e.id
+        assert e.fresh is e.fresh
+        assert e.provable_patterns == patterns(e), e.id

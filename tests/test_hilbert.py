@@ -1,13 +1,15 @@
+import random
 from itertools import product
 
 import pytest
 
-from hooplog.syntax import Imp, Tensor, Var, expand_derived, parse_formula
+from hooplog.syntax import ONE, Imp, Tensor, Var, expand_derived, parse_formula
 from hooplog.theories import ALc, ALi, ALm, LLm, ML
 from hooplog.sequent import Sequent, bounded_prove, check_proof, parse_sequent
 from hooplog.hilbert import (
     HilbertDerivation,
     SCHEMAS,
+    _Builder,
     check_derivation,
     curry_sequent,
     format_derivation,
@@ -15,6 +17,7 @@ from hooplog.hilbert import (
     parse_derivation,
     rose_rosser_embed,
     sequent_to_hilbert,
+    system_for,
 )
 from hooplog.algebra import (
     enumerate_algebras,
@@ -133,3 +136,63 @@ def test_embed_preserves_evaluation():
             for vec in product(range(alg.size), repeat=3):
                 v = dict(zip("ABC", vec))
                 assert eval_formula(f, alg, v) == eval_formula(g, alg, v)
+
+
+def test_identity_is_dropped_by_composition_without_lines():
+    b = _Builder(system_for(ALm))
+    j = b.axiom("Wk", A=A, B=B)
+    built = list(b.lines)
+    assert b.comp(b.ident(Tensor(A, B)), j) == j
+    assert b.comp(j, b.ident(A)) == j
+    assert b.mp(j, b.ident(Imp(Tensor(A, B), A))) == j
+    assert b.lines == built
+
+
+def test_curry_iso_of_one_antecedent_emits_no_line():
+    b = _Builder(system_for(ALm))
+    ref = b.curry_iso([A], B)
+    assert b.lines == []
+    assert b.formula(ref) == parse_formula("(A -o B) -o A -o B")
+
+
+@pytest.mark.parametrize("text", ["A", "A * B", "A -o B -o C", "(A -o B) -o C", "1"])
+def test_identity_lines_are_emitted_where_cited(text):
+    a = parse_formula(text)
+    b = _Builder(system_for(ALm))
+    der = b.extract(b.ident(a))
+    assert der.final == Imp(a, a)
+    assert check_derivation(der, "H-ALm")
+
+
+def _random_core(rng, size):
+    if size <= 1:
+        return ONE if rng.random() < 0.1 else Var(rng.choice("AB"))
+    left = rng.randint(1, size - 1)
+    cls = Imp if rng.random() < 0.6 else Tensor
+    return cls(_random_core(rng, left), _random_core(rng, size - left))
+
+
+def test_seeded_round_trip_through_hilbert():
+    # sequent proof -> Hilbert derivation -> sequent proof, over small
+    # provable sequents of every theory
+    from hooplog.theories import ALL_THEORIES
+
+    rng = random.Random(20141)
+    done = 0
+    for k in range(2000):
+        theory = ALL_THEORIES[k % len(ALL_THEORIES)]
+        context = tuple(_random_core(rng, rng.randint(1, 3)) for _ in range(rng.randint(0, 2)))
+        seq = Sequent(context, _random_core(rng, rng.randint(1, 4)))
+        p = bounded_prove(seq, theory, 5)
+        if p is None:
+            continue
+        assert check_proof(p, theory)
+        der, order = sequent_to_hilbert(p, theory)
+        assert check_derivation(der, f"H-{theory.name}"), seq
+        assert der.final == curry_sequent(seq, order), seq
+        back = hilbert_to_sequent(der, theory)
+        assert check_proof(back, theory) and back.conclusion == Sequent((), der.final)
+        done += 1
+        if done == 150:
+            break
+    assert done == 150
