@@ -279,7 +279,3 @@ def _cmd_gen_k(args) -> int:
     sys.stdout.write(format_script(script))
     print(f"# {'checks' if rep.ok else 'REJECTED: ' + rep.message}")
     return 0 if rep.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -157,24 +157,14 @@ def test_broken_registered_script_names_entry_step_and_message(monkeypatch, evid
     assert "swap-entry" not in c.registry and "swap-entry" not in c.scripts
 
 
-def test_each_corpus_script_is_checked_once_per_run(monkeypatch):
-    from collections import Counter
+def test_each_corpus_script_is_checked_once_per_run(corpus_run, script_checks):
     from pathlib import Path
 
     import hooplog.corpus as cp
     import hooplog.eqengine as eq
 
-    calls = Counter()
-    real = eq.check_script
-
-    def counting(script, *args, **kwargs):
-        calls[script.id] += 1
-        return real(script, *args, **kwargs)
-
-    monkeypatch.setattr(eq, "check_script", counting)
-    monkeypatch.setattr(cp, "check_script", counting)
-    assert cp.Corpus().run().ok
+    assert corpus_run[1].ok
     files = sorted(Path(cp.__file__).parent.joinpath("data").glob("*.eq"))
     ids = {f.name: eq.parse_script(f.read_text()).id for f in files}
     assert len(ids) == 64 and len(set(ids.values())) == 64
-    assert {name: calls[sid] for name, sid in ids.items()} == {name: 1 for name in ids}
+    assert {name: script_checks[sid] for name, sid in ids.items()} == {name: 1 for name in ids}
