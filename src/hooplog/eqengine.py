@@ -271,6 +271,11 @@ class LemmaEntry:
             pats.append(self.rhs)
         return tuple(expand_derived(p) for p in pats)
 
+    @cached_property
+    def redexes(self) -> dict:
+        """(reverse, node) -> the node's first kit redex, kept by `translate`."""
+        return {}
+
 
 class LemmaRegistry:
     """Append-only store; registration demands checked evidence."""

@@ -8,10 +8,11 @@ sends 1 to 1.  The harness checks, per input formula A:
   DNS3  the translation of A is stable under double negation in the theory.
 
 Obligations are discharged by rewriting with a small registered lemma kit
-(oriented, applied to a fixed point), citing a registered provable schema,
-or bounded sequent search; a discharged obligation carries a generated chain
-script that rechecks, and a failed DNS2 obligation carries a finite
-countermodel.  Whatever remains is reported inconclusive, never pass/fail.
+(oriented, applied to a fixed point, each lemma's redexes memoised per
+interned subterm), citing a registered provable schema, or bounded sequent
+search; a discharged obligation carries a generated chain script that
+rechecks, and a failed DNS2 obligation carries a finite countermodel.
+Whatever remains is reported inconclusive, never pass/fail.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .syntax import (
     core_neg,
     expand_derived,
     format_formula,
-    positions,
     replace_at,
     substitute,
-    subterm_at,
 )
 from .sequent import Sequent, bounded_prove
 from .theories import TheoryId
@@ -138,34 +137,49 @@ def reduce_with_kit(
             return trace
         cur = nxt[0]
         trace.append(nxt)
-    raise RuntimeError("rewriting did not terminate within the step budget")
+    raise RuntimeError(
+        f"rewriting {format_formula(f)} did not terminate within {_MAX_REDUCE} "
+        f"steps; the last lemma applied was {trace[-1][1].lemma!r}"
+    )
 
 
 def _reduce_once(cur: Formula, kit):
     # kit order is priority order: a later lemma fires only when no earlier
-    # one matches anywhere.  Within one lemma, innermost redexes go first.
-    # Formulas stay structural so recorded positions replay in both
-    # directions; comparisons go through ac_normalize.  The sites are listed
-    # once with the type of their normal form: a side whose normal form is
-    # not a variable matches only sites of its type, so the rest skip ac_match.
-    sites = [(p, subterm_at(cur, p)) for p in sorted(positions(cur), key=len, reverse=True)]
-    sites = [(p, sub, type(ac_normalize(sub))) for p, sub in sites]
-    cur_nf = ac_normalize(cur)
+    # one has a redex anywhere.  Each lemma's memo already holds every node
+    # off the path to the last rewrite.  Formulas stay structural so recorded
+    # positions replay in both directions.
     for entry, rev in kit:
-        src, tgt = entry.sides(rev)
-        head = type(ac_normalize(src))
-        for pos, sub, sub_head in sites:
-            if head is not Var and head is not sub_head:
-                continue
-            for sigma in ac_match(src, sub):
-                out = replace_at(cur, pos, substitute(tgt, sigma))
-                if ac_normalize(out) == cur_nf:
-                    continue
-                step = EqStep(
-                    "rewrite", EQUIV, out, lemma=entry.id, reverse=rev, pos=pos
-                )
-                return out, step
+        hit = _first_redex(entry, rev, cur)
+        if hit is not None:
+            pos, new = hit
+            out = replace_at(cur, pos, new)
+            return out, EqStep("rewrite", EQUIV, out, lemma=entry.id, reverse=rev, pos=pos)
     return None
+
+
+def _first_redex(entry: LemmaEntry, rev: bool, node: Formula):
+    """(position, new subterm) of the lemma's deepest, then leftmost, rewrite
+    in node that changes the AC normal form, or None.  Memoised per interned
+    node, so a step re-examines only the path to the last rewrite; AC
+    normalisation cancels in context, so triviality is judged locally."""
+    key = (rev, node)
+    if key in entry.redexes:
+        return entry.redexes[key]
+    best = None
+    for i, child in enumerate(node.children()):
+        hit = _first_redex(entry, rev, child)
+        # best's position counts its child index, so ties go left
+        if hit is not None and (best is None or len(hit[0]) >= len(best[0])):
+            best = ((i,) + hit[0], hit[1])
+    if best is None:
+        src, tgt = entry.sides(rev)
+        for sigma in ac_match(src, node):
+            new = substitute(tgt, sigma)
+            if ac_normalize(new) is not ac_normalize(node):
+                best = ((), new)
+                break
+    entry.redexes[key] = best
+    return best
 
 
 def equivalence_script(

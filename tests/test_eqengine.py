@@ -15,6 +15,8 @@ from hooplog.syntax import (
     Var,
     WConj,
     parse_formula,
+    positions,
+    replace_at,
     variables,
 )
 from hooplog.theories import ALm, ALi, LLm
@@ -28,6 +30,7 @@ from hooplog.eqengine import (
     LemmaRegistry,
     RewriteError,
     _compose,
+    _spine,
     ac_eq,
     ac_match,
     ac_normalize,
@@ -77,6 +80,42 @@ def test_ac_normalize_keeps_the_value_tables_of_random_formulas():
         for m in algebras:
             for _, (tf, tnf) in value_tables((f, nf), m, names):
                 assert tf == tnf, (f, nf, m)
+
+
+def _ac_variant(rng, f):
+    """A formula with the AC normal form of f: * spines shuffled and
+    regrouped, 0 factors added, 0 and ^ written out."""
+    if f is ZERO:
+        return rng.choice((ZERO, Imp(ONE, ONE), Neg(ONE)))
+    if isinstance(f, Neg):
+        body = _ac_variant(rng, f.body)
+        return rng.choice((Neg(body), Imp(body, ONE)))
+    if isinstance(f, Tensor):
+        parts = [_ac_variant(rng, g) for g in _spine(f)] + [ZERO] * rng.randint(0, 1)
+        rng.shuffle(parts)
+        while len(parts) > 1:
+            i = rng.randrange(len(parts) - 1)
+            parts[i : i + 2] = [Tensor(parts[i], parts[i + 1])]
+        return parts[0]
+    return type(f)(*(_ac_variant(rng, c) for c in f.children())) if f.children() else f
+
+
+def test_ac_normalization_cancels_in_context():
+    # nf(C[x]) is nf(C[y]) exactly when nf(x) is nf(y): so whether a rewrite
+    # changes a formula's normal form can be judged at the rewritten subterm
+    rng = random.Random(20142)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        ctx = _random_formula(rng, 3)
+        pos = rng.choice(list(positions(ctx)))
+        x = _random_formula(rng, 3)
+        y = _ac_variant(rng, x) if rng.random() < 0.5 else _random_formula(rng, 3)
+        same = ac_normalize(x) is ac_normalize(y)
+        in_context = ac_normalize(replace_at(ctx, pos, x)) is ac_normalize(replace_at(ctx, pos, y))
+        assert in_context == same, (ctx, pos, x, y)
+        if x is not y:
+            seen[same] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_ac_normalize_idempotent_and_permutation_invariant():

@@ -1,11 +1,16 @@
+import gc
+import importlib
+import random
+import weakref
 from itertools import product
 
 import pytest
 
-from hooplog.eqengine import EQUIV, EqStep, ac_match, ac_normalize
+from hooplog.eqengine import EQUIV, EqStep, LemmaEntry, ac_match, ac_normalize
 from hooplog.syntax import (
     Imp,
     ONE,
+    Tensor,
     Var,
     expand_derived,
     parse_formula,
@@ -17,6 +22,7 @@ from hooplog.syntax import (
 from hooplog.theories import ALi, ALm, LLi
 from hooplog.translate import (
     TRANSLATIONS,
+    _MAX_REDUCE,
     _kit_for,
     check_dns,
     equivalence_script,
@@ -26,6 +32,9 @@ from hooplog.translate import (
 )
 from hooplog.algebra import enumerate_algebras, eval_formula, theory_class
 from hooplog.theories import ALc
+
+# the module itself: the package attribute `hooplog.translate` is the function
+translate_module = importlib.import_module("hooplog.translate")
 
 P, Q = Var("P"), Var("Q")
 
@@ -179,3 +188,85 @@ def test_one_pass_reduction_matches_the_per_lemma_scan(corpus, theory):
             assert trace == _per_lemma_reduce(g, kit), (t.name, g)
             steps += len(trace) - 1
     assert steps > 0
+
+
+def _random_kit_formula(rng, depth):
+    """A core formula over P, Q and 1, rich in single and double negations."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice((P, Q, ONE))
+    kind = rng.choice((Imp, Tensor, Imp, Tensor, "neg", "dneg"))
+    if kind == "neg":
+        return Imp(_random_kit_formula(rng, depth - 1), ONE)
+    if kind == "dneg":
+        return _dd(_random_kit_formula(rng, depth - 1))
+    return kind(_random_kit_formula(rng, depth - 1), _random_kit_formula(rng, depth - 1))
+
+
+@pytest.mark.parametrize("theory", [ALi, LLi, ALc], ids=lambda t: t.name)
+def test_seeded_reduction_matches_the_per_lemma_scan(corpus, theory):
+    rng = random.Random(201411)
+    kit = _kit_for(theory, corpus.registry)
+    steps = 0
+    for _ in range(200):
+        g = _random_kit_formula(rng, 3)
+        trace = reduce_with_kit(g, kit)
+        assert trace == _per_lemma_reduce(g, kit), (theory.name, g)
+        steps += len(trace) - 1
+    assert steps > 0
+
+
+def test_a_rewrite_that_keeps_the_normal_form_is_skipped():
+    # every instance of the swap here has AC-equal sides, so none is a step
+    swap = LemmaEntry("swap", parse_formula("X -o Y"), parse_formula("Y -o X"), EQUIV, ALm)
+    kit = [(swap, False)]
+    for text in ("P * Q -o Q * P", "(P * Q -o Q * P) * (R * (P -o P))"):
+        f = parse_formula(text)
+        assert reduce_with_kit(f, kit) == _per_lemma_reduce(f, kit) == [(f, None)]
+
+
+def test_second_reduction_with_the_same_kit_makes_no_match(corpus, monkeypatch):
+    calls = []
+    real = translate_module.ac_match
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(translate_module, "ac_match", counting)
+    kit = _kit_for(LLi, corpus.registry)
+    g = translate("kolmogorov", parse_formula("(Memo1 -o Memo2) * Memo1^^"))
+    first = reduce_with_kit(g, kit)
+    assert len(first) > 1 and calls
+    calls.clear()
+    assert reduce_with_kit(g, kit) == first
+    assert calls == []
+
+
+def test_budget_error_names_the_formula_and_the_last_lemma(monkeypatch):
+    steps = []
+    real = translate_module._reduce_once
+
+    def counting(cur, kit):
+        out = real(cur, kit)
+        steps.append(out)
+        return out
+
+    monkeypatch.setattr(translate_module, "_reduce_once", counting)
+    # undoing a double negation first and adding one otherwise loops
+    loop = LemmaEntry("loop", Var("X"), parse_formula("X^^"), EQUIV, ALm)
+    with pytest.raises(RuntimeError) as err:
+        reduce_with_kit(parse_formula("P * Q"), [(loop, True), (loop, False)])
+    assert len(steps) == _MAX_REDUCE and None not in steps
+    msg = str(err.value)
+    assert "P * Q" in msg and "'loop'" in msg and str(_MAX_REDUCE) in msg
+
+
+def test_the_redex_memo_dies_with_its_entry():
+    entry = LemmaEntry("tn", parse_formula("X^^^"), parse_formula("X^"), EQUIV, ALm)
+    f = parse_formula("Lifetime^^^ -o Lifetime")
+    ref = weakref.ref(f)
+    trace = reduce_with_kit(f, [(entry, False)])
+    assert len(trace) == 2 and (False, f) in entry.redexes
+    del entry, f, trace
+    gc.collect()
+    assert ref() is None
