@@ -19,13 +19,17 @@ algebra class first shows up on that labelling); when a class is first
 met, its relabellings in the stream are marked by a depth-first walk of
 its linear extensions from 0, each step placing an element whose lower
 covers are all placed.  For each kept order the add table is filled cell
-by cell, by backtracking, with monotone candidates; after each placement
-only the associativity instances that read the new cell are checked, the
-filled cells with a given sum being indexed by that sum (appended on
+by cell, by backtracking, with monotone candidates, the cells below each
+cell being listed once per order; after each placement only the
+associativity instances that read the new cell as x+y or as (x+y)+z are
+checked (by commutativity the other readings are their mirror images),
+the filled cells with a given sum being indexed by that sum (appended on
 placement, truncated on undo); once row b is complete, so is column b
 (the table is symmetric), and its residuals are derived there, the branch
-cut if one is missing.  Completed tables are verified by `check_class`,
-whose flags are kept with the algebra, and merged by `canonical_key`, the
+cut if one is missing.  So completion guarantees the pocrim laws, and a
+completed table is not verified again: only its class flags are computed
+(`_class_flags`, which `check_class` reports after verifying the laws),
+once per class.  Completed tables are merged by `canonical_key`, the
 first labelling found standing for its class: a branch and bound over
 relabellings fixing 0 that bounds every add row of the key from a prefix
 (the labels placed so far, the unplaced columns' bounds sorted), prunes a
@@ -158,20 +162,27 @@ def check_class(m: FiniteAlgebra) -> ClassReport:
                     return ClassReport(
                         frozenset(), f"residuation fails at ({a},{b},{c})"
                     )
+    if m.top is not None and not (m.top in rng and all(geq(m.top, a) for a in rng)):
+        return ClassReport(frozenset(), f"declared top {m.top} is not the maximum")
+    return ClassReport(_class_flags(m))
+
+
+def _class_flags(m: FiniteAlgebra) -> frozenset[str]:
+    """The class flags of a pocrim, whose laws are taken as given: pocrim,
+    and hoop, bounded, involutive and idempotent where they hold."""
+    add, res = m.add, m.res
+    rng = range(m.size)
     flags = {"pocrim"}
     if all(add[a][res[a][b]] == add[b][res[b][a]] for a in rng for b in rng):
         flags.add("hoop")
-    tops = [t for t in rng if all(geq(t, a) for a in rng)]
-    top = tops[0] if tops else None
-    if m.top is not None and m.top != top:
-        return ClassReport(frozenset(), f"declared top {m.top} is not the maximum")
+    top = next((t for t in rng if all(res[t][a] == 0 for a in rng)), None)
     if top is not None:
         flags.add("bounded")
         if all(res[res[a][top]][top] == a for a in rng):
             flags.add("involutive")
     if all(add[a][a] == a for a in rng):
         flags.add("idempotent")
-    return ClassReport(frozenset(flags))
+    return frozenset(flags)
 
 
 Assignment = dict[str, int]
@@ -375,22 +386,26 @@ def _complete_tables(n: int, leq) -> list[tuple]:
     # by_sum[v]: the filled ordered cells (x, y) with add[x][y] == v
     by_sum = [[(0, v), (v, 0)] if v else [(0, 0)] for v in range(n)]
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    # Cell k's value must dominate both arguments, ups[i] & ups[j], and, for
+    # monotonicity, every filled cell below it in either orientation: the
+    # earlier cells of below[k].  No filled cell lies above it: cells are
+    # filled in lexicographic order, and the numeric order extends the
+    # partial one.
+    bounds = [sorted(ups[i] & ups[j]) for i, j in cells]
+    below = [
+        [
+            (x, y)
+            for x, y in cells[:k]
+            if (leq[x][i] and leq[y][j]) or (leq[y][i] and leq[x][j])
+        ]
+        for k, (i, j) in enumerate(cells)
+    ]
     top = next((t for t in range(n) if all(geq[t][a] for a in range(n))), None)
     out: list[tuple] = []
 
-    def candidates(i, j):
-        # a+b must dominate both arguments and, for monotonicity, every
-        # filled cell (x, y) below (i, j) in either orientation.  No filled
-        # cell lies above (i, j): cells are filled in lexicographic order,
-        # and the numeric order extends the partial one.
-        lo = {
-            add[x][y]
-            for x in range(1, n)
-            for y in range(x, n)
-            if (x, y) < (i, j)
-            and ((leq[x][i] and leq[y][j]) or (leq[y][i] and leq[x][j]))
-        }
-        return [c for c in sorted(ups[i] & ups[j]) if all(geq[c][v] for v in lo)]
+    def candidates(k):
+        lo = {add[x][y] for x, y in below[k]}
+        return [c for c in bounds[k] if all(geq[c][v] for v in lo)]
 
     def holds(x, y, z):
         # (x+y)+z == x+(y+z), or one of its four sums is still unknown
@@ -403,14 +418,22 @@ def _complete_tables(n: int, leq) -> list[tuple]:
 
     def assoc_ok(i, j):
         # Every instance whose sums were all known before (i,j) was placed
-        # has been checked already; check those that read the new cell as
-        # x+y, y+z, (x+y)+z or x+(y+z).
+        # has been checked already; check those that read the new cell.  The
+        # table is commutative, so (z, y, x) states the same equation as
+        # (x, y, z) over the same cells, its (z+y)+x being x+(y+z) and its
+        # z+(y+x) being (x+y)+z: an instance reading the new cell as y+z or
+        # x+(y+z) is the mirror of one reading it as x+y or (x+y)+z.  So,
+        # per orientation (a, b) of the cell, only (a, b, t) and (x, y, b)
+        # with x+y == a are checked.
         for a, b in {(i, j), (j, i)}:
-            for t in range(n):
-                if not (holds(a, b, t) and holds(t, a, b)):
-                    return False
+            ab = add[a][b]
+            for t in range(n):  # (a, b, t), with a+b filled
+                if filled[b][t]:
+                    bt = add[b][t]
+                    if filled[ab][t] and filled[a][bt] and add[ab][t] != add[a][bt]:
+                        return False
             for x, y in by_sum[a]:
-                if not (holds(x, y, b) and holds(b, x, y)):
+                if not holds(x, y, b):
                     return False
         return True
 
@@ -430,7 +453,7 @@ def _complete_tables(n: int, leq) -> list[tuple]:
             return
         i, j = cells[k]
         new = [(i, j)] if i == j else [(i, j), (j, i)]
-        for c in candidates(i, j):
+        for c in candidates(k):
             add[i][j] = add[j][i] = c
             filled[i][j] = filled[j][i] = True
             by_sum[c].extend(new)
@@ -541,9 +564,9 @@ def _pocrims_of_size(
     for leq in posets:
         for add, res, top in _complete_tables(n, leq):
             alg = FiniteAlgebra(n, add, res, top)
-            flags = check_class(alg).flags
-            if "pocrim" in flags:
-                found.setdefault(canonical_key(alg), (alg, flags))
+            form = canonical_key(alg)
+            if form not in found:
+                found[form] = (alg, _class_flags(alg))
     result = [found[k] for k in sorted(found)]
     _ENUM_CACHE[key] = result
     return result

@@ -31,7 +31,7 @@ from .algebra import (
     parse_algebra,
 )
 from .translate import TRANSLATIONS, check_dns, translate
-from .corpus import Corpus, generate_k_contradiction, run_corpus
+from .corpus import Corpus, generate_k_contradiction, load_index, run_corpus
 from .eqengine import format_script
 
 
@@ -247,13 +247,16 @@ def _cmd_dns(args) -> int:
 
 
 def _cmd_corpus_run(args) -> int:
+    if args.filter is not None and not any(args.filter in e.id for e in load_index()):
+        print(f"error: no corpus entry id contains {args.filter!r}", file=sys.stderr)
+        return 2
     rep = run_corpus(args.filter)
     print(rep.render(timing=args.timing))
     return 0 if rep.ok else 1
 
 
 def _cmd_corpus_show(args) -> int:
-    from .corpus import load_index, _data_text
+    from .corpus import _data_text
 
     for entry in load_index():
         if entry.id == args.id:

@@ -297,18 +297,24 @@ def subterm_at(f: Formula, pos: Position) -> Formula:
 
 
 def replace_at(f: Formula, pos: Position, new: Formula) -> Formula:
-    if not pos:
-        return new
-    i, rest = pos[0], pos[1:]
-    kids = f.children()
-    if i >= len(kids):
-        raise FormulaError(f"invalid position {pos} in {f!r}")
-    child = replace_at(kids[i], rest, new)
-    if isinstance(f, Neg):
-        return Neg(child)
-    if i == 0:
-        return type(f)(child, kids[1])
-    return type(f)(kids[0], child)
+    """f with its subformula at pos replaced by new: one walk down collects
+    the path, one walk up rebuilds it, in time linear in the depth."""
+    path = []
+    cur = f
+    for i in pos:
+        kids = cur.children()
+        if i >= len(kids):
+            raise FormulaError(f"invalid position {pos} in {f!r}")
+        path.append((cur, kids, i))
+        cur = kids[i]
+    for g, kids, i in reversed(path):
+        if isinstance(g, Neg):
+            new = Neg(new)
+        elif i == 0:
+            new = type(g)(new, kids[1])
+        else:
+            new = type(g)(kids[0], new)
+    return new
 
 
 def positions(f: Formula) -> Iterator[Position]:

@@ -10,10 +10,12 @@ import hooplog.algebra as algebra_module
 from hooplog.algebra import (
     FLAGS,
     AlgebraError,
+    ClassReport,
     FiniteAlgebra,
     _BLOCK_ROWS,
     _assignment_blocks,
     _chain_poset,
+    _class_flags,
     _complete_tables,
     _mark_relabellings,
     _pocrims_of_size,
@@ -78,6 +80,16 @@ def test_non_commutative_rejected():
     )
     rep = check_class(bad)
     assert rep.failure is not None and "commutative" in rep.failure
+
+
+@pytest.mark.parametrize("top", [None, 1, 2, 3, -1])
+def test_declared_top_must_be_the_maximum(top):
+    l3 = lukasiewicz_chain(3)
+    rep = check_class(FiniteAlgebra(3, l3.add, l3.res, top))
+    if top in (None, 2):
+        assert rep.failure is None and "bounded" in rep.flags
+    else:
+        assert rep == ClassReport(frozenset(), f"declared top {top} is not the maximum")
 
 
 def test_chain_arithmetic_matches_min_max():
@@ -405,11 +417,14 @@ def test_completed_tables_are_associative():
 
 
 def test_completed_tables_are_all_pocrims():
+    # completion guarantees the laws, so enumeration computes only `_class_flags`
     for n in range(1, 7):
         for leq in _poset_representatives(n):
             for add, res, top in _complete_tables(n, leq):
-                flags = check_class(FiniteAlgebra(n, add, res, top)).flags
+                alg = FiniteAlgebra(n, add, res, top)
+                flags = check_class(alg).flags
                 assert "pocrim" in flags, (n, add)
+                assert _class_flags(alg) == flags, (n, add)
 
 
 @pytest.mark.parametrize("required, forbidden", [({"hoopz"}, set()), (set(), {"idempotnt"})])

@@ -70,6 +70,13 @@ def test_corpus_run_filter(capsys):
     assert "axiom-l" in out and "1/1" in out
 
 
+def test_corpus_run_filter_matching_no_entry_is_an_input_error(capsys):
+    assert main(["corpus", "run", "--filter", "no-such-entry"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no corpus entry id contains 'no-such-entry'\n"
+
+
 def test_corpus_show(capsys):
     assert main(["corpus", "show", "axiom-l"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import pytest
 
 from hooplog.syntax import (
     DEFINITIONS,
+    FormulaError,
     Imp,
     Neg,
     Nor,
@@ -160,6 +161,38 @@ def test_print_parse_roundtrip_on_random_formulas():
     assert ONE in subterms and ZERO in subterms
     for f in formulas:
         assert parse_formula(format_formula(f)) is f, format_formula(f)
+
+
+def _replace_by_recursion(f, pos, new):
+    """The reference: rebuild each level from the replaced child below it."""
+    if not pos:
+        return new
+    kids = f.children()
+    child = _replace_by_recursion(kids[pos[0]], pos[1:], new)
+    if isinstance(f, Neg):
+        return Neg(child)
+    return type(f)(child, kids[1]) if pos[0] == 0 else type(f)(kids[0], child)
+
+
+def test_replace_at_matches_the_recursive_rebuild_on_random_formulas():
+    rng = random.Random(33)
+    for _ in range(300):
+        f = _random_formula(rng, rng.randint(1, 16))
+        new = _random_formula(rng, rng.randint(1, 4))
+        pos = rng.choice(list(positions(f)))
+        got = replace_at(f, pos, new)
+        assert got is _replace_by_recursion(f, pos, new), (f, pos)
+        assert subterm_at(got, pos) is new
+
+
+def test_invalid_deep_position_names_the_whole_position_and_formula():
+    f = A
+    for _ in range(30):
+        f = Neg(Tensor(B, f))
+    pos = (0, 1) * 30 + (0,)
+    with pytest.raises(FormulaError) as err:
+        replace_at(f, pos, C)
+    assert str(err.value) == f"invalid position {pos} in {f!r}"
 
 
 def test_readme_definitions_match_the_table():
