@@ -8,10 +8,16 @@ system (A1-A4 over -o and ^ only) is registered alongside them.
 `sequent_to_hilbert` realises one direction of the equivalence between the
 two presentations constructively: by induction on the proof tree it keeps,
 for every node `x1, ..., xk |- G`, a derived formula
-`x1 * (x2 * ... ) -o G`, using the five base schemata as combinators, and
-curries the result at the root.  `hilbert_to_sequent` replays the other
-direction, turning axiom instances into once-proved schematic trees and
-modus ponens into ImpE.
+`comb(x1, ..., xk) -o G` with `comb = x1 * (x2 * ... )`, and curries the
+result at the root.  The five base schemata serve as the combinators of the
+B, C, K reading of a Hilbert system (Troelstra and Schwichtenberg, *Basic
+Proof Theory*, ch. 6): Comp composes, Curry, Uncurry and Comm flip two
+antecedents, Wk drops one.  A two-premise rule chains its premises into
+`comb(o1) -o (comb(o2) -o G)` and uncurries `comb(o2)` into the comb one
+element of o1 at a time; an adjacent swap pairs, curries, flips and
+uncurries in place.  `hilbert_to_sequent` replays the other direction,
+turning axiom instances into once-proved schematic trees and modus ponens
+into ImpE.
 """
 
 from __future__ import annotations
@@ -171,7 +177,7 @@ class _Builder:
     Combinators take and return a `Ref`: a line index, or an `_Id` for an
     identity `|- a -o a` whose lines are not yet emitted.  Composition drops
     an identity, modus ponens against one returns the minor premise, and
-    `lift` and the congruences map one to an identity; `line` emits its
+    `lift` and `cong_right` map one to an identity; `line` emits its
     lines only where a line must cite it (an mp minor premise, `c_rule`,
     `extract`), so identities that the combinators cancel cost nothing."""
 
@@ -302,68 +308,20 @@ class _Builder:
         self.memo[key] = out
         return out
 
-    def cong_left(self, i: Ref, c: Formula) -> Ref:
-        """From |- X -o Y conclude |- X * C -o Y * C."""
-        if isinstance(i, _Id):
-            return _Id(Tensor(i.a, c))
-        f = self.formula(i)
-        x, y = f.left, f.right
-        chained = self.comp(i, self.pair(y, c))  # x -o (c -o y*c)
-        return self.mp(chained, self.axiom("Uncurry", A=x, B=c, C=Tensor(y, c)))
-
     def cong_right(self, i: Ref, c: Formula) -> Ref:
         """From |- X -o Y conclude |- C * X -o C * Y."""
         if isinstance(i, _Id):
             return _Id(Tensor(c, i.a))
         f = self.formula(i)
         x, y = f.left, f.right
-        comm1 = self.axiom("Comm", A=c, B=x)
-        comm2 = self.axiom("Comm", A=y, B=c)
-        return self.comp(self.comp(comm1, self.cong_left(i, c)), comm2)
-
-    def assoc_rl(self, a: Formula, b: Formula, c: Formula) -> int:
-        """|- (a*b)*c -o a*(b*c)."""
-        key = ("assoc_rl", a, b, c)
-        if key in self.memo:
-            return self.memo[key]
-        bc = Tensor(b, c)
-        x = Tensor(a, bc)
-        base = self.pair(a, bc)  # a -o (b*c -o x)
-        lifted = self.lift(a, self.axiom("Curry", A=b, B=c, C=x))
-        curried = self.mp(base, lifted)  # a -o (b -o (c -o x))
-        u1 = self.mp(curried, self.axiom("Uncurry", A=a, B=b, C=Imp(c, x)))
-        out = self.mp(u1, self.axiom("Uncurry", A=Tensor(a, b), B=c, C=x))
-        self.memo[key] = out
-        return out
-
-    def assoc_lr(self, a: Formula, b: Formula, c: Formula) -> int:
-        """|- a*(b*c) -o (a*b)*c."""
-        key = ("assoc_lr", a, b, c)
-        if key in self.memo:
-            return self.memo[key]
-        y = Tensor(Tensor(a, b), c)
-        base = self.pair(Tensor(a, b), c)  # a*b -o (c -o y)
-        curried = self.mp(base, self.axiom("Curry", A=a, B=b, C=Imp(c, y)))
-        # a -o (b -o (c -o y)); regroup the inner two antecedents
-        unc_inner = self.axiom("Uncurry", A=b, B=c, C=y)
-        lifted = self.lift(a, unc_inner)
-        regrouped = self.mp(curried, lifted)  # a -o (b*c -o y)
-        out = self.mp(regrouped, self.axiom("Uncurry", A=a, B=Tensor(b, c), C=y))
-        self.memo[key] = out
-        return out
+        cy = Tensor(c, y)
+        post = self.mp(i, self.axiom("Comp", A=x, B=y, C=cy))  # (y -o cy) -o (x -o cy)
+        chained = self.comp(self.pair(c, y), post)  # c -o (x -o cy)
+        return self.mp(chained, self.axiom("Uncurry", A=c, B=x, C=cy))
 
     # Right-nested combs over an explicit order.  All structure is driven by
     # the order lists: a context element may itself be a tensor, so the comb
     # shape cannot be recovered from the formula.
-
-    def split_comb(self, o1: list[Formula], cb: Formula) -> Ref:
-        """|- comb(o1 ++ [cb]) -o comb(o1) * cb."""
-        if len(o1) == 1:
-            return self.ident(Tensor(o1[0], cb))
-        x, rest = o1[0], o1[1:]
-        inner = self.split_comb(rest, cb)
-        lifted = self.cong_right(inner, x)  # x*(comb(rest++cb)) -o x*(comb(rest)*cb)
-        return self.comp(lifted, self.assoc_lr(x, _comb(rest), cb))
 
     def swap_comb(self, order: list[Formula], k: int) -> int:
         """|- comb(order) -o comb(order with k,k+1 swapped)."""
@@ -371,11 +329,14 @@ class _Builder:
             a, b = order[0], order[1]
             if len(order) == 2:
                 return self.axiom("Comm", A=a, B=b)
-            rest = _comb(order[2:])
-            s1 = self.assoc_lr(a, b, rest)
-            s2 = self.cong_left(self.axiom("Comm", A=a, B=b), rest)
-            s3 = self.assoc_rl(b, a, rest)
-            return self.comp(self.comp(s1, s2), s3)
+            r = _comb(order[2:])
+            ar = Tensor(a, r)
+            y = Tensor(b, ar)
+            # b -o (a*r -o y), curried to b -o (a -o (r -o y)) and flipped
+            curried = self.comp(self.pair(b, ar), self.axiom("Curry", A=a, B=r, C=y))
+            unc_inner = self.lift(a, self.axiom("Uncurry", A=b, B=r, C=y))
+            regrouped = self.mp(self.c_rule(curried), unc_inner)  # a -o (b*r -o y)
+            return self.mp(regrouped, self.axiom("Uncurry", A=a, B=Tensor(b, r), C=y))
         inner = self.swap_comb(order[1:], k - 1)
         return self.cong_right(inner, order[0])
 
@@ -395,6 +356,18 @@ class _Builder:
         if idx is None:
             return self.ident(_comb(src))
         return idx
+
+    def uncurry_comb(self, o1: list[Formula], o2: list[Formula], goal: Formula) -> Ref:
+        """|- (comb(o1) -o (comb(o2) -o goal)) -o (comb(o1 ++ o2) -o goal):
+        one Uncurry for a single x, else Curry x off, recurse under x, and
+        Uncurry x back on."""
+        x, rest = o1[0], o1[1:]
+        if not rest:
+            return self.axiom("Uncurry", A=x, B=_comb(o2), C=goal)
+        curry = self.axiom("Curry", A=x, B=_comb(rest), C=Imp(_comb(o2), goal))
+        inner = self.lift(x, self.uncurry_comb(rest, o2, goal))
+        unc = self.axiom("Uncurry", A=x, B=_comb(rest + o2), C=goal)
+        return self.comp(self.comp(curry, inner), unc)
 
     def curry_iso(self, order: list[Formula], goal: Formula) -> Ref:
         """|- (comb(order) -o goal) -o (x1 -o x2 -o ... -o goal)."""
@@ -497,11 +470,16 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
             if not minor.order:
                 return _Node([], b.mp(minor.idx, step))
             return _Node(minor.order, b.comp(minor.idx, step))
-        flipped = b.c_rule(major.idx)  # a -o (C2 -o goal)
         if not minor.order:
-            return _Node(major.order, b.mp(minor.idx, flipped))
-        chained = b.comp(minor.idx, flipped)  # C1 -o (C2 -o goal)
-        return _join(b, minor.order, major.order, chained, goal)
+            return _Node(major.order, b.mp(minor.idx, b.c_rule(major.idx)))
+        if isinstance(minor.idx, _Id):  # C1 is a itself
+            chained = major.idx
+        else:
+            # the major, then (a -o goal) -o (C1 -o goal) from the minor:
+            # C2 -o (C1 -o goal), with no flip of the major
+            comp_inst = b.axiom("Comp", A=_comb(minor.order), B=a, C=goal)
+            chained = b.comp(major.idx, b.mp(minor.idx, comp_inst))
+        return _join(b, major.order, minor.order, chained, goal)
     if rule == "TensorI":
         l = _translate(p.premises[0], b)
         r = _translate(p.premises[1], b)
@@ -537,11 +515,12 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
             body = _Node(perm, b.comp(b.perm_comb(perm, body.order), body.idx))
         rest = body.order[2:]
         if rest:
-            regroup = b.assoc_rl(a, bb, _comb(rest))  # (a*b)*rest -o a*(b*rest)
-            grouped = b.comp(regroup, body.idx)  # (a*b)*rest -o goal
-            curried = b.mp(
-                grouped, b.axiom("Curry", A=Tensor(a, bb), B=_comb(rest), C=goal)
-            )  # a*b -o (rest -o goal)
+            r = _comb(rest)
+            # a*(b*rest) -o goal, curried to a -o (b -o (rest -o goal)),
+            # then uncurried to a*b -o (rest -o goal)
+            curried = b.mp(body.idx, b.axiom("Curry", A=a, B=Tensor(bb, r), C=goal))
+            curried = b.mp(curried, b.lift(a, b.axiom("Curry", A=bb, B=r, C=goal)))
+            curried = b.mp(curried, b.axiom("Uncurry", A=a, B=bb, C=Imp(r, goal)))
             if not tprem.order:
                 return _Node(rest, b.mp(tprem.idx, curried))
             chained = b.comp(tprem.idx, curried)
@@ -563,12 +542,9 @@ def _weakened(b: _Builder, s: Sequent, hyp: Formula, idx: Ref) -> _Node:
 
 
 def _join(b: _Builder, o1: list[Formula], o2: list[Formula], idx: Ref, goal: Formula) -> _Node:
-    """From |- comb(o1) -o (comb(o2) -o goal) build the node for o1 ++ o2."""
-    c1, c2 = _comb(o1), _comb(o2)
-    unc = b.mp(idx, b.axiom("Uncurry", A=c1, B=c2, C=goal))  # c1*c2 -o goal
-    order = o1 + o2
-    glue = b.split_comb(o1, c2)  # comb(order) -o c1*c2
-    return _Node(order, b.comp(glue, unc))
+    """From |- comb(o1) -o (comb(o2) -o goal) build the node for o1 ++ o2,
+    uncurrying comb(o2) into the comb one element of o1 at a time."""
+    return _Node(o1 + o2, b.mp(idx, b.uncurry_comb(o1, o2, goal)))
 
 
 # Hilbert -> sequent replay
@@ -643,17 +619,25 @@ def parse_derivation(text: str) -> HilbertDerivation:
         if not line or line.startswith("#"):
             continue
         try:
-            lines.append(_parse_derivation_line(line))
+            number, parsed = _parse_derivation_line(line)
         except ValueError:  # a split with too few parts, or a bad number
             raise FormulaError(f"malformed derivation line {line!r}") from None
         except ParseError as e:  # the formula or a substitution value
             raise FormulaError(f"{e}: {line!r}") from None
+        if number != len(lines) + 1:
+            raise FormulaError(
+                f"derivation line numbered {number} at position {len(lines) + 1}: {line!r}"
+            )
+        lines.append(parsed)
+    if not lines:
+        raise FormulaError("empty derivation")
     return HilbertDerivation(tuple(lines))
 
 
 def _parse_derivation_line(line: str):
+    """The line's number and its (formula, justification)."""
     numbered, rest = line.split(".", 1)
-    int(numbered)
+    number = int(numbered)
     body, just = rest.rsplit("|", 1)
     f = parse_formula(body.strip())
     just = just.strip()
@@ -668,8 +652,8 @@ def _parse_derivation_line(line: str):
             for item in inner.split(";"):
                 k, v = item.split("=", 1)
                 subst[k.strip()] = parse_formula(v.strip())
-        return (f, ("axiom", name, subst))
+        return number, (f, ("axiom", name, subst))
     if just.startswith("mp"):
         _, i, j = just.split()
-        return (f, ("mp", int(i) - 1, int(j) - 1))
+        return number, (f, ("mp", int(i) - 1, int(j) - 1))
     raise FormulaError(f"bad justification in {line!r}")

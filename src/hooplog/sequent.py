@@ -308,15 +308,19 @@ def tensor_e(tprem: ProofTree, body: ProofTree) -> ProofTree:
 
 def substitute_proof(p: ProofTree, sigma: dict[str, Formula]) -> ProofTree:
     """Rules and axioms are closed under substitution, so this maps proofs
-    to proofs of the substituted sequents."""
-    s = p.conclusion
-    new = Sequent(tuple(substitute(f, sigma) for f in s.context), substitute(s.goal, sigma))
-    return ProofTree(
-        new,
-        p.rule,
-        tuple(substitute_proof(q, sigma) for q in p.premises),
-        tuple(substitute(f, sigma) for f in p.inst),
-    )
+    to proofs of the substituted sequents.  One memo serves the whole tree,
+    so each distinct subformula is substituted once."""
+    memo: dict[Formula, Formula] = {}
+
+    def go(q: ProofTree) -> ProofTree:
+        s = q.conclusion
+        new = Sequent(
+            tuple(substitute(f, sigma, memo) for f in s.context), substitute(s.goal, sigma, memo)
+        )
+        inst = tuple(substitute(f, sigma, memo) for f in q.inst)
+        return ProofTree(new, q.rule, tuple(go(r) for r in q.premises), inst)
+
+    return go(p)
 
 
 def weaken(p: ProofTree, extra: Formula) -> ProofTree:

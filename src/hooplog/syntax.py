@@ -256,17 +256,27 @@ def _fill(t: Formula, operands) -> Formula:
     return type(t)(_fill(t.left, operands), _fill(t.right, operands))
 
 
-def substitute(f: Formula, sigma: dict[str, Formula]) -> Formula:
-    """Simultaneous substitution of formulas for variables."""
+def substitute(f: Formula, sigma: dict[str, Formula], memo: dict | None = None) -> Formula:
+    """Simultaneous substitution of formulas for variables.  A caller that
+    substitutes many formulas under one sigma may pass one dict as `memo`,
+    so that each distinct subformula is substituted once."""
     if not sigma:
         return f
+    if memo is not None:
+        got = memo.get(f)
+        if got is not None:
+            return got
     if isinstance(f, Var):
-        return sigma.get(f.name, f)
-    if isinstance(f, _Const):
-        return f
-    if isinstance(f, Neg):
-        return Neg(substitute(f.body, sigma))
-    return type(f)(substitute(f.left, sigma), substitute(f.right, sigma))
+        out = sigma.get(f.name, f)
+    elif isinstance(f, _Const):
+        out = f
+    elif isinstance(f, Neg):
+        out = Neg(substitute(f.body, sigma, memo))
+    else:
+        out = type(f)(substitute(f.left, sigma, memo), substitute(f.right, sigma, memo))
+    if memo is not None:
+        memo[f] = out
+    return out
 
 
 def variables(f: Formula) -> set[str]:

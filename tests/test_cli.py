@@ -145,6 +145,27 @@ def test_check_derivation_without_substitution_exits_2(tmp_path, capsys):
     assert "malformed derivation line '1. A -o A | axiom I'" in err
 
 
+def test_check_derivation_with_no_lines_exits_2(tmp_path, capsys):
+    f = tmp_path / "empty.hilbert"
+    f.write_text("# only a comment\n\n")
+    assert main(["check", str(f), "--kind", "derivation", "--theory", "ALm"]) == 2
+    captured = capsys.readouterr()
+    assert "error: empty derivation" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("second", ["3", "1"], ids=["skipped", "repeated"])
+def test_check_derivation_line_numbers_must_count_up(tmp_path, capsys, second):
+    wk = " A * B -o A | axiom Wk {A=A; B=B}"
+    bad = f"{second}.{wk}"
+    f = tmp_path / "bad.hilbert"
+    f.write_text(f"1.{wk}\n{bad}\n")
+    assert main(["check", str(f), "--theory", "ALm"]) == 2
+    err = capsys.readouterr().err
+    assert f"derivation line numbered {second} at position 2: {bad!r}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -10,6 +11,7 @@ from hooplog.hilbert import (
     HilbertDerivation,
     SCHEMAS,
     _Builder,
+    _comb,
     check_derivation,
     curry_sequent,
     format_derivation,
@@ -172,13 +174,14 @@ def _random_core(rng, size):
     return cls(_random_core(rng, left), _random_core(rng, size - left))
 
 
-def test_seeded_round_trip_through_hilbert():
-    # sequent proof -> Hilbert derivation -> sequent proof, over small
-    # provable sequents of every theory
+@functools.cache
+def _seeded_translations():
+    """(theory, sequent, proof, derivation, order) for the first 150
+    provable sequents of a seeded list over every theory."""
     from hooplog.theories import ALL_THEORIES
 
     rng = random.Random(20141)
-    done = 0
+    out = []
     for k in range(2000):
         theory = ALL_THEORIES[k % len(ALL_THEORIES)]
         context = tuple(_random_core(rng, rng.randint(1, 3)) for _ in range(rng.randint(0, 2)))
@@ -186,13 +189,64 @@ def test_seeded_round_trip_through_hilbert():
         p = bounded_prove(seq, theory, 5)
         if p is None:
             continue
+        out.append((theory, seq, p, *sequent_to_hilbert(p, theory)))
+        if len(out) == 150:
+            break
+    return tuple(out)
+
+
+def test_seeded_round_trip_through_hilbert():
+    # sequent proof -> Hilbert derivation -> sequent proof, over small
+    # provable sequents of every theory
+    translations = _seeded_translations()
+    assert len(translations) == 150
+    for theory, seq, p, der, order in translations:
         assert check_proof(p, theory)
-        der, order = sequent_to_hilbert(p, theory)
         assert check_derivation(der, f"H-{theory.name}"), seq
         assert der.final == curry_sequent(seq, order), seq
         back = hilbert_to_sequent(der, theory)
         assert check_proof(back, theory) and back.conclusion == Sequent((), der.final)
-        done += 1
-        if done == 150:
-            break
-    assert done == 150
+
+
+def test_derivation_lengths_stay_within_their_pins(corpus):
+    # Upper bounds at the lengths the constructions reach; a construction
+    # that emits more lines fails here.
+    from hooplog.corpus.builtins import _collect_proofs
+
+    b = _Builder(system_for(ALm))
+    assert len(b.extract(b.swap_comb([A, B, C], 0))) <= 33
+    assert sum(len(t[3]) for t in _seeded_translations()) <= 2955
+    proofs = list(_collect_proofs(corpus))
+    assert len(proofs) == 55
+    assert sum(len(sequent_to_hilbert(tree, theory)[0]) for _, tree, theory in proofs) <= 2531
+
+
+def _random_context(rng, n):
+    """n context formulas over A, B, C with tensors and repeats."""
+    pool = [A, B, Tensor(A, B), Imp(A, C), Tensor(B, Tensor(A, C))]
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def test_seeded_perm_comb_derivations_check():
+    rng = random.Random(1301)
+    b = _Builder(system_for(ALm))
+    for _ in range(60):
+        src = _random_context(rng, rng.randint(2, 5))
+        dst = rng.sample(src, len(src))
+        der = b.extract(b.perm_comb(src, dst))
+        assert check_derivation(der, "H-ALm"), (src, dst)
+        assert der.final == Imp(_comb(src), _comb(dst)), (src, dst)
+
+
+def test_seeded_uncurry_comb_derivations_check():
+    rng = random.Random(1302)
+    b = _Builder(system_for(ALm))
+    for _ in range(60):
+        order = _random_context(rng, rng.randint(2, 5))
+        k = rng.randint(1, len(order) - 1)
+        o1, o2 = order[:k], order[k:]
+        goal = rng.choice([A, C, Tensor(A, B)])
+        der = b.extract(b.uncurry_comb(o1, o2, goal))
+        assert check_derivation(der, "H-ALm"), (o1, o2)
+        want = Imp(Imp(_comb(o1), Imp(_comb(o2), goal)), Imp(_comb(order), goal))
+        assert der.final == want, (o1, o2)
