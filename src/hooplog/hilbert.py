@@ -14,10 +14,18 @@ B, C, K reading of a Hilbert system (Troelstra and Schwichtenberg, *Basic
 Proof Theory*, ch. 6): Comp composes, Curry, Uncurry and Comm flip two
 antecedents, Wk drops one.  A two-premise rule chains its premises into
 `comb(o1) -o (comb(o2) -o G)` and uncurries `comb(o2)` into the comb one
-element of o1 at a time; an adjacent swap pairs, curries, flips and
-uncurries in place.  `hilbert_to_sequent` replays the other direction,
-turning axiom instances into once-proved schematic trees and modus ponens
-into ImpE.
+element of o1 at a time.  ImpI curries its hypothesis out of the comb where
+it stands (`curry_out`, the mirror of that uncurrying), so no step moves it
+to the front.  Only TensorE, which needs its two components at the head, and
+the root, which sorts the context, still permute the comb, by adjacent swaps
+that pair, curry, flip and uncurry in place.
+
+`hilbert_to_sequent` replays the other direction, turning modus ponens into
+ImpE and each axiom instance into its schema's once-proved sequent tree
+under the instance's substitution.  Each (schema, theory) tree is compiled
+once into a flat template: its distinct formulas as variable or constant
+slots and constructors over earlier slots, and its nodes over those slots.
+An instance is one pass over the slots and one over the nodes.
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ from .sequent import (
     bounded_prove,
     check_proof,
     imp_e,
-    substitute_proof,
 )
 from .theories import ALL_THEORIES, TheoryId
 
@@ -179,7 +186,13 @@ class _Builder:
     an identity, modus ponens against one returns the minor premise, and
     `lift` and `cong_right` map one to an identity; `line` emits its
     lines only where a line must cite it (an mp minor premise, `c_rule`,
-    `extract`), so identities that the combinators cancel cost nothing."""
+    `extract`), so identities that the combinators cancel cost nothing.
+
+    The comb combinators: `uncurry_comb` joins two combs, `curry_out` takes
+    one element out of a comb into the goal (ImpI applies its steps to the
+    premise's line by mp, with no composition at the top), `curry_iso`
+    curries a whole comb, and `perm_comb` reorders one by adjacent
+    `swap_comb`s, which only TensorE and the root still need."""
 
     def __init__(self, schemas: tuple[str, ...]):
         self.schemas = schemas
@@ -369,6 +382,36 @@ class _Builder:
         unc = self.axiom("Uncurry", A=x, B=_comb(rest + o2), C=goal)
         return self.comp(self.comp(curry, inner), unc)
 
+    def curry_out_steps(self, order: list[Formula], k: int, goal: Formula) -> list[Ref]:
+        """The implications whose chain is `curry_out(order, k, goal)`, so
+        that a caller holding |- comb(order) -o goal can apply them by mp.
+        For order[k] at the head: flip it behind the rest (Comm, Comp), then
+        Curry; for [x, a], one Curry; else Curry x off, the lifted recursion,
+        and Uncurry x back on."""
+        a, rest = order[k], order[:k] + order[k + 1 :]
+        if k == 0:
+            r = _comb(rest)
+            comm = self.axiom("Comm", A=r, B=a)  # r*a -o a*r
+            flip = self.mp(comm, self.axiom("Comp", A=Tensor(r, a), B=Tensor(a, r), C=goal))
+            return [flip, self.axiom("Curry", A=r, B=a, C=goal)]
+        x = order[0]
+        if len(order) == 2:
+            return [self.axiom("Curry", A=x, B=a, C=goal)]
+        return [
+            self.axiom("Curry", A=x, B=_comb(order[1:]), C=goal),
+            self.lift(x, self.curry_out(order[1:], k - 1, goal)),
+            self.axiom("Uncurry", A=x, B=_comb(rest[1:]), C=Imp(a, goal)),
+        ]
+
+    def curry_out(self, order: list[Formula], k: int, goal: Formula) -> Ref:
+        """|- (comb(order) -o goal) -o (comb(order less k) -o (order[k] -o goal)),
+        the mirror of `uncurry_comb`."""
+        steps = self.curry_out_steps(order, k, goal)
+        out = steps[0]
+        for step in steps[1:]:
+            out = self.comp(out, step)
+        return out
+
     def curry_iso(self, order: list[Formula], goal: Formula) -> Ref:
         """|- (comb(order) -o goal) -o (x1 -o x2 -o ... -o goal)."""
         if len(order) == 1:
@@ -448,18 +491,15 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
         return _Node([a, ab] + gamma, b.comp(proj, cwc))
     if rule == "ImpI":
         sub = _translate(p.premises[0], b)
-        a = s.goal.left
-        k = sub.order.index(a)
-        if k != 0:
-            perm = [a] + sub.order[:k] + sub.order[k + 1 :]
-            sub = _Node(perm, b.comp(b.perm_comb(perm, sub.order), sub.idx))
         if len(sub.order) == 1:
             return _Node([], sub.idx)
-        rest = sub.order[1:]
-        comm = b.axiom("Comm", A=_comb(rest), B=a)
-        flipped = b.comp(comm, sub.idx)  # rest * a -o B
-        out = b.mp(flipped, b.axiom("Curry", A=_comb(rest), B=a, C=s.goal.right))
-        return _Node(rest, out)
+        # the hypothesis curried out where it stands, each step by mp on the
+        # premise's line (a line: only a one-element comb carries an identity)
+        k = sub.order.index(s.goal.left)
+        out = sub.idx
+        for step in b.curry_out_steps(sub.order, k, s.goal.right):
+            out = b.mp(out, step)
+        return _Node(sub.order[:k] + sub.order[k + 1 :], out)
     if rule == "ImpE":
         minor = _translate(p.premises[0], b)
         major = _translate(p.premises[1], b)
@@ -549,7 +589,7 @@ def _join(b: _Builder, o1: list[Formula], o2: list[Formula], idx: Ref, goal: For
 
 # Hilbert -> sequent replay
 
-_SCHEMA_TREES: dict[tuple[str, TheoryId], ProofTree] = {}
+_SCHEMA_PROOFS: dict[tuple[str, TheoryId], tuple[ProofTree, tuple]] = {}
 
 _SCHEMA_DEPTH = {
     "Comp": 7,
@@ -566,30 +606,110 @@ _SCHEMA_DEPTH = {
 
 
 def schema_proof(name: str, theory: TheoryId) -> ProofTree:
-    """A once-computed sequent proof of |- schema, substituted on demand."""
+    """A once-computed sequent proof of |- schema."""
+    return _schema_compiled(name, theory)[0]
+
+
+def _schema_compiled(name: str, theory: TheoryId) -> tuple[ProofTree, tuple]:
+    """The schema's proof and its template, both built on first use."""
     key = (name, theory)
-    if key not in _SCHEMA_TREES:
+    got = _SCHEMA_PROOFS.get(key)
+    if got is None:
         depth = _SCHEMA_DEPTH.get(name, 8)
         tree = bounded_prove(Sequent((), SCHEMAS[name]), theory, depth)
         if tree is None:
             raise FormulaError(f"no sequent proof for schema {name} in {theory}")
-        _SCHEMA_TREES[key] = tree
-    return _SCHEMA_TREES[key]
+        got = _SCHEMA_PROOFS[key] = (tree, _compile(tree))
+    return got
+
+
+def _compile(tree: ProofTree) -> tuple:
+    """A flat template of `tree` for `_instantiate`: `leaves`, the variables
+    (name, node) and constants (None, node) of its formulas; `inner`, its
+    other distinct formulas in post-order as (class, left slot, right slot),
+    slots numbered leaves first (schema proofs hold core formulas, whose
+    connectives are binary); `nodes`, its distinct nodes in post-order as
+    (context slots, goal slot, inst slots, rule, premise nodes)."""
+    formulas: dict[Formula, None] = {}
+    nodes: dict[int, ProofTree] = {}
+
+    def visit(f: Formula) -> None:
+        if f not in formulas:
+            for c in f.children():
+                visit(c)
+            formulas[f] = None
+
+    def walk(q: ProofTree) -> None:
+        if id(q) not in nodes:
+            for p in q.premises:
+                walk(p)
+            for f in (*q.conclusion.context, q.conclusion.goal, *q.inst):
+                visit(f)
+            nodes[id(q)] = q
+
+    walk(tree)
+    leaves = [f for f in formulas if not f.children()]
+    inner = [f for f in formulas if f.children()]
+    slot = {f: k for k, f in enumerate(leaves + inner)}
+    node_slot = {k: n for n, k in enumerate(nodes)}
+    return (
+        tuple((f.name if isinstance(f, Var) else None, f) for f in leaves),
+        tuple((type(f), slot[f.left], slot[f.right]) for f in inner),
+        tuple(
+            (
+                tuple(slot[f] for f in q.conclusion.context),
+                slot[q.conclusion.goal],
+                tuple(slot[f] for f in q.inst),
+                q.rule,
+                tuple(node_slot[id(p)] for p in q.premises),
+            )
+            for q in nodes.values()
+        ),
+    )
+
+
+def _instantiate(template: tuple, sigma: dict[str, Formula]) -> ProofTree:
+    """The compiled tree under sigma: equal, node for node, to
+    `substitute_proof` of the tree it was compiled from."""
+    leaves, inner, nodes = template
+    vals = [sigma.get(name, f) for name, f in leaves]
+    for cls, i, j in inner:
+        vals.append(cls(vals[i], vals[j]))
+    val = vals.__getitem__
+    trees: list[ProofTree] = []
+    for ctx, goal, inst, rule, prems in nodes:
+        trees.append(
+            ProofTree(
+                Sequent(map(val, ctx), vals[goal]),
+                rule,
+                map(trees.__getitem__, prems),
+                map(val, inst),
+            )
+        )
+    return trees[-1]
 
 
 def hilbert_to_sequent(d: HilbertDerivation, theory: TheoryId) -> ProofTree:
-    """Replay a derivation as a sequent proof of |- final line."""
+    """Replay a derivation as a sequent proof of |- final line: an axiom
+    line instantiates its schema's compiled proof, an mp line is ImpE.
+    Raises FormulaError naming the first line that cites a line not before
+    it or whose replayed conclusion is not the line's formula."""
     proofs: list[ProofTree] = []
-    for f, just in d.lines:
+    for n, (f, just) in enumerate(d.lines):
         if just[0] == "axiom":
             _, name, subst = just
-            tree = substitute_proof(schema_proof(name, theory), subst)
-            if tree.conclusion.goal != f:
-                raise FormulaError("axiom instance does not match schema proof")
-            proofs.append(tree)
+            tree = _instantiate(_schema_compiled(name, theory)[1], subst)
         else:
             _, i, j = just
-            proofs.append(imp_e(proofs[i], proofs[j]))
+            if not (0 <= i < n and 0 <= j < n):
+                raise FormulaError(f"line {n + 1}: mp premises must be earlier")
+            try:
+                tree = imp_e(proofs[i], proofs[j])
+            except FormulaError as e:
+                raise FormulaError(f"line {n + 1}: {e}") from None
+        if tree.conclusion.goal != f:
+            raise FormulaError(f"line {n + 1}: the replayed conclusion is not this line")
+        proofs.append(tree)
     return proofs[-1]
 
 

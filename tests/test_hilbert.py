@@ -4,14 +4,16 @@ from itertools import product
 
 import pytest
 
-from hooplog.syntax import ONE, Imp, Tensor, Var, expand_derived, parse_formula
+from hooplog.syntax import ONE, FormulaError, Imp, Tensor, Var, expand_derived, parse_formula
 from hooplog.theories import ALc, ALi, ALm, LLm, ML
-from hooplog.sequent import Sequent, bounded_prove, check_proof, parse_sequent
+from hooplog.sequent import Sequent, bounded_prove, check_proof, parse_sequent, substitute_proof
 from hooplog.hilbert import (
     HilbertDerivation,
     SCHEMAS,
     _Builder,
     _comb,
+    _instantiate,
+    _schema_compiled,
     check_derivation,
     curry_sequent,
     format_derivation,
@@ -215,10 +217,13 @@ def test_derivation_lengths_stay_within_their_pins(corpus):
 
     b = _Builder(system_for(ALm))
     assert len(b.extract(b.swap_comb([A, B, C], 0))) <= 33
-    assert sum(len(t[3]) for t in _seeded_translations()) <= 2955
+    # ImpI discharging the last of three hypotheses: premise order [A, B, C]
+    impi = bounded_prove(parse_sequent("A, B |- C -o A"), ALm, 4)
+    assert impi.rule == "ImpI" and len(sequent_to_hilbert(impi, ALm)[0]) <= 15
+    assert sum(len(t[3]) for t in _seeded_translations()) <= 2417
     proofs = list(_collect_proofs(corpus))
     assert len(proofs) == 55
-    assert sum(len(sequent_to_hilbert(tree, theory)[0]) for _, tree, theory in proofs) <= 2531
+    assert sum(len(sequent_to_hilbert(tree, theory)[0]) for _, tree, theory in proofs) <= 1386
 
 
 def _random_context(rng, n):
@@ -250,3 +255,69 @@ def test_seeded_uncurry_comb_derivations_check():
         assert check_derivation(der, "H-ALm"), (o1, o2)
         want = Imp(Imp(_comb(o1), Imp(_comb(o2), goal)), Imp(_comb(order), goal))
         assert der.final == want, (o1, o2)
+
+
+def test_seeded_curry_out_derivations_check():
+    rng = random.Random(1401)
+    b = _Builder(system_for(ALm))
+    for _ in range(60):
+        order = _random_context(rng, rng.randint(2, 5))
+        goal = rng.choice([A, C, Tensor(A, B)])
+        for k in range(len(order)):
+            der = b.extract(b.curry_out(order, k, goal))
+            assert check_derivation(der, "H-ALm"), (order, k)
+            rest = _comb(order[:k] + order[k + 1 :])
+            want = Imp(Imp(_comb(order), goal), Imp(rest, Imp(order[k], goal)))
+            assert der.final == want, (order, k)
+
+
+def _same_tree(p, q):
+    assert p.conclusion == q.conclusion and p.rule == q.rule and p.inst == q.inst
+    assert len(p.premises) == len(q.premises)
+    for a, b in zip(p.premises, q.premises):
+        _same_tree(a, b)
+
+
+def test_compiled_schema_proofs_instantiate_as_substitute_proof():
+    from hooplog.theories import ALL_THEORIES
+
+    rng = random.Random(1402)
+    fixed = [
+        {"A": Tensor(A, B), "B": ONE, "C": A},  # a tensor, 1, a repeat
+        {"A": B, "B": B, "C": B},  # one variable for all
+        {"A": Imp(C, Tensor(C, ONE))},  # B and C left unmapped
+        {},
+    ]
+    for theory in ALL_THEORIES:
+        for name in system_for(theory):
+            tree, template = _schema_compiled(name, theory)
+            sigmas = fixed + [
+                {v: _random_core(rng, rng.randint(1, 4)) for v in "ABC"} for _ in range(4)
+            ]
+            for sigma in sigmas:
+                got = _instantiate(template, sigma)
+                _same_tree(got, substitute_proof(tree, sigma))
+                assert check_proof(got, theory), (theory, name, sigma)
+
+
+_WK = parse_formula("A * B -o A")
+_WK_CURRY = (
+    (_WK, ("axiom", "Wk", {"A": A, "B": B})),
+    (Imp(_WK, parse_formula("A -o B -o A")), ("axiom", "Curry", {"A": A, "B": B, "C": A})),
+)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        (B, ("mp", 0, 1)),  # replays to |- A -o B -o A, not to B
+        (parse_formula("A -o B -o A"), ("mp", -2, 1)),  # -2 would wrap around to line 1
+        (A, ("mp", 1, 0)),  # the major premise does not match
+    ],
+    ids=["not-its-conclusion", "negative-index", "major-mismatch"],
+)
+def test_replay_names_the_bad_line(line):
+    d = HilbertDerivation(_WK_CURRY + (line,))
+    assert not check_derivation(d, "H-ALm")
+    with pytest.raises(FormulaError, match="line 3"):
+        hilbert_to_sequent(d, ALm)
