@@ -290,7 +290,15 @@ def valid(s: Sequent, m: FiniteAlgebra) -> bool:
 
 def falsifying_assignment(s: Sequent, m: FiniteAlgebra) -> Assignment | None:
     """The first assignment, in `_assignment_blocks` order, under which s fails."""
-    names = sorted(set().union(*(variables(f) for f in s.context), variables(s.goal)))
+    return _falsifying(s, m, _sorted_names(s))
+
+
+def _sorted_names(s: Sequent) -> list[str]:
+    return sorted(set().union(*map(variables, s.context), variables(s.goal)))
+
+
+def _falsifying(s: Sequent, m: FiniteAlgebra, names: list[str]) -> Assignment | None:
+    """`falsifying_assignment` over the sorted variable names of s."""
     for cols, tables in value_tables((*s.context, s.goal), m, names):
         holds = _holds(m, tables)
         if not all(holds):
@@ -627,8 +635,9 @@ def _first_countermodel(
     so traces of `find_countermodel` count only countermodel searches.
     Theories above minimal interpret 1 as the top; their classes require
     `bounded`, and every enumerated algebra with that flag has one."""
+    names = _sorted_names(s)
     for alg in enumerate_algebras(size_max, theory_class(t)):
-        v = falsifying_assignment(s, alg)
+        v = _falsifying(s, alg, names)
         if v is not None:
             return alg, v
     return None

@@ -25,7 +25,9 @@ ImpE and each axiom instance into its schema's once-proved sequent tree
 under the instance's substitution.  Each (schema, theory) tree is compiled
 once into a flat template: its distinct formulas as variable or constant
 slots and constructors over earlier slots, and its nodes over those slots.
-An instance is one pass over the slots and one over the nodes.
+An instance is one pass over the slots and one over the nodes.  Schema
+formulas are compiled the same way, once each, so that the builder and
+`check_derivation` build an axiom line's formula in one pass over its slots.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .syntax import (
     format_formula,
     formula_key,
     parse_formula,
-    substitute,
 )
 from .sequent import (
     ProofTree,
@@ -78,6 +79,52 @@ SCHEMAS: dict[str, Formula] = {
     "A3": Imp(Imp(Imp(_A, _B), _B), Imp(Imp(_B, _A), _A)),
     "A4": Imp(Imp(core_neg(_A), core_neg(_B)), Imp(_B, _A)),
 }
+
+
+def _compile_formulas(fs) -> tuple[tuple, dict[Formula, int]]:
+    """A flat template of the core formulas fs and their subformulas, for
+    `_fill_slots`, and the slot of each.  The template is (`leaves`, the
+    variables (name, node) and constants (None, node); `inner`, the other
+    distinct formulas in post-order as (class, left slot, right slot)), its
+    slots numbered leaves first.  Core connectives are binary."""
+    formulas: dict[Formula, None] = {}
+
+    def visit(f: Formula) -> None:
+        if f not in formulas:
+            for c in f.children():
+                visit(c)
+            formulas[f] = None
+
+    for f in fs:
+        visit(f)
+    leaves = [f for f in formulas if not f.children()]
+    inner = [f for f in formulas if f.children()]
+    slot = {f: k for k, f in enumerate(leaves + inner)}
+    template = (
+        tuple((f.name if isinstance(f, Var) else None, f) for f in leaves),
+        tuple((type(f), slot[f.left], slot[f.right]) for f in inner),
+    )
+    return template, slot
+
+
+def _fill_slots(template: tuple, sigma: dict[str, Formula]) -> list[Formula]:
+    """The value of every slot of a formula template under sigma: one pass,
+    each slot built from earlier ones."""
+    leaves, inner = template
+    vals = [sigma.get(name, f) for name, f in leaves]
+    for cls, i, j in inner:
+        vals.append(cls(vals[i], vals[j]))
+    return vals
+
+
+# Each schema compiled once; its root, built last, is the instance.
+_SCHEMA_TEMPLATES = {name: _compile_formulas((f,))[0] for name, f in SCHEMAS.items()}
+
+
+def _schema_instance(name: str, sigma: dict[str, Formula]) -> Formula:
+    """substitute(SCHEMAS[name], sigma), from the schema's template."""
+    return _fill_slots(_SCHEMA_TEMPLATES[name], sigma)[-1]
+
 
 _BASE = ("Comp", "Comm", "Curry", "Uncurry", "Wk")
 
@@ -124,7 +171,7 @@ def check_derivation(d: HilbertDerivation, system: str) -> Verdict:
             _, name, subst = just
             if name not in schemas:
                 return Verdict(False, f"line {n + 1}: schema {name} not in {system}")
-            if substitute(SCHEMAS[name], subst) != f:
+            if _schema_instance(name, subst) != f:
                 return Verdict(False, f"line {n + 1}: not an instance of {name}")
         elif just[0] == "mp":
             _, i, j = just
@@ -235,7 +282,7 @@ class _Builder:
         if name not in self.schemas:
             raise FormulaError(f"schema {name} unavailable in this system")
         sig = dict(subst)
-        return self._emit(substitute(SCHEMAS[name], sig), ("axiom", name, sig))
+        return self._emit(_schema_instance(name, sig), ("axiom", name, sig))
 
     def mp(self, i: Ref, j: Ref) -> Ref:
         fi = self.formula(i)
@@ -624,37 +671,24 @@ def _schema_compiled(name: str, theory: TheoryId) -> tuple[ProofTree, tuple]:
 
 
 def _compile(tree: ProofTree) -> tuple:
-    """A flat template of `tree` for `_instantiate`: `leaves`, the variables
-    (name, node) and constants (None, node) of its formulas; `inner`, its
-    other distinct formulas in post-order as (class, left slot, right slot),
-    slots numbered leaves first (schema proofs hold core formulas, whose
-    connectives are binary); `nodes`, its distinct nodes in post-order as
-    (context slots, goal slot, inst slots, rule, premise nodes)."""
-    formulas: dict[Formula, None] = {}
+    """A flat template of `tree` for `_instantiate`: the formula template of
+    its formulas (`_compile_formulas`), and its distinct nodes in post-order
+    as (context slots, goal slot, inst slots, rule, premise nodes)."""
     nodes: dict[int, ProofTree] = {}
-
-    def visit(f: Formula) -> None:
-        if f not in formulas:
-            for c in f.children():
-                visit(c)
-            formulas[f] = None
 
     def walk(q: ProofTree) -> None:
         if id(q) not in nodes:
             for p in q.premises:
                 walk(p)
-            for f in (*q.conclusion.context, q.conclusion.goal, *q.inst):
-                visit(f)
             nodes[id(q)] = q
 
     walk(tree)
-    leaves = [f for f in formulas if not f.children()]
-    inner = [f for f in formulas if f.children()]
-    slot = {f: k for k, f in enumerate(leaves + inner)}
+    formulas, slot = _compile_formulas(
+        f for q in nodes.values() for f in (*q.conclusion.context, q.conclusion.goal, *q.inst)
+    )
     node_slot = {k: n for n, k in enumerate(nodes)}
     return (
-        tuple((f.name if isinstance(f, Var) else None, f) for f in leaves),
-        tuple((type(f), slot[f.left], slot[f.right]) for f in inner),
+        formulas,
         tuple(
             (
                 tuple(slot[f] for f in q.conclusion.context),
@@ -671,10 +705,8 @@ def _compile(tree: ProofTree) -> tuple:
 def _instantiate(template: tuple, sigma: dict[str, Formula]) -> ProofTree:
     """The compiled tree under sigma: equal, node for node, to
     `substitute_proof` of the tree it was compiled from."""
-    leaves, inner, nodes = template
-    vals = [sigma.get(name, f) for name, f in leaves]
-    for cls, i, j in inner:
-        vals.append(cls(vals[i], vals[j]))
+    formulas, nodes = template
+    vals = _fill_slots(formulas, sigma)
     val = vals.__getitem__
     trees: list[ProofTree] = []
     for ctx, goal, inst, rule, prems in nodes:
@@ -693,11 +725,15 @@ def hilbert_to_sequent(d: HilbertDerivation, theory: TheoryId) -> ProofTree:
     """Replay a derivation as a sequent proof of |- final line: an axiom
     line instantiates its schema's compiled proof, an mp line is ImpE.
     Raises FormulaError naming the first line that cites a line not before
-    it or whose replayed conclusion is not the line's formula."""
+    it, names a schema outside the theory's system, or whose replayed
+    conclusion is not the line's formula."""
+    schemas = system_for(theory)
     proofs: list[ProofTree] = []
     for n, (f, just) in enumerate(d.lines):
         if just[0] == "axiom":
             _, name, subst = just
+            if name not in schemas:
+                raise FormulaError(f"line {n + 1}: schema {name} not in H-{theory.name}")
             tree = _instantiate(_schema_compiled(name, theory)[1], subst)
         else:
             _, i, j = just

@@ -25,6 +25,7 @@ cutting inner nodes could change the proof found.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .algebra import _first_countermodel
 from .syntax import (
@@ -35,7 +36,6 @@ from .syntax import (
     Tensor,
     core_dneg,
     format_formula,
-    formula_key,
     parse_formula,
     substitute,
     variables,
@@ -46,19 +46,28 @@ RULES = ("ImpI", "ImpE", "TensorI", "TensorE")
 AXIOMS = ("AxASM", "AxCON", "AxEFQ", "AxDNE", "AxCWC")
 
 
+# The order of `syntax.formula_key`, read without a Python-level call.
+_KEY = attrgetter("_key")
+
+
 def _sorted_ctx(ctx) -> tuple[Formula, ...]:
-    return tuple(sorted(ctx, key=formula_key))
+    return tuple(sorted(ctx, key=_KEY))
 
 
 class Sequent:
-    """Multiset context plus goal; context order is never significant."""
+    """Multiset context plus goal; context order is never significant.
+
+    The context is stored sorted by `formula_key`, so equal multisets give
+    equal tuples, and the hash of (context, goal) is computed once, here.
+    Formulas hash by identity, so neither the sort nor the hash makes a
+    Python-level call per formula."""
 
     __slots__ = ("context", "goal", "_hash")
 
     def __init__(self, context, goal: Formula):
-        object.__setattr__(self, "context", _sorted_ctx(context))
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(self, "_hash", hash((self.context, goal)))
+        self.context = context = _sorted_ctx(context)
+        self.goal = goal
+        self._hash = hash((context, goal))
 
     def __eq__(self, other):
         return (
@@ -367,6 +376,7 @@ class _Search:
     theory: TheoryId
     fail: dict[Sequent, int] = field(default_factory=dict)
     hit: dict[Sequent, ProofTree] = field(default_factory=dict)
+    dneg: dict[Formula, Formula] = field(default_factory=dict)  # goal -> core_dneg(goal)
 
 
 # The root sequent is checked before search in the algebras of size at most
@@ -456,9 +466,13 @@ def _try_all(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
             return ProofTree(s, "AxCON", inst=(goal.left,))
     if "EFQ" in axioms and ONE in ctx:
         return ProofTree(s, "AxEFQ", inst=(goal,))
-    dd = core_dneg(goal) if "DNE" in axioms else None
-    if dd is not None and dd in ctx:
-        return ProofTree(s, "AxDNE", inst=(goal,))
+    dd = None
+    if "DNE" in axioms:
+        dd = st.dneg.get(goal)
+        if dd is None:
+            dd = st.dneg[goal] = core_dneg(goal)
+        if dd in ctx:
+            return ProofTree(s, "AxDNE", inst=(goal,))
 
     if depth == 1:
         return None

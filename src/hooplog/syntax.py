@@ -16,9 +16,15 @@ Formulas are hash-consed: there is exactly one node per structure.  The
 constructors `Var`, `Neg` and the binary classes look the structure up in a
 weak-value table and return the existing node when there is one, so
 equality is identity and a node lives exactly as long as some caller holds
-it.  Build nodes only through the constructors and never change a field
-other than the two caches: `_ac` holds the result of
-`eqengine.ac_normalize` and `_core` that of `expand_derived`.
+it.  Hashing is identity too (the inherited `object.__hash__`), so hashing a
+formula, a tuple of formulas or a table key makes no Python-level call.  An
+identity hash differs between runs, so nothing may depend on the iteration
+order of a set of formulas: sets of formulas serve membership tests only,
+dicts keyed by formulas iterate in insertion order, and sorting uses
+`formula_key`.  Build nodes only through
+the constructors and never change a field other than the two caches that
+remain: `_ac` holds the result of `eqengine.ac_normalize` and `_core` that
+of `expand_derived`.
 
 Precedence, tightest first:  ^  >  {*, /\, \/, !!}  >  =>  >  -o.
 Within the second tier a chain of one connective associates to the left and
@@ -47,13 +53,10 @@ _NODES = weakref.WeakValueDictionary()
 
 
 class Formula:
-    __slots__ = ("_hash", "_key", "_ac", "_core", "__weakref__")
+    __slots__ = ("_key", "_ac", "_core", "__weakref__")
 
     def children(self) -> tuple["Formula", ...]:
         return ()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return format_formula(self)
@@ -69,7 +72,6 @@ class Var(Formula):
         if node is None:
             node = object.__new__(cls)
             node.name = name
-            node._hash = hash(("Var", name))
             node._key = (0, name)
             node._ac = node._core = None
             _NODES[key] = node
@@ -84,7 +86,6 @@ class _Const(Formula):
 
     def __init__(self, tag: str, rank: int):
         self.tag = tag
-        self._hash = hash(("Const", tag))
         self._key = (rank,)
         self._ac = self._core = None
 
@@ -110,7 +111,6 @@ class _Binary(Formula):
             node = object.__new__(cls)
             node.left = left
             node.right = right
-            node._hash = hash((cls.__name__, left._hash, right._hash))
             node._key = (cls._rank, left._key, right._key)
             node._ac = node._core = None
             _NODES[key] = node
@@ -143,7 +143,6 @@ class Neg(Formula):
         if node is None:
             node = object.__new__(cls)
             node.body = body
-            node._hash = hash(("Neg", body._hash))
             node._key = (3, body._key)
             node._ac = node._core = None
             _NODES[key] = node

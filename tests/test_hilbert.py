@@ -4,7 +4,16 @@ from itertools import product
 
 import pytest
 
-from hooplog.syntax import ONE, FormulaError, Imp, Tensor, Var, expand_derived, parse_formula
+from hooplog.syntax import (
+    ONE,
+    FormulaError,
+    Imp,
+    Tensor,
+    Var,
+    expand_derived,
+    parse_formula,
+    substitute,
+)
 from hooplog.theories import ALc, ALi, ALm, LLm, ML
 from hooplog.sequent import Sequent, bounded_prove, check_proof, parse_sequent, substitute_proof
 from hooplog.hilbert import (
@@ -14,6 +23,7 @@ from hooplog.hilbert import (
     _comb,
     _instantiate,
     _schema_compiled,
+    _schema_instance,
     check_derivation,
     curry_sequent,
     format_derivation,
@@ -298,6 +308,14 @@ def test_compiled_schema_proofs_instantiate_as_substitute_proof():
                 got = _instantiate(template, sigma)
                 _same_tree(got, substitute_proof(tree, sigma))
                 assert check_proof(got, theory), (theory, name, sigma)
+    # every schema formula's own template, Rose-Rosser's included
+    assert len(SCHEMAS) == 13
+    for name, schema in SCHEMAS.items():
+        sigmas = fixed + [
+            {v: _random_core(rng, rng.randint(1, 4)) for v in "ABC"} for _ in range(4)
+        ]
+        for sigma in sigmas:
+            assert _schema_instance(name, sigma) is substitute(schema, sigma), (name, sigma)
 
 
 _WK = parse_formula("A * B -o A")
@@ -313,8 +331,16 @@ _WK_CURRY = (
         (B, ("mp", 0, 1)),  # replays to |- A -o B -o A, not to B
         (parse_formula("A -o B -o A"), ("mp", -2, 1)),  # -2 would wrap around to line 1
         (A, ("mp", 1, 0)),  # the major premise does not match
+        (Imp(A, A), ("axiom", "Id", {"A": A})),  # no such schema
+        (SCHEMAS["CWC"], ("axiom", "CWC", {"A": A, "B": B})),  # not a schema of H-ALm
     ],
-    ids=["not-its-conclusion", "negative-index", "major-mismatch"],
+    ids=[
+        "not-its-conclusion",
+        "negative-index",
+        "major-mismatch",
+        "unknown-schema",
+        "schema-outside-system",
+    ],
 )
 def test_replay_names_the_bad_line(line):
     d = HilbertDerivation(_WK_CURRY + (line,))

@@ -4,7 +4,7 @@ import pytest
 
 from hooplog import sequent
 from hooplog.algebra import _first_countermodel
-from hooplog.syntax import ONE, ZERO, Imp, Neg, Tensor, Var, WConj, parse_formula
+from hooplog.syntax import ONE, ZERO, Imp, Neg, Tensor, Var, WConj, formula_key, parse_formula
 from hooplog.theories import ALL_THEORIES, ALm, ALi, ALc, LLm, LLi, ML, theory_by_name
 from hooplog.sequent import (
     _REFUTE_SIZE,
@@ -130,8 +130,8 @@ def test_weaken_examples():
 def test_weaken_adds_exactly_one_copy():
     p = bounded_prove(parse_sequent("A, A -o B |- B"), ALm, 4)
     w = weaken(p, A)
-    assert sorted(f._hash for f in w.conclusion.context) == sorted(
-        f._hash for f in p.conclusion.context + (A,)
+    assert sorted(map(formula_key, w.conclusion.context)) == sorted(
+        map(formula_key, p.conclusion.context + (A,))
     )
 
 
@@ -291,3 +291,78 @@ def test_pre_check_skips_roots_with_many_variables(monkeypatch):
     assert bounded_prove(five, ALm, 10) is not None
     assert bounded_prove(six, ALm, 10) is None
     assert checked == [five]
+
+
+# Run in a child interpreter: seeded random sequents in the style of the
+# `search` benchmark (2-3 variables, formula sizes 1-6, 0-2 context
+# formulas, theories in turn), proved and translated twice, with garbage
+# churned in between so the second pass's formulas sit at other addresses.
+_HASH_ORDER_CHILD = r"""
+import gc, random, sys
+from hooplog.hilbert import format_derivation, sequent_to_hilbert
+from hooplog.sequent import Sequent, bounded_prove, format_proof
+from hooplog.syntax import ONE, ZERO, Imp, Neg, Nor, SDisj, SImp, Tensor, Var, WConj, expand_derived
+from hooplog.theories import ALL_THEORIES
+
+def formula(rng, size, names):
+    if size <= 1:
+        r = rng.random()
+        return ONE if r < 0.1 else ZERO if r < 0.15 else Var(rng.choice(names))
+    if size == 2 or rng.random() < 0.15:
+        return Neg(formula(rng, size - 1, names))
+    left = rng.randint(1, size - 2)
+    op = rng.choice((Imp,) * 5 + (Tensor,) * 3 + (WConj, SDisj, SImp, Nor))
+    return op(formula(rng, left, names), formula(rng, size - 1 - left, names))
+
+rng = random.Random(1515)
+pool = []
+for k in range(30):
+    names = "ABC"[: rng.randint(2, 3)]
+    ctx = [expand_derived(formula(rng, rng.randint(1, 6), names)) for _ in range(k // 9 % 3)]
+    pool.append((ALL_THEORIES[k % 9], Sequent(ctx, expand_derived(formula(rng, 1 + k % 6, names)))))
+
+def one_pass():
+    out = []
+    for t, s in pool:
+        p = bounded_prove(s, t, 8)
+        out.append("-" if p is None else format_proof(p) + format_derivation(sequent_to_hilbert(p, t)[0]))
+    return out
+
+first = one_pass()
+junk = [Imp(Var("J%d" % i), Tensor(Var("A"), Var("J%d" % i))) for i in range(4000)]
+keep = junk[::2]
+del junk
+gc.collect()
+assert one_pass() == first, "a warm pass found other proofs"
+sys.stdout.write("\n".join(first))
+"""
+
+
+def test_proofs_do_not_depend_on_hash_order():
+    """Formulas hash by identity, which differs between runs and between
+    passes of one run, and strings by PYTHONHASHSEED: two interpreters with
+    different seeds, each proving the same sequents twice, print the same
+    proofs and derivations."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hooplog
+
+    src = str(Path(hooplog.__file__).parent.parent)
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _HASH_ORDER_CHILD],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        )
+        for seed in ("1", "2")
+    ]
+    outs = []
+    for child in children:
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("ImpI") > 5
