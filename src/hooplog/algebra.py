@@ -12,24 +12,30 @@ representative per isomorphism class, chains before non-linear orders,
 sorted by canonical table form within each size; countermodel search walks
 that stream and returns the first falsifying (algebra, assignment).
 
-How a size is enumerated: the partial orders with bottom 0 are generated
-with the numeric order as a linear extension, and only the first of each
+How a size is enumerated: every finite pocrim is bounded, since
+a + b >= a + 0 = a puts the sum of all the elements above each of them.
+So only orders with bottom 0 and a top are listed, generated with the
+numeric order as a linear extension: the top is the last label, n-1,
+placed above an order of size n-1.  Only the first order of each
 isomorphism class is kept (an isomorphism of such orders fixes 0, so every
 algebra class first shows up on that labelling); when a class is first
 met, its relabellings in the stream are marked by a depth-first walk of
 its linear extensions from 0, each step placing an element whose lower
-covers are all placed.  For each kept order the add table is filled cell
-by cell, by backtracking, with monotone candidates, the cells below each
-cell being listed once per order; after each placement only the
-associativity instances that read the new cell as x+y or as (x+y)+z are
-checked (by commutativity the other readings are their mirror images),
-the filled cells with a given sum being indexed by that sum (appended on
-placement, truncated on undo); once row b is complete, so is column b
-(the table is symmetric), and its residuals are derived there, the branch
-cut if one is missing.  So completion guarantees the pocrim laws, and a
-completed table is not verified again: only its class flags are computed
-(`_class_flags`, which `check_class` reports after verifying the laws),
-once per class.  Completed tables are merged by `canonical_key`, the
+covers are all placed.  For each kept order the top's row and column of
+the add table are forced, as a + top = top, and so are its residuals, all
+0; every associativity instance that reads a top cell, or a sum equal to
+the top, holds by monotonicity.  The other cells are filled cell by cell,
+by backtracking, with monotone candidates, the cells below each cell being
+listed once per order; after each placement only the associativity
+instances that read the new cell as x+y or as (x+y)+z are checked (by
+commutativity the other readings are their mirror images), the filled
+cells with a given sum being indexed by that sum (appended on placement,
+truncated on undo); once row b's last free cell is placed, column b is
+complete (the table is symmetric), and its residuals are derived there,
+the branch cut if one is missing.  So completion guarantees the pocrim
+laws, and a completed table is not verified again: only its class flags
+are computed (`_class_flags`, which `check_class` reports after verifying
+the laws), once per class.  Completed tables are merged by `canonical_key`, the
 first labelling found standing for its class: a branch and bound over
 relabellings fixing 0 that bounds every add row of the key from a prefix
 (the labels placed so far, the unplaced columns' bounds sorted), prunes a
@@ -338,14 +344,27 @@ def _posets_with_bottom(n: int):
     yield from extend(leq, 1)
 
 
-def _poset_representatives(n: int):
-    """The first poset of each isomorphism class, in `_posets_with_bottom`
-    order.  Isomorphisms of posets with a bottom fix 0, and relabelling a
-    poset by the permutation p of its elements gives another poset of the
-    stream exactly when p lists them in a linear extension; those
-    relabellings are marked as seen when the class is first met."""
+def _bounded_posets(n: int):
+    """The orders of `_posets_with_bottom(n)` that have a top, in the same
+    order: the top is n-1, the last of every linear extension, so each is
+    an order of `_posets_with_bottom(n-1)` with n-1 placed above it."""
+    if n == 1:
+        yield ((True,),)
+        return
+    last = ((False,) * (n - 1) + (True,),)
+    for leq in _posets_with_bottom(n - 1):
+        yield tuple(row + (True,) for row in leq) + last
+
+
+def _poset_representatives(posets):
+    """The first poset of each isomorphism class in the stream posets, which
+    is `_posets_with_bottom` or `_bounded_posets`.  Isomorphisms of posets
+    with a bottom fix 0 (and a top), and relabelling a poset by the
+    permutation p of its elements gives another poset of the stream exactly
+    when p lists them in a linear extension; those relabellings are marked
+    as seen when the class is first met."""
     seen: set = set()
-    for leq in _posets_with_bottom(n):
+    for leq in posets:
         if leq not in seen:
             yield leq
             _mark_relabellings(leq, seen)
@@ -384,21 +403,28 @@ def _chain_poset(n: int):
 
 def _complete_tables(n: int, leq) -> list[tuple]:
     """Backtrack over commutative monotone integral add tables for a fixed
-    order that residuate; returns completed (add, res, top) triples."""
+    order that residuate; returns completed (add, res, top) triples.  An
+    order without a top has none, and the top, n-1, absorbs: its row and
+    column of add are n-1, its residuals 0."""
+    top = n - 1
+    if not all(leq[a][top] for a in range(n)):
+        return []
     geq = [[leq[j][i] for j in range(n)] for i in range(n)]
     ups = [frozenset(j for j in range(n) if geq[j][i]) for i in range(n)]
     add = [[0] * n for _ in range(n)]
     for a in range(n):
+        add[a][top] = add[top][a] = top
         add[0][a] = add[a][0] = a
-    filled = [[i == 0 or j == 0 for j in range(n)] for i in range(n)]
+    filled = [[i in (0, top) or j in (0, top) for j in range(n)] for i in range(n)]
     # by_sum[v]: the filled ordered cells (x, y) with add[x][y] == v
     by_sum = [[(0, v), (v, 0)] if v else [(0, 0)] for v in range(n)]
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    by_sum[top] = [(x, y) for x in range(n) for y in range(n) if top in (x, y)]
+    cells = [(i, j) for i in range(1, top) for j in range(i, top)]
     # Cell k's value must dominate both arguments, ups[i] & ups[j], and, for
     # monotonicity, every filled cell below it in either orientation: the
-    # earlier cells of below[k].  No filled cell lies above it: cells are
-    # filled in lexicographic order, and the numeric order extends the
-    # partial one.
+    # earlier cells of below[k].  The only filled cells above it are the
+    # top's, whose value is the maximum: the other cells are filled in
+    # lexicographic order, and the numeric order extends the partial one.
     bounds = [sorted(ups[i] & ups[j]) for i, j in cells]
     below = [
         [
@@ -408,7 +434,6 @@ def _complete_tables(n: int, leq) -> list[tuple]:
         ]
         for k, (i, j) in enumerate(cells)
     ]
-    top = next((t for t in range(n) if all(geq[t][a] for a in range(n))), None)
     out: list[tuple] = []
 
     def candidates(k):
@@ -446,8 +471,9 @@ def _complete_tables(n: int, leq) -> list[tuple]:
         return True
 
     def residuates(b):
-        # Column b of add is final: res[b][c] is the least a with a+b >= c,
-        # which comes first in the numeric order if it exists.
+        # Column b of add is final once its last free cell, (b, top-1), is
+        # placed: res[b][c] is the least a with a+b >= c, which comes first
+        # in the numeric order if it exists.
         for c in range(n):
             sat = [a for a in range(n) if geq[add[a][b]][c]]
             if not sat or not all(leq[sat[0]][x] for x in sat):
@@ -465,13 +491,15 @@ def _complete_tables(n: int, leq) -> list[tuple]:
             add[i][j] = add[j][i] = c
             filled[i][j] = filled[j][i] = True
             by_sum[c].extend(new)
-            if assoc_ok(i, j) and (j < n - 1 or residuates(i)):
+            if assoc_ok(i, j) and (j < top - 1 or residuates(i)):
                 place(k + 1)
             del by_sum[c][-len(new) :]
             filled[i][j] = filled[j][i] = False
         add[i][j] = add[j][i] = 0
 
-    res = [list(range(n)) for _ in range(n)]  # row 0 is final: 0 is the identity
+    # rows 0 and top are final: 0 is the identity, and 0+top = top lies
+    # above every element
+    res = [list(range(n)) for _ in range(top)] + [[0] * n]
     place(0)
     return out
 
@@ -559,7 +587,7 @@ def _pocrims_of_size(
 ) -> list[tuple[FiniteAlgebra, frozenset[str]]]:
     """(algebra, class flags) for one representative of each isomorphism
     class of size-n pocrims whose order is the chain (chains_only) or is
-    not, in canonical order."""
+    not, in canonical order.  Every such order is bounded."""
     key = (n, chains_only)
     if key in _ENUM_CACHE:
         return _ENUM_CACHE[key]
@@ -568,7 +596,9 @@ def _pocrims_of_size(
     if chains_only:
         posets = [chain]
     else:
-        posets = (leq for leq in _poset_representatives(n) if leq != chain)
+        posets = (
+            leq for leq in _poset_representatives(_bounded_posets(n)) if leq != chain
+        )
     for leq in posets:
         for add, res, top in _complete_tables(n, leq):
             alg = FiniteAlgebra(n, add, res, top)
@@ -625,17 +655,17 @@ def find_countermodel(
     s: Sequent, t: TheoryId, size_max: int
 ) -> tuple[FiniteAlgebra, Assignment] | None:
     """First algebra of t's class (by the enumeration order) falsifying s."""
-    return _first_countermodel(s, t, size_max)
+    return _first_countermodel(s, t, size_max, _sorted_names(s))
 
 
 def _first_countermodel(
-    s: Sequent, t: TheoryId, size_max: int
+    s: Sequent, t: TheoryId, size_max: int, names: list[str]
 ) -> tuple[FiniteAlgebra, Assignment] | None:
-    """The body of `find_countermodel`.  `bounded_prove` calls it directly,
-    so traces of `find_countermodel` count only countermodel searches.
-    Theories above minimal interpret 1 as the top; their classes require
-    `bounded`, and every enumerated algebra with that flag has one."""
-    names = _sorted_names(s)
+    """The body of `find_countermodel`, over the sorted variable names of s.
+    `bounded_prove` calls it directly, with the names it has counted, so
+    traces of `find_countermodel` count only countermodel searches.  The
+    constant 1 is read as the top, which every finite pocrim has: a + b >= a
+    for all a and b, so the sum of all the elements is the maximum."""
     for alg in enumerate_algebras(size_max, theory_class(t)):
         v = _falsifying(s, alg, names)
         if v is not None:

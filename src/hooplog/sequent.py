@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .algebra import _first_countermodel
+from .algebra import _first_countermodel, _sorted_names
 from .syntax import (
     Formula,
     FormulaError,
@@ -38,7 +38,6 @@ from .syntax import (
     format_formula,
     parse_formula,
     substitute,
-    variables,
 )
 from .theories import TheoryId
 
@@ -398,8 +397,10 @@ def bounded_prove(s: Sequent, theory: TheoryId, depth: int) -> ProofTree | None:
     found."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    names = set().union(*map(variables, s.context), variables(s.goal))
-    if len(names) <= _REFUTE_VARS and _first_countermodel(s, theory, _REFUTE_SIZE):
+    names = _sorted_names(s)
+    if len(names) <= _REFUTE_VARS and _first_countermodel(
+        s, theory, _REFUTE_SIZE, names
+    ):
         return None
     return _search(s, depth, _Search(theory))
 

@@ -14,6 +14,7 @@ from hooplog.algebra import (
     FiniteAlgebra,
     _BLOCK_ROWS,
     _assignment_blocks,
+    _bounded_posets,
     _chain_poset,
     _class_flags,
     _complete_tables,
@@ -220,9 +221,12 @@ def test_pocrim_counts_per_size():
 
 
 def test_one_poset_per_isomorphism_class():
-    # a poset with a bottom is a poset on the other n - 1 points plus a bottom
-    counts = [len(list(_poset_representatives(n))) for n in range(1, 7)]
+    # a poset with a bottom is a poset on the other n - 1 points plus a bottom,
+    # and a bounded one is a poset with a bottom on n - 1 points plus a top
+    counts = [len(list(_poset_representatives(_posets_with_bottom(n)))) for n in range(1, 7)]
     assert counts == [1, 1, 2, 5, 16, 63]
+    bounded = [len(list(_poset_representatives(_bounded_posets(n)))) for n in range(1, 7)]
+    assert bounded == [1, 1, 1, 2, 5, 16]
 
 
 def _relabel(m, p):
@@ -311,7 +315,8 @@ def test_canonical_key_is_the_brute_force_key_at_size_7():
     flat = _poset(7, {(0, x) for x in range(1, 7)})
     between = _poset(7, {(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 6), (5, 6)})
     tables = [_complete_tables(7, leq) for leq in (chain, flat, between)]
-    # no two of 1..6 have an upper bound in the flat order, so no sum exists
+    # the flat order has no top: no two of 1..6 have an upper bound, so no
+    # sum exists
     assert [len(t) for t in tables] == [451, 0, 24]
     for add, res, top in tables[0] + tables[2]:
         alg = FiniteAlgebra(7, add, res, top)
@@ -335,7 +340,7 @@ def _extension_relabellings(leq):
 
 def test_marked_relabellings_are_those_by_linear_extensions():
     for n in range(1, 7):
-        for leq in _poset_representatives(n):
+        for leq in _poset_representatives(_posets_with_bottom(n)):
             seen = set()
             _mark_relabellings(leq, seen)
             assert seen == _extension_relabellings(leq), leq
@@ -348,7 +353,13 @@ def test_poset_representatives_are_those_of_the_permutation_rule():
             if leq not in seen:
                 expected.append(leq)
                 seen |= _extension_relabellings(leq)
-        assert list(_poset_representatives(n)) == expected, n
+        assert list(_poset_representatives(_posets_with_bottom(n))) == expected, n
+        # the orders with a top (n - 1, the last label) come in stream order,
+        # so each class of them keeps its first order
+        bounded = [leq for leq in _posets_with_bottom(n) if all(row[-1] for row in leq)]
+        assert list(_bounded_posets(n)) == bounded, n
+        expected = [leq for leq in expected if all(row[-1] for row in leq)]
+        assert list(_poset_representatives(_bounded_posets(n))) == expected, n
 
 
 def test_enumeration_stream_up_to_size_6_is_pinned():
@@ -375,15 +386,15 @@ def _residuals(n, add, leq):
 
 
 def _labelled_reference(n):
-    """The non-chain pocrims of size n from every labelled poset: every
-    table whose cells dominate their arguments, in the cell order and
-    ascending value order of the enumeration, kept when check_class accepts
-    it; the first table of each class stands for it, classes sorted by key."""
+    """The pocrims of size n from every labelled poset, with or without a
+    top: every table whose cells dominate their arguments, in the cell order
+    and ascending value order of the enumeration, kept when check_class
+    accepts it; the first table of each class stands for it, the chains'
+    classes first, each block sorted by key."""
     found = {}
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     for leq in _posets_with_bottom(n):
-        if all(leq[i][j] for i in range(n) for j in range(i, n)):
-            continue
+        chain = all(leq[i][j] for i in range(n) for j in range(i, n))
         choices = [[c for c in range(n) if leq[i][c] and leq[j][c]] for i, j in cells]
         tops = [t for t in range(n) if all(leq[a][t] for a in range(n))]
         for values in product(*choices):
@@ -395,13 +406,13 @@ def _labelled_reference(n):
                 continue
             alg = FiniteAlgebra(n, tuple(map(tuple, add)), res, tops[0] if tops else None)
             if "pocrim" in check_class(alg).flags:
-                found.setdefault(_full_key(alg), alg)
+                found.setdefault((not chain, _full_key(alg)), alg)
     return [found[k] for k in sorted(found)]
 
 
 def test_representative_posets_give_the_labelled_enumeration():
     for n in range(1, 6):
-        got = _pocrims_of_size(n, False)
+        got = _pocrims_of_size(n, True) + _pocrims_of_size(n, False)
         assert [alg for alg, _ in got] == _labelled_reference(n), n
         assert all(flags == check_class(alg).flags for alg, flags in got)
 
@@ -419,12 +430,22 @@ def test_completed_tables_are_associative():
 def test_completed_tables_are_all_pocrims():
     # completion guarantees the laws, so enumeration computes only `_class_flags`
     for n in range(1, 7):
-        for leq in _poset_representatives(n):
+        for leq in _poset_representatives(_posets_with_bottom(n)):
             for add, res, top in _complete_tables(n, leq):
                 alg = FiniteAlgebra(n, add, res, top)
                 flags = check_class(alg).flags
                 assert "pocrim" in flags, (n, add)
                 assert _class_flags(alg) == flags, (n, add)
+
+
+def test_every_finite_pocrim_is_bounded():
+    # a + b >= a + 0 = a, so the sum of all the elements is the top
+    for n in range(1, 7):
+        for leq in _posets_with_bottom(n):
+            if not all(row[-1] for row in leq):
+                assert _complete_tables(n, leq) == [], leq
+    for alg, flags in enumerate_classified(6):
+        assert alg.top == alg.size - 1 and "bounded" in flags, format_algebra(alg)
 
 
 @pytest.mark.parametrize("required, forbidden", [({"hoopz"}, set()), (set(), {"idempotnt"})])
@@ -472,7 +493,7 @@ def test_theory_class_and_hilbert_system_follow_the_axioms(t):
     flags, schemas = _CLASS_AND_SYSTEM[t.name]
     assert theory_class(t) == frozenset(["pocrim", *flags.split()])
     assert system_for(t) == ("Comp", "Comm", "Curry", "Uncurry", "Wk", *schemas.split())
-    if t.level != "minimal":  # 1 is read as the top, so every algebra needs one
+    if t.level != "minimal":  # 1 is read as the top, which every finite pocrim has
         assert all(alg.top is not None for alg in enumerate_algebras(5, theory_class(t)))
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hooplog.cli import main
@@ -34,6 +36,13 @@ def test_models_enum_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["models", "enum", "--max-size", "3", "--require", "hoop"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_models_enum_output_is_pinned(capsys):
+    assert main(["models", "enum", "--max-size", "6"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "8a55d2c9eb882e558b1812579b31ee2d98ce3c8cfd73c049e8da65dce8472709"
+    )
 
 
 def test_translate(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hooplog import sequent
-from hooplog.algebra import _first_countermodel
+from hooplog.algebra import _first_countermodel, _sorted_names
 from hooplog.syntax import ONE, ZERO, Imp, Neg, Tensor, Var, WConj, formula_key, parse_formula
 from hooplog.theories import ALL_THEORIES, ALm, ALi, ALc, LLm, LLi, ML, theory_by_name
 from hooplog.sequent import (
@@ -258,7 +258,7 @@ def test_root_pre_check_finds_the_raw_search_proofs(searched):
         got = bounded_prove(s, t, 6)
         assert _text(got) == _text(raw), (t, s)
         proved += got is not None
-        refuted += _first_countermodel(s, t, _REFUTE_SIZE) is not None
+        refuted += _first_countermodel(s, t, _REFUTE_SIZE, _sorted_names(s)) is not None
     assert proved > 150 and refuted > 450
 
 
