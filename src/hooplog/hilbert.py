@@ -14,11 +14,11 @@ B, C, K reading of a Hilbert system (Troelstra and Schwichtenberg, *Basic
 Proof Theory*, ch. 6): Comp composes, Curry, Uncurry and Comm flip two
 antecedents, Wk drops one.  A two-premise rule chains its premises into
 `comb(o1) -o (comb(o2) -o G)` and uncurries `comb(o2)` into the comb one
-element of o1 at a time.  ImpI curries its hypothesis out of the comb where
-it stands (`curry_out`, the mirror of that uncurrying), so no step moves it
-to the front.  Only TensorE, which needs its two components at the head, and
-the root, which sorts the context, still permute the comb, by adjacent swaps
-that pair, curry, flip and uncurry in place.
+element of o1 at a time.  No step permutes a comb: ImpI curries its
+hypothesis out where it stands (`curry_out`, the mirror of that uncurrying),
+TensorE curries its two components out and uncurries them into their
+tensor, and the root curries the sorted context out one element at a time,
+last to second, leaving the first as the outermost antecedent.
 
 `hilbert_to_sequent` replays the other direction, turning modus ponens into
 ImpE and each axiom instance into its schema's once-proved sequent tree
@@ -231,15 +231,14 @@ class _Builder:
     Combinators take and return a `Ref`: a line index, or an `_Id` for an
     identity `|- a -o a` whose lines are not yet emitted.  Composition drops
     an identity, modus ponens against one returns the minor premise, and
-    `lift` and `cong_right` map one to an identity; `line` emits its
+    `lift` and `pre` map one to an identity; `line` emits its
     lines only where a line must cite it (an mp minor premise, `c_rule`,
     `extract`), so identities that the combinators cancel cost nothing.
 
-    The comb combinators: `uncurry_comb` joins two combs, `curry_out` takes
-    one element out of a comb into the goal (ImpI applies its steps to the
-    premise's line by mp, with no composition at the top), `curry_iso`
-    curries a whole comb, and `perm_comb` reorders one by adjacent
-    `swap_comb`s, which only TensorE and the root still need."""
+    The comb combinators: `uncurry_comb` joins two combs, and `curry_out`
+    takes one element out of a comb into the goal, the only way a comb is
+    reordered (`_curry_out` applies its steps to a node's line by mp, with
+    no composition at the top)."""
 
     def __init__(self, schemas: tuple[str, ...]):
         self.schemas = schemas
@@ -368,54 +367,17 @@ class _Builder:
         self.memo[key] = out
         return out
 
-    def cong_right(self, i: Ref, c: Formula) -> Ref:
-        """From |- X -o Y conclude |- C * X -o C * Y."""
+    def pre(self, i: Ref, goal: Formula) -> Ref:
+        """From |- X -o Y conclude |- (Y -o goal) -o (X -o goal): one Comp
+        instance, none for an identity."""
         if isinstance(i, _Id):
-            return _Id(Tensor(c, i.a))
+            return _Id(Imp(i.a, goal))
         f = self.formula(i)
-        x, y = f.left, f.right
-        cy = Tensor(c, y)
-        post = self.mp(i, self.axiom("Comp", A=x, B=y, C=cy))  # (y -o cy) -o (x -o cy)
-        chained = self.comp(self.pair(c, y), post)  # c -o (x -o cy)
-        return self.mp(chained, self.axiom("Uncurry", A=c, B=x, C=cy))
+        return self.mp(i, self.axiom("Comp", A=f.left, B=f.right, C=goal))
 
     # Right-nested combs over an explicit order.  All structure is driven by
     # the order lists: a context element may itself be a tensor, so the comb
     # shape cannot be recovered from the formula.
-
-    def swap_comb(self, order: list[Formula], k: int) -> int:
-        """|- comb(order) -o comb(order with k,k+1 swapped)."""
-        if k == 0:
-            a, b = order[0], order[1]
-            if len(order) == 2:
-                return self.axiom("Comm", A=a, B=b)
-            r = _comb(order[2:])
-            ar = Tensor(a, r)
-            y = Tensor(b, ar)
-            # b -o (a*r -o y), curried to b -o (a -o (r -o y)) and flipped
-            curried = self.comp(self.pair(b, ar), self.axiom("Curry", A=a, B=r, C=y))
-            unc_inner = self.lift(a, self.axiom("Uncurry", A=b, B=r, C=y))
-            regrouped = self.mp(self.c_rule(curried), unc_inner)  # a -o (b*r -o y)
-            return self.mp(regrouped, self.axiom("Uncurry", A=a, B=Tensor(b, r), C=y))
-        inner = self.swap_comb(order[1:], k - 1)
-        return self.cong_right(inner, order[0])
-
-    def perm_comb(self, src: list[Formula], dst: list[Formula]) -> Ref:
-        """|- comb(src) -o comb(dst) for a permutation of equal multisets."""
-        if sorted(src, key=formula_key) != sorted(dst, key=formula_key):
-            raise FormulaError("perm_comb: not a permutation")
-        cur = list(src)
-        idx: Ref | None = None
-        for i in range(len(dst)):
-            j = cur.index(dst[i], i)
-            while j > i:
-                s = self.swap_comb(cur, j - 1)
-                idx = s if idx is None else self.comp(idx, s)
-                cur[j - 1], cur[j] = cur[j], cur[j - 1]
-                j -= 1
-        if idx is None:
-            return self.ident(_comb(src))
-        return idx
 
     def uncurry_comb(self, o1: list[Formula], o2: list[Formula], goal: Formula) -> Ref:
         """|- (comb(o1) -o (comb(o2) -o goal)) -o (comb(o1 ++ o2) -o goal):
@@ -459,15 +421,6 @@ class _Builder:
             out = self.comp(out, step)
         return out
 
-    def curry_iso(self, order: list[Formula], goal: Formula) -> Ref:
-        """|- (comb(order) -o goal) -o (x1 -o x2 -o ... -o goal)."""
-        if len(order) == 1:
-            return self.ident(Imp(order[0], goal))
-        x, rest = order[0], order[1:]
-        l1 = self.axiom("Curry", A=x, B=_comb(rest), C=goal)
-        inner = self.curry_iso(rest, goal)
-        return self.comp(l1, self.lift(x, inner))
-
 
 def _comb(order) -> Formula:
     if not order:
@@ -498,14 +451,11 @@ def sequent_to_hilbert(
     b = _Builder(system_for(theory))
     node = _translate(p, b)
     order = sorted(node.order, key=formula_key)
-    goal = p.conclusion.goal
-    if node.order:
-        idx = node.idx
-        if order != node.order:
-            idx = b.comp(b.perm_comb(order, node.order), idx)
-        idx = b.mp(idx, b.curry_iso(order, goal))
-    else:
-        idx = node.idx
+    idx, rest, goal = node.idx, node.order, p.conclusion.goal
+    # the sorted order's elements curried out last to second; the one left
+    # is the outermost antecedent
+    for x in reversed(order[1:]):
+        idx, rest, goal = _curry_out(b, idx, rest, x, goal)
     want = curry_sequent(p.conclusion, order)
     if b.formula(idx) != want:
         raise FormulaError("internal translation error: wrong final formula")
@@ -534,23 +484,19 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
         cwc = b.axiom("CWC", A=a, B=bb)
         if not gamma:
             return _Node([a, ab], cwc)
-        proj = b.cong_right(b.axiom("Wk", A=ab, B=_comb(gamma)), a)
-        return _Node([a, ab] + gamma, b.comp(proj, cwc))
+        # a -o (ab -o goal), then ab weakened to ab * comb(gamma)
+        curried = b.mp(cwc, b.axiom("Curry", A=a, B=ab, C=s.goal))
+        weakened = b.pre(b.axiom("Wk", A=ab, B=_comb(gamma)), s.goal)
+        return _join(b, [a], [ab] + gamma, b.comp(curried, weakened), s.goal)
     if rule == "ImpI":
         sub = _translate(p.premises[0], b)
         if len(sub.order) == 1:
             return _Node([], sub.idx)
-        # the hypothesis curried out where it stands, each step by mp on the
-        # premise's line (a line: only a one-element comb carries an identity)
-        k = sub.order.index(s.goal.left)
-        out = sub.idx
-        for step in b.curry_out_steps(sub.order, k, s.goal.right):
-            out = b.mp(out, step)
-        return _Node(sub.order[:k] + sub.order[k + 1 :], out)
+        idx, order, _ = _curry_out(b, sub.idx, sub.order, s.goal.left, s.goal.right)
+        return _Node(order, idx)
     if rule == "ImpE":
         minor = _translate(p.premises[0], b)
         major = _translate(p.premises[1], b)
-        a = p.premises[0].conclusion.goal
         goal = s.goal
         if not major.order:
             step = major.idx  # |- a -o goal
@@ -559,13 +505,9 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
             return _Node(minor.order, b.comp(minor.idx, step))
         if not minor.order:
             return _Node(major.order, b.mp(minor.idx, b.c_rule(major.idx)))
-        if isinstance(minor.idx, _Id):  # C1 is a itself
-            chained = major.idx
-        else:
-            # the major, then (a -o goal) -o (C1 -o goal) from the minor:
-            # C2 -o (C1 -o goal), with no flip of the major
-            comp_inst = b.axiom("Comp", A=_comb(minor.order), B=a, C=goal)
-            chained = b.comp(major.idx, b.mp(minor.idx, comp_inst))
+        # the major, then (a -o goal) -o (C1 -o goal) from the minor:
+        # C2 -o (C1 -o goal), with no flip of the major
+        chained = b.comp(major.idx, b.pre(minor.idx, goal))
         return _join(b, major.order, minor.order, chained, goal)
     if rule == "TensorI":
         l = _translate(p.premises[0], b)
@@ -585,8 +527,7 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
         if not r.order:
             return _Node(l.order, b.mp(r.idx, b.c_rule(part)))
         # (b -o goal) -o (C2 -o goal), lifted under C1
-        comp_inst = b.mp(r.idx, b.axiom("Comp", A=_comb(r.order), B=bb, C=goal))
-        chained = b.mp(part, b.lift(_comb(l.order), comp_inst))
+        chained = b.mp(part, b.lift(_comb(l.order), b.pre(r.idx, goal)))
         return _join(b, l.order, r.order, chained, goal)
     if rule == "TensorE":
         tprem = _translate(p.premises[0], b)
@@ -594,28 +535,25 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
         t = p.premises[0].conclusion.goal
         a, bb = t.left, t.right
         goal = s.goal
-        ka = body.order.index(a)
-        perm = [a] + body.order[:ka] + body.order[ka + 1 :]
-        kb = perm.index(bb, 1)
-        perm = [a, bb] + perm[1:kb] + perm[kb + 1 :]
-        if perm != body.order:
-            body = _Node(perm, b.comp(b.perm_comb(perm, body.order), body.idx))
-        rest = body.order[2:]
-        if rest:
-            r = _comb(rest)
-            # a*(b*rest) -o goal, curried to a -o (b -o (rest -o goal)),
-            # then uncurried to a*b -o (rest -o goal)
-            curried = b.mp(body.idx, b.axiom("Curry", A=a, B=Tensor(bb, r), C=goal))
-            curried = b.mp(curried, b.lift(a, b.axiom("Curry", A=bb, B=r, C=goal)))
-            curried = b.mp(curried, b.axiom("Uncurry", A=a, B=bb, C=Imp(r, goal)))
+        if body.order == [a, bb]:  # its comb is exactly a*b
+            curried, rest = body.idx, []
+        else:
+            # b, then a, curried out of the body: comb(rest) -o (a -o (b -o goal))
+            idx, order, g = _curry_out(b, body.idx, body.order, bb, goal)
+            unc = b.axiom("Uncurry", A=a, B=bb, C=goal)
+            if len(order) == 1:  # order == [a]
+                curried, rest = b.mp(idx, unc), []
+            else:
+                idx, rest, _ = _curry_out(b, idx, order, a, g)
+                curried = b.comp(idx, unc)  # comb(rest) -o (a*b -o goal)
+        if not rest:
             if not tprem.order:
-                return _Node(rest, b.mp(tprem.idx, curried))
-            chained = b.comp(tprem.idx, curried)
-            return _join(b, tprem.order, rest, chained, goal)
-        # body.order == [a, bb]: its comb is exactly a*b
+                return _Node([], b.mp(tprem.idx, curried))
+            return _Node(tprem.order, b.comp(tprem.idx, curried))
         if not tprem.order:
-            return _Node([], b.mp(tprem.idx, body.idx))
-        return _Node(tprem.order, b.comp(tprem.idx, body.idx))
+            return _Node(rest, b.mp(tprem.idx, b.c_rule(curried)))
+        chained = b.comp(curried, b.pre(tprem.idx, goal))
+        return _join(b, rest, tprem.order, chained, goal)
     raise FormulaError(f"unknown rule {rule!r}")
 
 
@@ -626,6 +564,19 @@ def _weakened(b: _Builder, s: Sequent, hyp: Formula, idx: Ref) -> _Node:
     if not gamma:
         return _Node([hyp], idx)
     return _Node([hyp] + gamma, b.comp(b.axiom("Wk", A=hyp, B=_comb(gamma)), idx))
+
+
+def _curry_out(
+    b: _Builder, idx: Ref, order: list[Formula], x: Formula, goal: Formula
+) -> tuple[Ref, list[Formula], Formula]:
+    """From |- comb(order) -o goal at idx, with x in order and at least one
+    more element: |- comb(order less x) -o (x -o goal), each step of
+    `curry_out_steps` applied by mp, with no composition at the top.
+    Returns the new line, order less x and x -o goal."""
+    k = order.index(x)
+    for step in b.curry_out_steps(order, k, goal):
+        idx = b.mp(idx, step)
+    return idx, order[:k] + order[k + 1 :], Imp(x, goal)
 
 
 def _join(b: _Builder, o1: list[Formula], o2: list[Formula], idx: Ref, goal: Formula) -> _Node:

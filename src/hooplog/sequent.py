@@ -438,9 +438,8 @@ def _search(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
 
     p = _try_all(s, depth, st)
     if p is None:
-        prev = st.fail.get(s, 0)
-        if depth > prev:
-            st.fail[s] = depth
+        # fail[s] is below depth: it was at entry, and inner calls search shallower
+        st.fail[s] = depth
     else:
         old = st.hit.get(s)
         if old is None or p.height() < old.height():

@@ -10,12 +10,26 @@ from hooplog.syntax import (
     Imp,
     Tensor,
     Var,
+    core_dneg,
     expand_derived,
     parse_formula,
     substitute,
 )
 from hooplog.theories import ALc, ALi, ALm, LLm, ML
-from hooplog.sequent import Sequent, bounded_prove, check_proof, parse_sequent, substitute_proof
+from hooplog.sequent import (
+    ProofTree,
+    Sequent,
+    ax_asm,
+    ax_con,
+    ax_cwc,
+    bounded_prove,
+    check_proof,
+    imp_i,
+    parse_sequent,
+    substitute_proof,
+    tensor_e,
+    tensor_i,
+)
 from hooplog.hilbert import (
     HilbertDerivation,
     SCHEMAS,
@@ -162,13 +176,6 @@ def test_identity_is_dropped_by_composition_without_lines():
     assert b.lines == built
 
 
-def test_curry_iso_of_one_antecedent_emits_no_line():
-    b = _Builder(system_for(ALm))
-    ref = b.curry_iso([A], B)
-    assert b.lines == []
-    assert b.formula(ref) == parse_formula("(A -o B) -o A -o B")
-
-
 @pytest.mark.parametrize("text", ["A", "A * B", "A -o B -o C", "(A -o B) -o C", "1"])
 def test_identity_lines_are_emitted_where_cited(text):
     a = parse_formula(text)
@@ -207,6 +214,16 @@ def _seeded_translations():
     return tuple(out)
 
 
+def _assert_round_trip(p, theory):
+    """p translates to a checked derivation of its curried conclusion, and
+    the derivation replays to a checked proof of its final line."""
+    der, order = sequent_to_hilbert(p, theory)
+    assert check_derivation(der, f"H-{theory.name}"), p.conclusion
+    assert der.final == curry_sequent(p.conclusion, order), p.conclusion
+    back = hilbert_to_sequent(der, theory)
+    assert check_proof(back, theory) and back.conclusion == Sequent((), der.final)
+
+
 def test_seeded_round_trip_through_hilbert():
     # sequent proof -> Hilbert derivation -> sequent proof, over small
     # provable sequents of every theory
@@ -220,37 +237,101 @@ def test_seeded_round_trip_through_hilbert():
         assert check_proof(back, theory) and back.conclusion == Sequent((), der.final)
 
 
+def test_seeded_round_trip_over_three_to_five_context_formulas():
+    # long combs with tensors and repeats, which TensorE and the root curry
+    # their elements out of; every theory in turn
+    from hooplog.theories import ALL_THEORIES
+
+    rng = random.Random(1701)
+    rules = set()
+    proved = 0
+    for k in range(80):
+        theory = ALL_THEORIES[k % len(ALL_THEORIES)]
+        context = _random_context(rng, rng.randint(3, 5))
+        if rng.random() < 0.5:
+            goal = Tensor(*_random_context(rng, 2))
+        else:
+            goal = _random_core(rng, rng.randint(1, 4))
+        p = bounded_prove(Sequent(context, goal), theory, 6)
+        if p is None:
+            continue
+        _assert_round_trip(p, theory)
+        rules.update(q.rule for q in p.nodes())
+        proved += 1
+    assert proved >= 50
+    assert {"TensorE", "TensorI", "ImpI", "ImpE"} <= rules
+
+
+_AA, _BB = Imp(A, A), Imp(B, B)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        tensor_i(ax_asm(_AA), ax_asm(_BB)),
+        tensor_i(ax_asm(_BB), ax_asm(_AA)),
+        tensor_i(tensor_i(ax_asm(C), ax_asm(_BB)), ax_asm(_AA)),
+        tensor_i(tensor_i(ax_asm(_AA), ax_asm(C)), ax_asm(_BB)),
+    ],
+    ids=["a,b", "b,a", "C,b,a", "a,C,b"],
+)
+@pytest.mark.parametrize("closed", [False, True], ids=["assumed", "closed"])
+def test_tensor_e_translates_wherever_its_components_sit(body, closed):
+    # the body's order is its TensorI leaves' left to right; the tensor
+    # premise is an assumption, or a proof with no context
+    if closed:
+        tprem = tensor_i(imp_i(ax_asm(A), A), imp_i(ax_asm(B), B))
+    else:
+        tprem = ax_asm(Tensor(_AA, _BB))
+    p = tensor_e(tprem, body)
+    assert check_proof(p, ALm)
+    _assert_round_trip(p, ALm)
+
+
+_AXIOM_LEAVES = [
+    # (leaf over the extra context, the weakest theory with its axiom, the
+    # formula the axiom itself needs in the context)
+    (lambda g: ax_asm(A, g), ALm, A),
+    (lambda g: ax_con(A, g), ML, A),
+    (lambda g: ProofTree(Sequent(g + (ONE,), A), "AxEFQ", inst=(A,)), ALi, ONE),
+    (lambda g: ProofTree(Sequent(g + (core_dneg(A),), A), "AxDNE", inst=(A,)), ALc, core_dneg(A)),
+    (lambda g: ax_cwc(A, B, g), LLm, A),
+]
+
+
+@pytest.mark.parametrize("leaf,theory,own", _AXIOM_LEAVES, ids=["ASM", "CON", "EFQ", "DNE", "CWC"])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_axiom_leaves_translate_with_extra_context(leaf, theory, own, extra):
+    # the extra context: a tensor, then a repeat of the axiom's own formula
+    p = leaf((Tensor(A, B), own)[:extra])
+    assert check_proof(p, theory)
+    _assert_round_trip(p, theory)
+
+
 def test_derivation_lengths_stay_within_their_pins(corpus):
     # Upper bounds at the lengths the constructions reach; a construction
     # that emits more lines fails here.
     from hooplog.corpus.builtins import _collect_proofs
 
-    b = _Builder(system_for(ALm))
-    assert len(b.extract(b.swap_comb([A, B, C], 0))) <= 33
+    # TensorE with its components behind the rest: body order [C, B, A]
+    body = tensor_i(tensor_i(ax_asm(C), ax_asm(B)), ax_asm(A))
+    tensor_e_behind = tensor_e(ax_asm(Tensor(A, B)), body)
+    assert len(sequent_to_hilbert(tensor_e_behind, ALm)[0]) <= 51
+    # an AxCWC leaf with one formula of context
+    assert len(sequent_to_hilbert(ax_cwc(A, B, (C,)), LLm)[0]) <= 27
     # ImpI discharging the last of three hypotheses: premise order [A, B, C]
     impi = bounded_prove(parse_sequent("A, B |- C -o A"), ALm, 4)
     assert impi.rule == "ImpI" and len(sequent_to_hilbert(impi, ALm)[0]) <= 15
-    assert sum(len(t[3]) for t in _seeded_translations()) <= 2417
+    assert sum(len(t[3]) for t in _seeded_translations()) <= 2218
     proofs = list(_collect_proofs(corpus))
     assert len(proofs) == 55
-    assert sum(len(sequent_to_hilbert(tree, theory)[0]) for _, tree, theory in proofs) <= 1386
+    assert sum(len(sequent_to_hilbert(tree, theory)[0]) for _, tree, theory in proofs) <= 1218
 
 
 def _random_context(rng, n):
     """n context formulas over A, B, C with tensors and repeats."""
     pool = [A, B, Tensor(A, B), Imp(A, C), Tensor(B, Tensor(A, C))]
     return [rng.choice(pool) for _ in range(n)]
-
-
-def test_seeded_perm_comb_derivations_check():
-    rng = random.Random(1301)
-    b = _Builder(system_for(ALm))
-    for _ in range(60):
-        src = _random_context(rng, rng.randint(2, 5))
-        dst = rng.sample(src, len(src))
-        der = b.extract(b.perm_comb(src, dst))
-        assert check_derivation(der, "H-ALm"), (src, dst)
-        assert der.final == Imp(_comb(src), _comb(dst)), (src, dst)
 
 
 def test_seeded_uncurry_comb_derivations_check():
