@@ -130,16 +130,13 @@ Subst = dict[str, Formula]
 def ac_match(
     pattern: Formula,
     subject: Formula,
-    sigma: Subst | None = None,
     metavars: frozenset[str] | set[str] | None = None,
 ):
-    """Yield substitutions with pattern[sigma] AC-equal to subject.
+    """Yield substitutions sigma with pattern[sigma] AC-equal to subject.
 
     Every pattern variable is a metavariable unless `metavars` restricts
     which names may bind; other variables match only themselves."""
-    yield from _match(
-        ac_normalize(pattern), ac_normalize(subject), dict(sigma or {}), metavars
-    )
+    yield from _match(ac_normalize(pattern), ac_normalize(subject), {}, metavars)
 
 
 def _match(p: Formula, s: Formula, sigma: Subst, mv: set[str] | None):
@@ -293,43 +290,38 @@ class LemmaRegistry:
     def __contains__(self, lemma_id: str) -> bool:
         return lemma_id in self.entries
 
-    def register(self, entry: LemmaEntry, proof, easy_depth: int = 8) -> None:
+    def register(self, entry: LemmaEntry, proof) -> None:
         if entry.id in self.entries:
             raise EqError(f"duplicate lemma id {entry.id!r}")
-        v = self.validate(entry, proof, easy_depth)
+        v = self.validate(entry, proof)
         if not v[0]:
             raise EqError(f"registration of {entry.id!r} rejected: {v[1]}")
         self.entries[entry.id] = entry
         self.evidence[entry.id] = proof
 
-    def validate(self, entry: LemmaEntry, proof, easy_depth: int = 8):
+    def validate(self, entry: LemmaEntry, proof):
+        """(ok, message) for the evidence of entry: a proof tree or a script,
+        or a (forward, backward) pair of them, one per direction."""
         if proof is None:
             return False, "unproved registration"
-        if isinstance(proof, EqScript):
-            return self._validate_script(entry, proof, easy_depth, need_equiv=entry.relation == EQUIV)
-        if isinstance(proof, ProofTree):
-            if entry.relation == EQUIV:
-                return False, "an equivalence needs proofs in both directions"
-            return self._validate_tree(entry, proof, reverse=False)
         if isinstance(proof, tuple) and len(proof) == 2:
-            a, b = proof
-            oks = []
-            for item, reverse in ((a, False), (b, True)):
-                if isinstance(item, ProofTree):
-                    oks.append(self._validate_tree(entry, item, reverse=reverse))
-                elif isinstance(item, EqScript):
-                    oks.append(
-                        self._validate_script(
-                            entry, item, easy_depth, need_equiv=False, reverse=reverse
-                        )
-                    )
-                else:
-                    oks.append((False, f"unrecognised evidence {item!r}"))
-            for ok, msg in oks:
-                if not ok:
-                    return ok, msg
-            return True, ""
-        return False, f"unrecognised evidence {proof!r}"
+            items = ((proof[0], False), (proof[1], True))
+        elif isinstance(proof, ProofTree) and entry.relation == EQUIV:
+            return False, "an equivalence needs proofs in both directions"
+        else:
+            items = ((proof, False),)
+        # one script for an equivalence must prove it both ways
+        need_equiv = len(items) == 1 and entry.relation == EQUIV
+        for item, reverse in items:
+            if isinstance(item, ProofTree):
+                v = self._validate_tree(entry, item, reverse)
+            elif isinstance(item, EqScript):
+                v = self._validate_script(entry, item, need_equiv, reverse)
+            else:
+                v = (False, f"unrecognised evidence {item!r}")
+            if not v[0]:
+                return v
+        return True, ""
 
     def _validate_tree(self, entry: LemmaEntry, tree: ProofTree, reverse: bool):
         lhs, rhs = entry.sides(reverse)
@@ -350,9 +342,7 @@ class LemmaRegistry:
             return False, f"proof tree rejected: {v.message}"
         return True, ""
 
-    def _validate_script(
-        self, entry, script: "EqScript", easy_depth, need_equiv, reverse=False
-    ):
+    def _validate_script(self, entry, script: "EqScript", need_equiv: bool, reverse: bool):
         lhs, rhs = entry.sides(reverse)
         if script.assumes:
             return False, "cannot register a lemma from a hypothetical script"
@@ -362,7 +352,7 @@ class LemmaRegistry:
             return False, "lemma claims an equivalence, script proves only >="
         if not script.theory.leq(entry.theory):
             return False, "script theory is not below the lemma theory"
-        rep = check_script(script, self, easy_depth)
+        rep = check_script(script, self)
         if not rep.ok:
             return False, f"script {script.id} rejected at step {rep.step}: {rep.message}"
         return True, ""

@@ -12,8 +12,10 @@ for every node `x1, ..., xk |- G`, a derived formula
 result at the root.  The five base schemata serve as the combinators of the
 B, C, K reading of a Hilbert system (Troelstra and Schwichtenberg, *Basic
 Proof Theory*, ch. 6): Comp composes, Curry, Uncurry and Comm flip two
-antecedents, Wk drops one.  A two-premise rule chains its premises into
-`comb(o1) -o (comb(o2) -o G)` and uncurries `comb(o2)` into the comb one
+antecedents, Wk drops one.  Every two-premise node, and every axiom leaf
+with context, goes through `_apply`: it applies a step
+`comb(o1) -o (X -o G)` to a premise `comb(o2) -o X`, chaining them into
+`comb(o1) -o (comb(o2) -o G)` and uncurrying `comb(o2)` into the comb one
 element of o1 at a time.  No step permutes a comb: ImpI curries its
 hypothesis out where it stands (`curry_out`, the mirror of that uncurrying),
 TensorE curries its two components out and uncurries them into their
@@ -225,8 +227,7 @@ Ref = int | _Id
 
 
 class _Builder:
-    """Accumulates derivation lines; helper results are memoised so shared
-    sub-derivations are emitted once.
+    """Accumulates derivation lines, each formula emitted once.
 
     Combinators take and return a `Ref`: a line index, or an `_Id` for an
     identity `|- a -o a` whose lines are not yet emitted.  Composition drops
@@ -235,7 +236,8 @@ class _Builder:
     lines only where a line must cite it (an mp minor premise, `c_rule`,
     `extract`), so identities that the combinators cancel cost nothing.
 
-    The comb combinators: `uncurry_comb` joins two combs, and `curry_out`
+    The comb combinators: `uncurry_comb` joins two combs, the last step of
+    `_apply`, through which every two-premise node goes, and `curry_out`
     takes one element out of a comb into the goal, the only way a comb is
     reordered (`_curry_out` applies its steps to a node's line by mp, with
     no composition at the top)."""
@@ -244,7 +246,6 @@ class _Builder:
         self.schemas = schemas
         self.lines: list[tuple[Formula, Justification]] = []
         self.by_formula: dict[Formula, int] = {}
-        self.memo: dict[tuple, int] = {}
 
     def extract(self, ref: Ref) -> HilbertDerivation:
         """The sub-derivation reachable from ref, renumbered."""
@@ -359,13 +360,8 @@ class _Builder:
 
     def pair(self, a: Formula, b: Formula) -> int:
         """|- a -o (b -o a * b)."""
-        key = ("pair", a, b)
-        if key in self.memo:
-            return self.memo[key]
         t = Tensor(a, b)
-        out = self.mp(self.ident(t), self.axiom("Curry", A=a, B=b, C=t))
-        self.memo[key] = out
-        return out
+        return self.mp(self.ident(t), self.axiom("Curry", A=a, B=b, C=t))
 
     def pre(self, i: Ref, goal: Formula) -> Ref:
         """From |- X -o Y conclude |- (Y -o goal) -o (X -o goal): one Comp
@@ -466,28 +462,26 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
     rule = p.rule
     s = p.conclusion
     if rule == "AxASM":
-        a = s.goal
-        gamma = list(_ctx_minus(s.context, (a,)))
-        if not gamma:
-            return _Node([a], b.ident(a))
-        return _Node([a] + gamma, b.axiom("Wk", A=a, B=_comb(gamma)))
+        return _asm(b, s.context, s.goal)
+    # an axiom |- hyp -o goal applied to the leaf hyp, weakened
     if rule == "AxCON":
-        return _weakened(b, s, s.goal.left, b.axiom("Con", A=s.goal.left))
+        con = b.axiom("Con", A=s.goal.left)
+        return _apply(b, _Node([], con), _asm(b, s.context, s.goal.left), s.goal)
     if rule == "AxEFQ":
-        return _weakened(b, s, ONE, b.axiom("EFQ", A=s.goal))
+        efq = b.axiom("EFQ", A=s.goal)
+        return _apply(b, _Node([], efq), _asm(b, s.context, ONE), s.goal)
     if rule == "AxDNE":
-        return _weakened(b, s, core_dneg(s.goal), b.axiom("DNE", A=s.goal))
+        dne = b.axiom("DNE", A=s.goal)
+        return _apply(b, _Node([], dne), _asm(b, s.context, core_dneg(s.goal)), s.goal)
     if rule == "AxCWC":
         bb, a = s.goal.left, s.goal.right.right
         ab = Imp(a, bb)
-        gamma = list(_ctx_minus(s.context, (a, ab)))
+        rest = _ctx_minus(s.context, (a,))
         cwc = b.axiom("CWC", A=a, B=bb)
-        if not gamma:
+        if rest == (ab,):
             return _Node([a, ab], cwc)
-        # a -o (ab -o goal), then ab weakened to ab * comb(gamma)
-        curried = b.mp(cwc, b.axiom("Curry", A=a, B=ab, C=s.goal))
-        weakened = b.pre(b.axiom("Wk", A=ab, B=_comb(gamma)), s.goal)
-        return _join(b, [a], [ab] + gamma, b.comp(curried, weakened), s.goal)
+        curried = b.mp(cwc, b.axiom("Curry", A=a, B=ab, C=s.goal))  # a -o (ab -o goal)
+        return _apply(b, _Node([a], curried), _asm(b, rest, ab), s.goal)
     if rule == "ImpI":
         sub = _translate(p.premises[0], b)
         if len(sub.order) == 1:
@@ -497,38 +491,15 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
     if rule == "ImpE":
         minor = _translate(p.premises[0], b)
         major = _translate(p.premises[1], b)
-        goal = s.goal
-        if not major.order:
-            step = major.idx  # |- a -o goal
-            if not minor.order:
-                return _Node([], b.mp(minor.idx, step))
-            return _Node(minor.order, b.comp(minor.idx, step))
-        if not minor.order:
-            return _Node(major.order, b.mp(minor.idx, b.c_rule(major.idx)))
-        # the major, then (a -o goal) -o (C1 -o goal) from the minor:
-        # C2 -o (C1 -o goal), with no flip of the major
-        chained = b.comp(major.idx, b.pre(minor.idx, goal))
-        return _join(b, major.order, minor.order, chained, goal)
+        return _apply(b, major, minor, s.goal)
     if rule == "TensorI":
         l = _translate(p.premises[0], b)
         r = _translate(p.premises[1], b)
         a = p.premises[0].conclusion.goal
         bb = p.premises[1].conclusion.goal
-        goal = s.goal
-        pr = b.pair(a, bb)  # a -o (b -o a*b)
-        if not l.order and not r.order:
-            return _Node([], b.mp(r.idx, b.mp(l.idx, pr)))
-        if not l.order:
-            step = b.mp(l.idx, pr)  # b -o a*b
-            if not r.order:
-                return _Node([], b.mp(r.idx, step))
-            return _Node(r.order, b.comp(r.idx, step))
-        part = b.comp(l.idx, pr)  # C1 -o (b -o a*b)
-        if not r.order:
-            return _Node(l.order, b.mp(r.idx, b.c_rule(part)))
-        # (b -o goal) -o (C2 -o goal), lifted under C1
-        chained = b.mp(part, b.lift(_comb(l.order), b.pre(r.idx, goal)))
-        return _join(b, l.order, r.order, chained, goal)
+        # comb(l) -o (b -o a*b), from a -o (b -o a*b)
+        part = _apply(b, _Node([], b.pair(a, bb)), l, Imp(bb, s.goal))
+        return _apply(b, part, r, s.goal)
     if rule == "TensorE":
         tprem = _translate(p.premises[0], b)
         body = _translate(p.premises[1], b)
@@ -546,24 +517,33 @@ def _translate(p: ProofTree, b: _Builder) -> _Node:
             else:
                 idx, rest, _ = _curry_out(b, idx, order, a, g)
                 curried = b.comp(idx, unc)  # comb(rest) -o (a*b -o goal)
-        if not rest:
-            if not tprem.order:
-                return _Node([], b.mp(tprem.idx, curried))
-            return _Node(tprem.order, b.comp(tprem.idx, curried))
-        if not tprem.order:
-            return _Node(rest, b.mp(tprem.idx, b.c_rule(curried)))
-        chained = b.comp(curried, b.pre(tprem.idx, goal))
-        return _join(b, rest, tprem.order, chained, goal)
+        return _apply(b, _Node(rest, curried), tprem, goal)
     raise FormulaError(f"unknown rule {rule!r}")
 
 
-def _weakened(b: _Builder, s: Sequent, hyp: Formula, idx: Ref) -> _Node:
-    """From |- hyp -o goal at idx build the node for the axiom leaf s, whose
-    context is hyp plus the weakened rest."""
-    gamma = list(_ctx_minus(s.context, (hyp,)))
+def _asm(b: _Builder, ctx: tuple[Formula, ...], hyp: Formula) -> _Node:
+    """The node for the ASM leaf ctx |- hyp: an identity, or hyp with the
+    rest of ctx weakened away."""
+    gamma = list(_ctx_minus(ctx, (hyp,)))
     if not gamma:
-        return _Node([hyp], idx)
-    return _Node([hyp] + gamma, b.comp(b.axiom("Wk", A=hyp, B=_comb(gamma)), idx))
+        return _Node([hyp], b.ident(hyp))
+    return _Node([hyp] + gamma, b.axiom("Wk", A=hyp, B=_comb(gamma)))
+
+
+def _apply(b: _Builder, f: _Node, x: _Node, goal: Formula) -> _Node:
+    """From a step f, |- comb(f.order) -o (X -o goal), and a premise x,
+    |- comb(x.order) -o X, the node for f.order ++ x.order.  A node with an
+    empty order proves its formula without a comb."""
+    if not f.order:
+        if not x.order:
+            return _Node([], b.mp(x.idx, f.idx))
+        return _Node(x.order, b.comp(x.idx, f.idx))
+    if not x.order:
+        return _Node(f.order, b.mp(x.idx, b.c_rule(f.idx)))
+    # f, then (X -o goal) -o (comb(x.order) -o goal) from x; comb(x.order)
+    # uncurried into the comb one element of f.order at a time
+    chained = b.comp(f.idx, b.pre(x.idx, goal))
+    return _Node(f.order + x.order, b.mp(chained, b.uncurry_comb(f.order, x.order, goal)))
 
 
 def _curry_out(
@@ -577,12 +557,6 @@ def _curry_out(
     for step in b.curry_out_steps(order, k, goal):
         idx = b.mp(idx, step)
     return idx, order[:k] + order[k + 1 :], Imp(x, goal)
-
-
-def _join(b: _Builder, o1: list[Formula], o2: list[Formula], idx: Ref, goal: Formula) -> _Node:
-    """From |- comb(o1) -o (comb(o2) -o goal) build the node for o1 ++ o2,
-    uncurrying comb(o2) into the comb one element of o1 at a time."""
-    return _Node(o1 + o2, b.mp(idx, b.uncurry_comb(o1, o2, goal)))
 
 
 # Hilbert -> sequent replay

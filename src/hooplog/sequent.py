@@ -25,6 +25,7 @@ cutting inner nodes could change the proof found.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from operator import attrgetter
 
 from .algebra import _first_countermodel, _sorted_names
@@ -100,6 +101,8 @@ def parse_sequent(text: str) -> Sequent:
 
 
 def _split_context(text: str) -> list[str]:
+    """The context's formulas, split at the commas outside parentheses; a
+    blank context has none, and an empty one between commas is an error."""
     parts, depth, cur = [], 0, []
     for c in text:
         if c == "(":
@@ -107,14 +110,18 @@ def _split_context(text: str) -> list[str]:
         elif c == ")":
             depth -= 1
         if c == "," and depth == 0:
-            parts.append("".join(cur))
+            parts.append("".join(cur).strip())
             cur = []
         else:
             cur.append(c)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return [p for p in (q.strip() for q in parts) if p]
+    parts.append("".join(cur).strip())
+    if parts == [""]:
+        return []
+    if "" in parts:
+        raise FormulaError(
+            f"context formula {parts.index('') + 1} is empty in {text.strip()!r}"
+        )
+    return parts
 
 
 def _ctx_minus(ctx: tuple[Formula, ...], remove) -> tuple[Formula, ...] | None:
@@ -410,21 +417,11 @@ def _splits(ctx: tuple[Formula, ...], parts: int):
     if parts == 1:
         yield (ctx,)
         return
-    n = len(ctx)
-    for vec in _vectors(n, parts):
+    for vec in product(range(parts), repeat=len(ctx)):
         out = [[] for _ in range(parts)]
         for f, k in zip(ctx, vec):
             out[k].append(f)
         yield tuple(tuple(g) for g in out)
-
-
-def _vectors(n: int, parts: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _vectors(n - 1, parts):
-        for k in range(parts):
-            yield rest + (k,)
 
 
 def _search(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
@@ -510,7 +507,7 @@ def _try_all(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
                 continue
             if depth - n < 1:
                 break
-            p = _chain(s, d, args, rest, depth, st)
+            p = _chain(d, args, rest, depth, st)
             if p is not None:
                 return p
 
@@ -603,11 +600,12 @@ def _chain_to(d: Formula, args, minor_parts, depth: int, st: _Search):
     return spine
 
 
-def _chain(s: Sequent, d: Formula, args, rest, depth: int, st: _Search):
-    """Nested ImpE spine applying context implication d to n minor proofs."""
+def _chain(d: Formula, args, rest, depth: int, st: _Search):
+    """Nested ImpE spine applying context implication d to n minor proofs,
+    the rest of the context split among them."""
     for parts in _splits(rest, len(args)):
         spine = _chain_to(d, args, parts, depth, st)
-        if spine is not None and spine.conclusion == s:
+        if spine is not None:
             return spine
     return None
 

@@ -18,6 +18,17 @@ def test_prove_found_and_not_found(capsys):
     assert main(["prove", "|- A -o A * A", "--theory", "ALm", "--depth", "6"]) == 1
 
 
+@pytest.mark.parametrize(
+    "sequent, slot",
+    [(", |- A", 1), ("A,, B |- A", 2), ("A, |- A", 2)],  # leading, doubled, trailing
+)
+def test_prove_rejects_an_empty_context_formula(capsys, sequent, slot):
+    assert main(["prove", sequent, "--theory", "ALm"]) == 2
+    assert f"error: context formula {slot} is empty" in capsys.readouterr().err
+    # an empty context still parses
+    assert main(["prove", "|- A -o A", "--theory", "ALm"]) == 0
+
+
 def test_models_find(capsys):
     rc = main(
         ["models", "find", "--theory", "LLc", "--max-size", "10", "--falsify", "A |- A * A"]

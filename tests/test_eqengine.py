@@ -211,6 +211,36 @@ def test_register_rejects_duplicates_and_unproved():
         reg.register(LemmaEntry("nope", A, B, GEQ, ALm, ""), None)
 
 
+def test_validate_names_what_is_wrong_with_the_evidence():
+    # a single tree or script, or a (forward, backward) pair of them
+    reg = _registry()
+    ab, ba = Tensor(A, B), Tensor(B, A)
+    entry = LemmaEntry("swap", ab, ba, EQUIV, ALm, "")
+    fwd = bounded_prove(Sequent((ab,), ba), ALm, 4)
+    bwd = bounded_prove(Sequent((ba,), ab), ALm, 4)
+    geq = parse_script(
+        """
+lemma swap-geq theory ALm claim A * B >= B * A
+start A * B
+>= B * A by easy 4
+"""
+    )
+    assert reg.validate(entry, None) == (False, "unproved registration")
+    assert reg.validate(entry, fwd) == (False, "an equivalence needs proofs in both directions")
+    assert reg.validate(entry, geq) == (
+        False,
+        "lemma claims an equivalence, script proves only >=",
+    )
+    assert reg.validate(entry, "junk") == (False, "unrecognised evidence 'junk'")
+    assert reg.validate(entry, (fwd, "junk")) == (False, "unrecognised evidence 'junk'")
+    assert reg.validate(entry, (fwd, fwd)) == (
+        False,
+        "proof tree conclusion does not match the claim",
+    )
+    assert reg.validate(entry, (geq, bwd)) == (True, "")
+    assert reg.validate(entry, (fwd, bwd)) == (True, "")
+
+
 def test_lattice_gates_citations():
     reg = _registry()
     text = """

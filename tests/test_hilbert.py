@@ -322,10 +322,16 @@ def test_derivation_lengths_stay_within_their_pins(corpus):
     # ImpI discharging the last of three hypotheses: premise order [A, B, C]
     impi = bounded_prove(parse_sequent("A, B |- C -o A"), ALm, 4)
     assert impi.rule == "ImpI" and len(sequent_to_hilbert(impi, ALm)[0]) <= 15
-    assert sum(len(t[3]) for t in _seeded_translations()) <= 2218
+    # TensorI whose premises both carry context
+    left = bounded_prove(parse_sequent("A, A -o B |- B"), ALm, 4)
+    right = bounded_prove(parse_sequent("C, C -o D |- D"), ALm, 4)
+    both = tensor_i(left, right)
+    _assert_round_trip(both, ALm)
+    assert len(sequent_to_hilbert(both, ALm)[0]) <= 105
+    assert sum(len(t[3]) for t in _seeded_translations()) <= 2146
     proofs = list(_collect_proofs(corpus))
     assert len(proofs) == 55
-    assert sum(len(sequent_to_hilbert(tree, theory)[0]) for _, tree, theory in proofs) <= 1218
+    assert sum(len(sequent_to_hilbert(tree, theory)[0]) for _, tree, theory in proofs) <= 1210
 
 
 def _random_context(rng, n):
