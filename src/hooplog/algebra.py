@@ -43,34 +43,43 @@ prefix whose bounds already exceed the best key, and tries the children
 of a prefix in ascending order of their bounds.  Each size is enumerated
 once per process.
 
-How formulas are evaluated: assignments to the sorted variables come in
-product order, in blocks of at most _BLOCK_ROWS rows over the trailing
-variables.  In a block each subformula node gets its value table (its
-values over the rows), computed once as one list comprehension over its
-operands' tables; the tensored context is one more table, and search stops
-at the first block with a failing row.  `eval_formula` and `seq_holds` are
-the one-row case of the same kernel.
+How formulas are evaluated: they are compiled once per call, or per
+countermodel search, into a program, `compile_formulas`'s template of their
+distinct subformulas (leaves first, then each connective in post-order with
+its operands' slots); a sequent's program ends with its check, the context
+tensored from 0, -o the goal, 0 exactly where the sequent holds.
+Assignments to the sorted variables come in product order, in blocks of at
+most _BLOCK_ROWS rows over the trailing variables.  A slot's value table on
+a block is an int with one byte per row, and a connective is one multiply-
+add and one `bytes.translate`: a*n + b, in one byte and carrying out of none
+while n <= _PACKED_MAX, through its 256-byte lookup table, entry a*n + b
+its value at (a, b) (for a derived connective, its definition's).  Larger
+algebras, the only size branch, hold lists and look each row up.  Lookup
+tables are built on first use and kept on the algebra, so they live as long
+as it does.  A block's first failing row is its check's lowest nonzero
+byte; `eval_formula` and `seq_holds` are the one-row case, and reject a
+value that is not an element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product
 from typing import TYPE_CHECKING
 
 from .syntax import (
+    ONE,
+    ZERO,
     Formula,
     FormulaError,
     Imp,
     Neg,
     Nor,
-    SDisj,
-    SImp,
     Tensor,
     Var,
-    WConj,
-    is_one,
-    is_zero,
+    compile_formulas,
+    expand_one_level,
     variables,
 )
 from .theories import TheoryId
@@ -94,6 +103,11 @@ class FiniteAlgebra:
 
     def geq(self, a: int, b: int) -> bool:
         return self.res[a][b] == 0
+
+    @cached_property
+    def _tables(self) -> dict:
+        """Each connective's `_lookup_table` in this algebra, once built."""
+        return {}
 
     def __repr__(self):
         return f"<FiniteAlgebra n={self.size} top={self.top}>"
@@ -192,101 +206,159 @@ def _class_flags(m: FiniteAlgebra) -> frozenset[str]:
 
 
 Assignment = dict[str, int]
+_A, _B = Var("A"), Var("B")
 
 # The most assignments evaluated together; see `_assignment_blocks`.
 _BLOCK_ROWS = 256
+# The largest algebra whose pairs (a, b) fit one byte, as a*n + b.
+_PACKED_MAX = 16
 
 
 def _assignment_blocks(names: list[str], n: int):
-    """All assignments of 0..n-1 to names in product order, as blocks of
-    (columns, rows): the columns map each name to its values over the rows.
-    Blocks span the trailing variables; the leading ones step."""
+    """All assignments of 0..n-1 to names in product order, in blocks of at
+    most _BLOCK_ROWS rows: (layout, heads).  Each head, in product order,
+    fixes the leading names over a block whose rows give the trailing ones
+    the tails of layout, their `_block_layout`."""
     k = 0
     while k < len(names) and n ** (k + 1) <= _BLOCK_ROWS:
         k += 1
-    lead, trail = names[: len(names) - k], names[len(names) - k :]
-    rows = list(product(range(n), repeat=k))
-    tails = {x: list(col) for x, col in zip(trail, zip(*rows))}
-    for head in product(range(n), repeat=len(lead)):
-        yield {x: [a] * len(rows) for x, a in zip(lead, head)} | tails, len(rows)
+    return _block_layout(n, k), product(range(n), repeat=len(names) - k)
 
 
-def _table(f: Formula, m: FiniteAlgebra, cols, rows: int, memo: dict) -> list[int]:
-    """The values of f over the rows of one block, memoised by node.
-    Derived connectives evaluate through their definitions, with 0 read as
-    the identity so unbounded algebras handle it without a top element."""
-    t = memo.get(f)
-    if t is not None:
-        return t
-    add, res, top = m.add, m.res, m.top
-    if isinstance(f, Var):
-        t = cols.get(f.name)
-        if t is None:
-            raise AlgebraError(f"unassigned variable {f.name}")
-    elif is_one(f):
-        if top is None:
-            raise AlgebraError("the constant 1 needs a bounded algebra")
-        t = [top] * rows
-    elif is_zero(f):
-        t = [0] * rows
-    elif isinstance(f, Neg):
-        if top is None:
-            raise AlgebraError("negation needs a bounded algebra")
-        t = [res[a][top] for a in _table(f.body, m, cols, rows, memo)]
+@cache
+def _block_layout(n: int, k: int) -> tuple:
+    """(tails, columns, consts, lookup, unpack) of blocks over k names in an
+    n-element algebra: each row's values; each name's and element's value
+    table; lookup(t, a, b), the connective with lookup table t over value
+    tables a and b; and a value table's values."""
+    rows, tails = n**k, list(product(range(n), repeat=k))
+    if n > _PACKED_MAX:
+        pack = unpack = list
+        lookup = lambda t, a, b: [t[x * n + y] for x, y in zip(a, b)]  # noqa: E731
     else:
-        pairs = zip(
-            _table(f.left, m, cols, rows, memo), _table(f.right, m, cols, rows, memo)
+        pack = lambda col: int.from_bytes(bytes(col), "little")  # noqa: E731
+        unpack = lambda v: v.to_bytes(rows, "little")  # noqa: E731
+        lookup = lambda t, a, b: int.from_bytes(  # noqa: E731
+            (a * n + b).to_bytes(rows, "little").translate(t), "little"
         )
-        if isinstance(f, Imp):
-            t = [res[a][b] for a, b in pairs]
-        elif isinstance(f, Tensor):
-            t = [add[a][b] for a, b in pairs]
-        elif isinstance(f, WConj):
-            t = [add[a][res[a][b]] for a, b in pairs]
-        elif isinstance(f, SDisj):
-            t = [res[res[b][a]][a] for a, b in pairs]
-        elif isinstance(f, SImp):
-            t = [res[a][add[a][b]] for a, b in pairs]
-        elif isinstance(f, Nor):
-            if top is None:
-                raise AlgebraError("!! needs a bounded algebra")
-            t = [add[res[a][top]][res[b][a]] for a, b in pairs]
+    consts = [pack([a] * rows) for a in range(n)]
+    return tails, [pack(col) for col in zip(*tails)], consts, lookup, unpack
+
+
+def _compile(fs, names: list[str]) -> tuple:
+    """fs compiled over names: the template (leaves, ops) of
+    `compile_formulas`, each leaf's column (its name's place in names, None
+    if absent; len(names) for 0, one more for 1) and each formula's slot."""
+    (leaves, ops), slot = compile_formulas(fs)
+    at = dict(zip(names, range(len(names))))
+    at[ZERO], at[ONE] = len(names), len(names) + 1
+    sources = [at.get(f if x is None else x) for x, f in leaves]
+    return leaves, sources, list(ops), [slot[f] for f in fs]
+
+
+def _check(s: Sequent, names: list[str]) -> tuple:
+    """0, s's context and goal compiled, then the check of s as the last op:
+    the context tensored from 0, -o the goal, 0 exactly where s holds."""
+    prog = leaves, _, ops, roots = _compile((ZERO, *s.context, s.goal), names)
+    acc = roots[0]
+    for k in roots[1:-1]:
+        ops.append((Tensor, acc, k))
+        acc = len(leaves) + len(ops) - 1
+    ops.append((Imp, acc, roots[-1]))
+    return prog
+
+
+def _first_error(prog: tuple, top: int | None) -> None:
+    """Raise the error that evaluating prog's roots in order, depth first,
+    meets first: an unassigned variable or, without a top, the constant 1,
+    a negation (before its body) or !! (after its operands)."""
+    leaves, sources, ops, roots = prog
+    seen = set()
+
+    def visit(k):
+        if k in seen:
+            return
+        seen.add(k)
+        if k < len(leaves):
+            if sources[k] is None:
+                raise AlgebraError(f"unassigned variable {leaves[k][0]}")
+            if top is None and leaves[k][1] is ONE:
+                raise AlgebraError("the constant 1 needs a bounded algebra")
+            return
+        cls, i, j = ops[k - len(leaves)]
+        if top is None and cls is Neg:
+            raise AlgebraError("negation needs a bounded algebra")
+        visit(i)
+        visit(j)
+        if top is None and cls is Nor:
+            raise AlgebraError("!! needs a bounded algebra")
+
+    for k in roots:
+        visit(k)
+
+
+def _lookup_table(m: FiniteAlgebra, cls: type) -> bytes | list[int]:
+    """Connective cls's lookup table in m, entry a*n + b its value at
+    (a, b): res and add, or a derived connective's definition evaluated
+    over A, B in product order (so ^ ignores b).  Built on first use and
+    kept on m."""
+    t = m._tables.get(cls)
+    if t is None:
+        if cls in (Imp, Tensor):
+            t = [x for row in (m.res if cls is Imp else m.add) for x in row]
         else:
-            raise AlgebraError(f"cannot evaluate {f!r}")
-    memo[f] = t
+            d = expand_one_level(Neg(_A) if cls is Neg else cls(_A, _B))
+            t = [x for _, (col,) in value_tables((d,), m, ["A", "B"]) for x in col]
+        t = m._tables[cls] = bytes(t).ljust(256, b"\0") if m.size <= _PACKED_MAX else t
     return t
+
+
+def _evaluate(prog: tuple, m: FiniteAlgebra, layout: tuple, heads):
+    """Per head of the blocks (layout, heads): (head, the value table of
+    each slot of prog over the block)."""
+    _, sources, ops, _ = prog
+    if m.top is None or None in sources:
+        _first_error(prog, m.top)
+    _, columns, consts, lookup, _ = layout
+    steps = [(_lookup_table(m, cls), i, j) for cls, i, j in ops]
+    fixed = columns + [consts[0], None if m.top is None else consts[m.top]]
+    for head in heads:
+        cols = [consts[a] for a in head] + fixed
+        vals = [cols[k] for k in sources]
+        for t, i, j in steps:
+            vals.append(lookup(t, vals[i], vals[j]))
+        yield head, vals
 
 
 def value_tables(fs, m: FiniteAlgebra, names: list[str]):
     """Per block of `_assignment_blocks(names, m.size)`, in order: its
     columns and the value table of each formula of fs."""
-    for cols, rows in _assignment_blocks(names, m.size):
-        memo: dict = {}
-        yield cols, [_table(f, m, cols, rows, memo) for f in fs]
+    prog = *_, roots = _compile(fs, names)
+    layout, heads = _assignment_blocks(names, m.size)
+    tails, *_, unpack = layout
+    for head, vals in _evaluate(prog, m, layout, heads):
+        cols = [[a] * len(tails) for a in head] + [list(c) for c in zip(*tails)]
+        yield dict(zip(names, cols)), [list(unpack(vals[k])) for k in roots]
 
 
-def _one_row(fs, m: FiniteAlgebra, v: Assignment) -> list[list[int]]:
-    cols, memo = {x: [a] for x, a in v.items()}, {}
-    return [_table(f, m, cols, 1, memo) for f in fs]
+def _one_row(prog: tuple, m: FiniteAlgebra, v: Assignment, slot: int) -> int:
+    """The value of prog's slot under v, prog being compiled over list(v)."""
+    for x, a in v.items():
+        if not 0 <= a < m.size:
+            raise AlgebraError(f"{x}={a} is outside 0..{m.size - 1}")
+    layout = *_, unpack = _block_layout(m.size, 0)
+    _, vals = next(_evaluate(prog, m, layout, [tuple(v.values())]))
+    return unpack(vals[slot])[0]
 
 
 def eval_formula(f: Formula, m: FiniteAlgebra, v: Assignment) -> int:
     """Homomorphic evaluation under one assignment."""
-    return _one_row((f,), m, v)[0][0]
-
-
-def _holds(m: FiniteAlgebra, tables) -> list[bool]:
-    """Per row: does the tensored context (all but the last) dominate the goal?"""
-    *context, goal = tables
-    add, res = m.add, m.res
-    acc = [0] * len(goal)
-    for t in context:
-        acc = [add[a][b] for a, b in zip(acc, t)]
-    return [not res[a][g] for a, g in zip(acc, goal)]
+    prog = *_, (root,) = _compile((f,), list(v))
+    return _one_row(prog, m, v, root)
 
 
 def seq_holds(s: Sequent, m: FiniteAlgebra, v: Assignment) -> bool:
-    return _holds(m, _one_row((*s.context, s.goal), m, v))[0]
+    return not _one_row(_check(s, list(v)), m, v, -1)
 
 
 def valid(s: Sequent, m: FiniteAlgebra) -> bool:
@@ -296,20 +368,23 @@ def valid(s: Sequent, m: FiniteAlgebra) -> bool:
 
 def falsifying_assignment(s: Sequent, m: FiniteAlgebra) -> Assignment | None:
     """The first assignment, in `_assignment_blocks` order, under which s fails."""
-    return _falsifying(s, m, _sorted_names(s))
+    names = _sorted_names(s)
+    return _first_failure(_check(s, names), m, names)
 
 
 def _sorted_names(s: Sequent) -> list[str]:
     return sorted(set().union(*map(variables, s.context), variables(s.goal)))
 
 
-def _falsifying(s: Sequent, m: FiniteAlgebra, names: list[str]) -> Assignment | None:
-    """`falsifying_assignment` over the sorted variable names of s."""
-    for cols, tables in value_tables((*s.context, s.goal), m, names):
-        holds = _holds(m, tables)
-        if not all(holds):
-            i = holds.index(False)
-            return {x: c[i] for x, c in cols.items()}
+def _first_failure(prog: tuple, m: FiniteAlgebra, names: list[str]) -> Assignment | None:
+    """The first assignment to names under which the `_check` prog fails."""
+    layout, heads = _assignment_blocks(names, m.size)
+    tails, *_, unpack = layout
+    for head, vals in _evaluate(prog, m, layout, heads):
+        check = unpack(vals[-1])
+        if check.count(0) < len(tails):
+            row = check.index(next(filter(None, check)))
+            return dict(zip(names, head + tails[row]))
     return None
 
 
@@ -661,13 +736,15 @@ def find_countermodel(
 def _first_countermodel(
     s: Sequent, t: TheoryId, size_max: int, names: list[str]
 ) -> tuple[FiniteAlgebra, Assignment] | None:
-    """The body of `find_countermodel`, over the sorted variable names of s.
-    `bounded_prove` calls it directly, with the names it has counted, so
-    traces of `find_countermodel` count only countermodel searches.  The
-    constant 1 is read as the top, which every finite pocrim has: a + b >= a
-    for all a and b, so the sum of all the elements is the maximum."""
+    """The body of `find_countermodel`, over the sorted variable names of s,
+    compiled once for all the algebras.  `bounded_prove` calls it directly,
+    with the names it has counted, so traces of `find_countermodel` count
+    only countermodel searches.  The constant 1 is read as the top, which
+    every finite pocrim has: a + b >= a for all a and b, so the sum of all
+    the elements is the maximum."""
+    prog = _check(s, names)
     for alg in enumerate_algebras(size_max, theory_class(t)):
-        v = _falsifying(s, alg, names)
+        v = _first_failure(prog, alg, names)
         if v is not None:
             return alg, v
     return None

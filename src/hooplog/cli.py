@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _at_least_one(text: str) -> int:
-    """argparse type of the size, depth and budget flags."""
+    """argparse type of the size, depth, budget and k arguments."""
     try:
         value = int(text)
     except ValueError:
@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--timing", action="store_true", help="include wall-clock times")
     r.set_defaults(func=_cmd_corpus_run)
     g = csub.add_parser("gen-k", help="emit the k-copies entry and its script")
-    g.add_argument("k", type=int)
+    g.add_argument("k", type=_at_least_one)
     g.set_defaults(func=_cmd_gen_k)
     s = csub.add_parser("show", help="print a catalogued entry and its evidence")
     s.add_argument("id")

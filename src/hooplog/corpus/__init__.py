@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from ..syntax import expand_derived
+from ..syntax import expand_derived, variables
 from ..sequent import (
     ProofTree,
     Sequent,
@@ -305,10 +305,16 @@ class Corpus:
         if format_sequent(seq) != format_sequent(parse_sequent(entry.statement)):
             return False, "model file sequent differs from the statement"
         alg = parse_algebra(alg_text)
-        v = dict(
-            (k.strip(), int(x)) for k, x in
-            (item.split("=") for item in assign_line.split(",") if item.strip())
-        )
+        v = {}
+        for item in filter(str.strip, assign_line.split(",")):
+            name, _, value = item.partition("=")
+            try:
+                v[name.strip()] = int(value)
+            except ValueError:
+                return False, f"malformed assignment {item.strip()!r}"
+        unknown = set(v).difference(*map(variables, (*seq.context, seq.goal)))
+        if unknown:
+            return False, f"assigns {', '.join(sorted(unknown))}, not in the sequent"
         if seq_holds(seq, alg, v):
             return False, "pinned witness no longer falsifies the sequent"
         return True, f"countermodel of size {alg.size} rechecked"

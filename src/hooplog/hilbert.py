@@ -44,6 +44,7 @@ from .syntax import (
     ParseError,
     Tensor,
     Var,
+    compile_formulas,
     core_dneg,
     core_neg,
     expand_derived,
@@ -83,35 +84,9 @@ SCHEMAS: dict[str, Formula] = {
 }
 
 
-def _compile_formulas(fs) -> tuple[tuple, dict[Formula, int]]:
-    """A flat template of the core formulas fs and their subformulas, for
-    `_fill_slots`, and the slot of each.  The template is (`leaves`, the
-    variables (name, node) and constants (None, node); `inner`, the other
-    distinct formulas in post-order as (class, left slot, right slot)), its
-    slots numbered leaves first.  Core connectives are binary."""
-    formulas: dict[Formula, None] = {}
-
-    def visit(f: Formula) -> None:
-        if f not in formulas:
-            for c in f.children():
-                visit(c)
-            formulas[f] = None
-
-    for f in fs:
-        visit(f)
-    leaves = [f for f in formulas if not f.children()]
-    inner = [f for f in formulas if f.children()]
-    slot = {f: k for k, f in enumerate(leaves + inner)}
-    template = (
-        tuple((f.name if isinstance(f, Var) else None, f) for f in leaves),
-        tuple((type(f), slot[f.left], slot[f.right]) for f in inner),
-    )
-    return template, slot
-
-
 def _fill_slots(template: tuple, sigma: dict[str, Formula]) -> list[Formula]:
-    """The value of every slot of a formula template under sigma: one pass,
-    each slot built from earlier ones."""
+    """The value of every slot of a template of core formulas under sigma:
+    one pass, each slot built from earlier ones."""
     leaves, inner = template
     vals = [sigma.get(name, f) for name, f in leaves]
     for cls, i, j in inner:
@@ -120,7 +95,7 @@ def _fill_slots(template: tuple, sigma: dict[str, Formula]) -> list[Formula]:
 
 
 # Each schema compiled once; its root, built last, is the instance.
-_SCHEMA_TEMPLATES = {name: _compile_formulas((f,))[0] for name, f in SCHEMAS.items()}
+_SCHEMA_TEMPLATES = {name: compile_formulas((f,))[0] for name, f in SCHEMAS.items()}
 
 
 def _schema_instance(name: str, sigma: dict[str, Formula]) -> Formula:
@@ -597,7 +572,7 @@ def _schema_compiled(name: str, theory: TheoryId) -> tuple[ProofTree, tuple]:
 
 def _compile(tree: ProofTree) -> tuple:
     """A flat template of `tree` for `_instantiate`: the formula template of
-    its formulas (`_compile_formulas`), and its distinct nodes in post-order
+    its formulas (`compile_formulas`), and its distinct nodes in post-order
     as (context slots, goal slot, inst slots, rule, premise nodes)."""
     nodes: dict[int, ProofTree] = {}
 
@@ -608,7 +583,7 @@ def _compile(tree: ProofTree) -> tuple:
             nodes[id(q)] = q
 
     walk(tree)
-    formulas, slot = _compile_formulas(
+    formulas, slot = compile_formulas(
         f for q in nodes.values() for f in (*q.conclusion.context, q.conclusion.goal, *q.inst)
     )
     node_slot = {k: n for n, k in enumerate(nodes)}

@@ -196,10 +196,6 @@ def _const_by_tag(tag: str) -> Formula:
     return ONE if tag == "1" else ZERO
 
 
-def is_one(f: Formula) -> bool:
-    return f is ONE
-
-
 def is_zero(f: Formula) -> bool:
     return f is ZERO
 
@@ -288,6 +284,37 @@ def variables(f: Formula) -> set[str]:
         else:
             stack.extend(g.children())
     return out
+
+
+def compile_formulas(fs) -> tuple[tuple, dict[Formula, int]]:
+    """A flat template of the formulas fs and their subformulas, and the
+    slot of each: (leaves, the variables as (name, node) and the constants
+    as (None, node); inner, the other distinct formulas in post-order as
+    (class, first operand slot, last operand slot)), leaves first.  `hilbert`
+    fills templates of core formulas with formulas, `algebra` evaluates."""
+    formulas: dict[Formula, tuple] = {}
+
+    def visit(f: Formula) -> None:
+        kids = f.children()
+        for c in kids:
+            if c not in formulas:
+                visit(c)
+        formulas[f] = kids
+
+    for f in fs:
+        if f not in formulas:
+            visit(f)
+    leaves, inner = [], []
+    for f, kids in formulas.items():
+        (inner if kids else leaves).append(f)
+    slot = dict(zip(leaves, range(len(leaves))))
+    ops = []
+    for f in inner:
+        kids = formulas[f]
+        slot[f] = len(slot)
+        ops.append((type(f), slot[kids[0]], slot[kids[-1]]))
+    leaves = tuple([(f.name if isinstance(f, Var) else None, f) for f in leaves])
+    return (leaves, tuple(ops)), slot
 
 
 # Positions

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from functools import cache
 from itertools import permutations, product
 from operator import itemgetter
@@ -613,9 +615,13 @@ def test_value_tables_agree_with_a_per_assignment_evaluator(monkeypatch, block_r
     sequents = _random_sequents(4, 80)
     used = {type(g) for s in sequents for f in (*s.context, s.goal) for g in _nodes(f)}
     assert set(_CONNECTIVES) | {Neg, Var} <= used
+    # no variables; and a first failure past the first block in the 17-chain
+    sequents += [parse_sequent(t) for t in ("|- 0", "1 |- 1", "|- 1", "B |- A")]
     algs = list(enumerate_algebras(4))
     algs += [lukasiewicz_chain(k) for k in range(2, 8)]
     algs += [godel_chain(k) for k in range(2, 8)]
+    # past _PACKED_MAX elements tables are looked up row by row
+    algs += [lukasiewicz_chain(algebra_module._PACKED_MAX + 1)]
     topless = [FiniteAlgebra(m.size, m.add, m.res, None) for m in algs if m.top is not None]
     errors = 0
     for m in algs + topless:
@@ -643,23 +649,26 @@ def test_unassigned_variable_is_reported_in_evaluation_order():
 
 def test_blocks_cover_the_assignments_in_product_order():
     names = ["A", "B", "C", "D", "E"]
-    blocks = list(_assignment_blocks(names, 7))
-    assert len(blocks) > 1
-    rows = []
-    for cols, n_rows in blocks:
-        assert list(cols) == names and n_rows <= _BLOCK_ROWS
-        assert all(len(c) == n_rows for c in cols.values())
-        rows.extend(zip(*cols.values()))
+    (tails, *_), heads = _assignment_blocks(names, 7)
+    heads = list(heads)
+    assert len(heads) > 1 and len(tails) <= _BLOCK_ROWS
+    rows = [head + tail for head in heads for tail in tails]
     assert rows == list(product(range(7), repeat=5))
 
 
 def test_first_falsifying_assignment_in_a_later_block():
     m = lukasiewicz_chain(7)
     s = parse_sequent("A * B, C -o D |- E \\/ (B * B)")
-    first_cols, n_rows = next(_assignment_blocks(["A", "B", "C", "D", "E"], m.size))
+    (tails, *_), heads = _assignment_blocks(["A", "B", "C", "D", "E"], m.size)
     w = falsifying_assignment(s, m)
     assert w == _reference_falsifying(s, m) == {"A": 0, "B": 1, "C": 0, "D": 0, "E": 2}
-    assert n_rows < m.size**5 and first_cols["B"] == [0] * n_rows
+    assert list(w) == ["A", "B", "C", "D", "E"]
+    # B leads, so it is 0 on every row of the first block
+    assert len(tails) < m.size**5 and next(heads)[:2] == (0, 0)
+    big = lukasiewicz_chain(algebra_module._PACKED_MAX + 1)
+    (tails, *_), heads = _assignment_blocks(["A", "B"], big.size)
+    assert len(tails) == big.size and next(heads) == (0,)
+    assert falsifying_assignment(parse_sequent("B |- A"), big) == {"A": 1, "B": 0}
 
 
 def test_value_tables_give_one_list_per_formula_and_block():
@@ -669,3 +678,32 @@ def test_value_tables_give_one_list_per_formula_and_block():
         assert tf == tg == [
             _reference_eval(f, m, {"A": a, "B": b}) for a, b in zip(cols["A"], cols["B"])
         ]
+
+
+@pytest.mark.parametrize(
+    "text, v, message",
+    [
+        ("|- A", {"A": -1}, "A=-1 is outside 0..2"),
+        ("|- A", {"A": 3}, "A=3 is outside 0..2"),
+        ("|- A -o B", {"A": -1, "B": 0}, "A=-1 is outside 0..2"),
+        ("|- A -o B", {"A": 0, "B": 5}, "B=5 is outside 0..2"),
+        ("|- A -o B", {"A": 0, "B": 1, "C": 7}, "C=7 is outside 0..2"),
+        ("A |- A * A", {"A": -2}, "A=-2 is outside 0..2"),
+    ],
+)
+def test_values_outside_the_carrier_are_rejected(text, v, message):
+    l3, s = lukasiewicz_chain(3), parse_sequent(text)
+    for evaluate, arg in ((eval_formula, s.goal), (seq_holds, s)):
+        with pytest.raises(AlgebraError) as err:
+            evaluate(arg, l3, v)
+        assert str(err.value) == message
+
+
+def test_lookup_tables_do_not_keep_their_algebra_alive():
+    m = lukasiewicz_chain(5)
+    assert falsifying_assignment(parse_sequent("A |- A * A"), m) == {"A": 1}
+    assert m._tables
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None

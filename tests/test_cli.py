@@ -277,8 +277,12 @@ def test_check_script_names_the_bad_line(tmp_path, capsys, bad_line, lines, mess
         (["dns-check", "--scheme", "kolmogorov", "--max-size", "0"], "--max-size"),
         (["prove", "A |- A", "--depth", "0"], "--depth"),
         (["check", "any.proof", "--depth", "-2"], "--depth"),
+        (["corpus", "gen-k", "0"], "k"),
     ],
-    ids=["enum-negative", "enum-zero", "find", "dns-budget", "dns-size", "prove", "check"],
+    ids=[
+        "enum-negative", "enum-zero", "find", "dns-budget", "dns-size", "prove", "check",
+        "gen-k",
+    ],
 )
 def test_size_and_depth_flags_below_1_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exit_:

@@ -168,3 +168,30 @@ def test_each_corpus_script_is_checked_once_per_run(corpus_run, script_checks):
     ids = {f.name: eq.parse_script(f.read_text()).id for f in files}
     assert len(ids) == 64 and len(set(ids.values())) == 64
     assert {name: script_checks[sid] for name, sid in ids.items()} == {name: 1 for name in ids}
+
+
+@pytest.mark.parametrize(
+    "assign, message",
+    [
+        ("A=2, B=-2, C=-4", "B=-2 is outside 0..4"),
+        ("A=2, B=3, C=5", "C=5 is outside 0..4"),
+        ("A=2, B=3, C=1, X=7", "assigns X, not in the sequent"),
+        ("A=2, B=3, C=1, X=1", "assigns X, not in the sequent"),
+        ("A", "malformed assignment 'A'"),
+        ("A=2, B=x, C=1", "malformed assignment 'B=x'"),
+    ],
+)
+def test_model_evidence_rejects_a_bad_assignment(corpus, monkeypatch, assign, message):
+    import hooplog.corpus as corpus_module
+    from hooplog.algebra import AlgebraError
+
+    pinned = corpus_module._data_text("a6.model")
+    text = pinned.replace("assign: A=2, B=3, C=1", f"assign: {assign}")
+    assert text != pinned
+    monkeypatch.setattr(corpus_module, "_data_text", lambda name: text)
+    a6 = next(e for e in corpus.entries if e.id == "a6")
+    try:
+        ok, detail = corpus._ev_model(a6)
+    except AlgebraError as e:  # reported by `Corpus.run` as the entry's error
+        ok, detail = False, str(e)
+    assert not ok and detail == message
