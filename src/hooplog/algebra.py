@@ -43,10 +43,11 @@ prefix whose bounds already exceed the best key, and tries the children
 of a prefix in ascending order of their bounds.  Each size is enumerated
 once per process.
 
-How formulas are evaluated: they are compiled once per call, or per
-countermodel search, into a program, `compile_formulas`'s template of their
-distinct subformulas (leaves first, then each connective in post-order with
-its operands' slots); a sequent's program ends with its check, the context
+How formulas are evaluated: they are compiled once per call, per
+`falsifier` (one sequent, any number of algebras), or per countermodel
+search, into a program, `compile_formulas`'s template of their distinct
+subformulas (leaves first, then each connective in post-order with its
+operands' slots); a sequent's program ends with its check, the context
 tensored from 0, -o the goal, 0 exactly where the sequent holds.
 Assignments to the sorted variables come in product order, in blocks of at
 most _BLOCK_ROWS rows over the trailing variables.  A slot's value table on
@@ -66,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .syntax import (
     ONE,
@@ -361,15 +362,23 @@ def seq_holds(s: Sequent, m: FiniteAlgebra, v: Assignment) -> bool:
     return not _one_row(_check(s, list(v)), m, v, -1)
 
 
+def falsifier(s: Sequent) -> Callable[[FiniteAlgebra], Assignment | None]:
+    """s compiled once: a function from an algebra to the first assignment,
+    in `_assignment_blocks` order, under which s fails there, or None.  A
+    caller checking s in several algebras compiles it once this way."""
+    names = _sorted_names(s)
+    prog = _check(s, names)
+    return lambda m: _first_failure(prog, m, names)
+
+
 def valid(s: Sequent, m: FiniteAlgebra) -> bool:
     """True iff the tensored context dominates the goal for all assignments."""
-    return falsifying_assignment(s, m) is None
+    return falsifier(s)(m) is None
 
 
 def falsifying_assignment(s: Sequent, m: FiniteAlgebra) -> Assignment | None:
     """The first assignment, in `_assignment_blocks` order, under which s fails."""
-    names = _sorted_names(s)
-    return _first_failure(_check(s, names), m, names)
+    return falsifier(s)(m)
 
 
 def _sorted_names(s: Sequent) -> list[str]:

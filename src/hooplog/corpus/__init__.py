@@ -49,7 +49,7 @@ from ..eqengine import (
 )
 from ..algebra import (
     enumerate_algebras,
-    falsifying_assignment,
+    falsifier,
     parse_algebra,
     seq_holds,
     theory_class,
@@ -323,9 +323,10 @@ class Corpus:
         size = int(entry.evidence[1])
         seqs = [parse_sequent(s.strip()) for s in entry.statement.split(";;")]
         algebras = list(enumerate_algebras(size, theory_class(entry.theory)))
+        falsifiers = [falsifier(seq) for seq in seqs]
         for alg in algebras:
-            for seq in seqs:
-                w = falsifying_assignment(seq, alg)
+            for falsify in falsifiers:
+                w = falsify(alg)
                 if w is not None:
                     return False, f"fails in a size-{alg.size} algebra at {w}"
         return True, f"valid in all {len(algebras)} algebras of size <= {size}"

@@ -39,12 +39,11 @@ from ..theories import ALc, ALi, ALm, LLc, LLi, ML
 from ..algebra import (
     enumerate_algebras,
     enumerate_classified,
-    falsifying_assignment,
+    falsifier,
     find_countermodel,
     lukasiewicz_chain,
     seq_holds,
     theory_class,
-    valid,
     value_tables,
 )
 from ..translate import check_dns, translate
@@ -166,11 +165,14 @@ def _collect_proofs(corpus):
 def bi_rose_rosser(corpus, entry):
     """A1-A4 hold in every chain L_n for n = 2..11, exhaustively, and the
     defined conjunction agrees with * in small involutive hoops."""
-    axioms = {k: expand_derived(SCHEMAS[k]) for k in ("A1", "A2", "A3", "A4")}
+    axioms = {
+        k: falsifier(Sequent((), expand_derived(SCHEMAS[k])))
+        for k in ("A1", "A2", "A3", "A4")
+    }
     for n in range(2, 12):
         chain = lukasiewicz_chain(n)
-        for name, f in axioms.items():
-            w = falsifying_assignment(Sequent((), f), chain)
+        for name, falsify in axioms.items():
+            w = falsify(chain)
             if w is not None:
                 return False, f"{name} fails in the {n}-chain at {w}"
     probes = [Tensor(A, B), _f("(A * B) * C"), _f("A * (B -o A)"), _f("A * B -o C")]
@@ -278,13 +280,13 @@ def bi_remark_vee(corpus, entry):
     one direction of its associativity hold in exactly the same algebras
     (size <= 5); the other associativity direction already holds in the
     Goedel chains, so it is the nesting-in direction that carries content."""
-    comm = parse_sequent("A \\/ B |- B \\/ A")
-    mono = parse_sequent("A -o B, A \\/ C |- B \\/ C")
-    assoc = parse_sequent("A \\/ (B \\/ C) |- (A \\/ B) \\/ C")
+    comm = falsifier(parse_sequent("A \\/ B |- B \\/ A"))
+    mono = falsifier(parse_sequent("A -o B, A \\/ C |- B \\/ C"))
+    assoc = falsifier(parse_sequent("A \\/ (B \\/ C) |- (A \\/ B) \\/ C"))
     n = 0
     for alg in enumerate_algebras(5, theory_class(ALm)):
         n += 1
-        vals = {valid(comm, alg), valid(mono, alg), valid(assoc, alg)}
+        vals = {comm(alg) is None, mono(alg) is None, assoc(alg) is None}
         if len(vals) != 1:
             return False, f"properties disagree in a size-{alg.size} algebra"
     return True, f"equivalence holds across {n} algebras"
@@ -294,16 +296,16 @@ def bi_remark_nor(corpus, entry):
     """!! is never associative in a nontrivial bounded algebra; over the
     involutive class its commutativity coincides with divisibility, and over
     the bounded class with its left anti-monotonicity."""
-    assoc = parse_sequent("(A !! B) !! C |- A !! (B !! C)")
-    comm = parse_sequent("A !! B |- B !! A")
-    anti = parse_sequent("A -o B, B !! C |- A !! C")
+    assoc = falsifier(parse_sequent("(A !! B) !! C |- A !! (B !! C)"))
+    comm = falsifier(parse_sequent("A !! B |- B !! A"))
+    anti = falsifier(parse_sequent("A -o B, B !! C |- A !! C"))
     for alg in enumerate_algebras(5, theory_class(ALi)):
-        if alg.size >= 2 and valid(assoc, alg):
+        if alg.size >= 2 and assoc(alg) is None:
             return False, f"!! associative in a size-{alg.size} algebra"
-        if valid(comm, alg) != valid(anti, alg):
+        if (comm(alg) is None) != (anti(alg) is None):
             return False, f"commutativity vs anti-monotonicity split at size {alg.size}"
     for alg, flags in enumerate_classified(5, theory_class(ALc)):
-        if valid(comm, alg) != ("hoop" in flags):
+        if (comm(alg) is None) != ("hoop" in flags):
             return False, f"!!-commutativity vs divisibility split at size {alg.size}"
     return True, "all three remark-level equivalences confirmed"
 

@@ -253,6 +253,14 @@ class LemmaEntry:
         )
 
     @cached_property
+    def bound_targets(self) -> tuple[bool, bool]:
+        """Per direction, forward then reverse: whether every metavariable
+        of the target side also occurs on the source side, so that a match
+        of the source leaves none in the rewritten formula."""
+        lhs, rhs = variables(self.lhs), variables(self.rhs)
+        return rhs <= lhs, lhs <= rhs
+
+    @cached_property
     def provable_patterns(self) -> tuple[Formula, ...]:
         """The provable forms of the lemma, derived connectives expanded:
         its implication forms, curried when a side is a * spine, and its
@@ -467,11 +475,18 @@ def _check_rewrite(cur: Formula, step: EqStep, entry: LemmaEntry) -> str:
         raise RewriteError(f"position {step.pos} does not exist")
     lhs, rhs, fresh = entry.fresh
     src, tgt = (rhs, lhs) if step.reverse else (lhs, rhs)
+    bound = entry.bound_targets[step.reverse]
     for sigma in ac_match(src, sub, metavars=fresh):
-        # metavariables occurring only on the target side are solved by
-        # matching the whole rewritten formula against the stated result
         shape = replace_at(cur, step.pos, substitute(tgt, sigma))
-        for _full in ac_match(shape, step.result, metavars=fresh):
+        # with every metavariable bound, the rewritten formula is ground: it
+        # is the stated result iff their AC normal forms, canonical and
+        # interned, are one node.  Metavariables occurring only on the
+        # target side are solved by matching it against the stated result.
+        if bound:
+            ok = ac_eq(shape, step.result)
+        else:
+            ok = next(ac_match(shape, step.result, metavars=fresh), None) is not None
+        if ok:
             return _rewrite_relation(cur, step, entry)
     # implication-form fallback: a provable instance collapses to 0
     if not step.reverse and _matches_provable(entry, sub):

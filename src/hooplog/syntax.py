@@ -13,15 +13,18 @@ forms of A^ and A^^, the parser and printer take the symbols from it, and
 the chain checker's `def` steps name connectives by its keys.
 
 Formulas are hash-consed: there is exactly one node per structure.  The
-constructors `Var`, `Neg` and the binary classes look the structure up in a
-weak-value table and return the existing node when there is one, so
-equality is identity and a node lives exactly as long as some caller holds
-it.  Hashing is identity too (the inherited `object.__hash__`), so hashing a
-formula, a tuple of formulas or a table key makes no Python-level call.  An
-identity hash differs between runs, so nothing may depend on the iteration
-order of a set of formulas: sets of formulas serve membership tests only,
-dicts keyed by formulas iterate in insertion order, and sorting uses
-`formula_key`.  Build nodes only through
+constructors `Var`, `Neg` and the binary classes look the structure up in
+`_NODES`, a plain dict from a structure to a weak reference to its node (a
+`_Ref`, which carries its key), and return the node when the reference is
+live, so equality is identity and a node lives exactly as long as some
+caller holds it.  Looking up and inserting make no Python-level call; a
+node's death calls `_drop`, which removes the entry if it is still that
+node's reference.  Hashing is identity too (the inherited
+`object.__hash__`), so hashing a formula, a tuple of formulas or a table key
+makes no Python-level call.  An identity hash differs between runs, so
+nothing may depend on the iteration order of a set of formulas: sets of
+formulas serve membership tests only, dicts keyed by formulas iterate in
+insertion order, and sorting uses `formula_key`.  Build nodes only through
 the constructors and never change a field other than the two caches that
 remain: `_ac` holds the result of `eqengine.ac_normalize` and `_core` that
 of `expand_derived`.
@@ -48,8 +51,22 @@ class ParseError(FormulaError):
         self.position = position
 
 
-# (class, name) or (class, children...) -> the one node of that structure
-_NODES = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A weak reference to a node, holding the node's key in `_NODES`."""
+
+    __slots__ = ("key",)
+
+
+# (class, name) or (class, children...) -> a `_Ref` to the one node of that
+# structure
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _drop(ref: _Ref) -> None:
+    """Called when a node dies: remove its entry, unless a node built since
+    with the same structure has taken it over."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
 
 
 class Formula:
@@ -68,13 +85,17 @@ class Var(Formula):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        node = _NODES.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            node.name = name
-            node._key = (0, name)
-            node._ac = node._core = None
-            _NODES[key] = node
+        r = _NODES.get(key)
+        if r is not None:
+            node = r()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.name = name
+        node._key = (0, name)
+        node._ac = node._core = None
+        r = _NODES[key] = _Ref(node, _drop)
+        r.key = key
         return node
 
     def __reduce__(self):
@@ -106,14 +127,18 @@ class _Binary(Formula):
 
     def __new__(cls, left: Formula, right: Formula):
         key = (cls, left, right)
-        node = _NODES.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            node.left = left
-            node.right = right
-            node._key = (cls._rank, left._key, right._key)
-            node._ac = node._core = None
-            _NODES[key] = node
+        r = _NODES.get(key)
+        if r is not None:
+            node = r()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.left = left
+        node.right = right
+        node._key = (cls._rank, left._key, right._key)
+        node._ac = node._core = None
+        r = _NODES[key] = _Ref(node, _drop)
+        r.key = key
         return node
 
     def children(self):
@@ -139,13 +164,17 @@ class Neg(Formula):
 
     def __new__(cls, body: Formula):
         key = (cls, body)
-        node = _NODES.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            node.body = body
-            node._key = (3, body._key)
-            node._ac = node._core = None
-            _NODES[key] = node
+        r = _NODES.get(key)
+        if r is not None:
+            node = r()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.body = body
+        node._key = (3, body._key)
+        node._ac = node._core = None
+        r = _NODES[key] = _Ref(node, _drop)
+        r.key = key
         return node
 
     def children(self):

@@ -30,6 +30,7 @@ from hooplog.algebra import (
     enumerate_algebras,
     enumerate_classified,
     eval_formula,
+    falsifier,
     falsifying_assignment,
     find_countermodel,
     format_algebra,
@@ -707,3 +708,42 @@ def test_lookup_tables_do_not_keep_their_algebra_alive():
     del m
     gc.collect()
     assert ref() is None
+
+
+def test_a_falsifier_compiles_its_sequent_once_for_every_algebra(monkeypatch):
+    compiled = []
+    real = algebra_module._check
+
+    def counting(s, names):
+        compiled.append(s)
+        return real(s, names)
+
+    monkeypatch.setattr(algebra_module, "_check", counting)
+    algebras = list(enumerate_algebras(4)) + [lukasiewicz_chain(algebra_module._PACKED_MAX + 1)]
+    for text in ("A |- A * A", "A \\/ B |- B \\/ A", "A !! B |- B !! A", "|- A -o B -o A"):
+        s = parse_sequent(text)
+        falsify = falsifier(s)
+        got = [falsify(m) for m in algebras]
+        assert len(compiled) == 1
+        want = [_reference_falsifying(s, m) for m in algebras]
+        assert got == want and [list(w or ()) for w in got] == [list(w or ()) for w in want]
+        assert got == [falsifying_assignment(s, m) for m in algebras]
+        assert [w is None for w in got] == [valid(s, m) for m in algebras]
+        compiled.clear()
+
+
+def test_a_corpus_run_compiles_each_checked_sequent_once(monkeypatch):
+    from hooplog.corpus import Corpus
+
+    compiled = []
+    real = algebra_module._check
+
+    def counting(s, names):
+        compiled.append(s)
+        return real(s, names)
+
+    monkeypatch.setattr(algebra_module, "_check", counting)
+    Corpus().run()
+    # 120 programs: the `checked` entries and the remark and Rose-Rosser
+    # builtins compile each sequent once, not once per algebra (626)
+    assert len(compiled) <= 160

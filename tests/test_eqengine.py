@@ -343,3 +343,84 @@ def test_lemma_forms_equal_their_per_call_constructions(corpus):
         assert e.fresh == want, e.id
         assert e.fresh is e.fresh
         assert e.provable_patterns == patterns(e), e.id
+
+
+def _one_step(reg, claim, start, step):
+    return check_script(parse_script(f"lemma t theory ALm claim {claim}\nstart {start}\n{step}\n"), reg)
+
+
+def test_a_ground_rewrite_that_differs_outside_its_position_is_rejected():
+    reg = _registry()
+    assert reg.get("wk-tensor").bound_targets == (True, False)  # A * B >= A
+    assert _one_step(reg, "C -o A * B >= C -o A", "C -o A * B", ">= C -o A by wk-tensor at 1")
+    rep = _one_step(reg, "C -o A * B >= D -o A", "C -o A * B", ">= D -o A by wk-tensor at 1")
+    assert not rep and rep.step == 0
+    assert rep.message == "lemma 'wk-tensor' does not rewrite A * B to the stated result at (1,)"
+
+
+def test_a_target_only_metavariable_is_solved_from_the_stated_result():
+    reg = _registry()
+    assert reg.get("wk-imp").bound_targets == (False, True)  # A >= B -o A: B only on the right
+    assert _one_step(reg, "C >= D -o C", "C", ">= D -o C by wk-imp at root")
+    assert _one_step(reg, "C * E >= (D * F -o C) * E", "C * E", ">= (D * F -o C) * E by wk-imp at 0")
+    for wrong in (">= D -o E by wk-imp at root", ">= D * C by wk-imp at root"):
+        rep = _one_step(reg, "C >= D -o C", "C", wrong)
+        assert not rep and rep.message.startswith("lemma 'wk-imp' does not rewrite C "), wrong
+    rep = _one_step(reg, "C * E >= (D -o C) * F", "C * E", ">= (D -o C) * F by wk-imp at 0")
+    assert not rep and "does not rewrite C to the stated result at (0,)" in rep.message
+
+
+def _rewrite_by_whole_formula_matching(cur, step, entry):
+    """The rewrite check that matches the whole rewritten formula against
+    the stated result for every lemma, ground or not."""
+    from hooplog.eqengine import _matches_provable, _rewrite_relation
+    from hooplog.syntax import substitute, subterm_at
+
+    sub = subterm_at(cur, step.pos)
+    lhs, rhs, fresh = entry.fresh
+    src, tgt = (rhs, lhs) if step.reverse else (lhs, rhs)
+    for sigma in ac_match(src, sub, metavars=fresh):
+        shape = replace_at(cur, step.pos, substitute(tgt, sigma))
+        for _ in ac_match(shape, step.result, metavars=fresh):
+            return _rewrite_relation(cur, step, entry)
+    if not step.reverse and _matches_provable(entry, sub):
+        if ac_eq(replace_at(cur, step.pos, ZERO), step.result):
+            return EQUIV
+    raise RewriteError("no match")
+
+
+def test_rewrite_verdicts_equal_whole_formula_matching_over_a_corpus_run(monkeypatch):
+    # every rewrite step of one corpus run, its chain scripts and the DNS
+    # harness's scripts alike, and each step again with the stated result
+    # of another step
+    import dataclasses
+
+    import hooplog.eqengine as eqengine
+    from hooplog.corpus import Corpus
+
+    real = eqengine._check_rewrite
+    steps = []
+
+    def recording(cur, step, entry):
+        steps.append((cur, step, entry))
+        return real(cur, step, entry)
+
+    monkeypatch.setattr(eqengine, "_check_rewrite", recording)
+    report = Corpus().run()
+    monkeypatch.undo()
+    assert all(r.ok for r in report.results)
+    bound = [e.bound_targets[st.reverse] for _, st, e in steps]
+    assert len(steps) > 500 and bound.count(False) > 10
+
+    def verdict(check, cur, step, entry):
+        try:
+            return check(cur, step, entry)
+        except RewriteError:
+            return None
+
+    results = [st.result for _, st, _ in steps]
+    for k, (cur, step, entry) in enumerate(steps):
+        other = dataclasses.replace(step, result=results[k - 1])
+        for st in (step, other):
+            want = verdict(_rewrite_by_whole_formula_matching, cur, st, entry)
+            assert verdict(real, cur, st, entry) == want, (k, entry.id, st)

@@ -261,14 +261,62 @@ def test_unheld_nodes_leave_the_table():
     assert normal is not f and core is not f
     refs = [weakref.ref(g) for g in (v, f, normal, core)]
     assert (Var, name) in _NODES
-    del v, f, normal, core
     gc.disable()  # the caches hold no cycles: reference counting frees them
     try:
+        del v, f, normal, core
         assert [r() for r in refs] == [None] * len(refs)
+        assert [k for k in _NODES if name in repr(k)] == []
     finally:
         gc.enable()
-    gc.collect()
-    assert (Var, name) not in _NODES
+
+
+def test_no_entry_of_the_table_is_dead_after_a_warm_corpus_run():
+    import gc
+
+    from hooplog.corpus import Corpus
+    from hooplog.syntax import _NODES
+
+    Corpus().run()
+    corpus = Corpus()
+    report = corpus.run()
+    assert all(r.ok for r in report.results)
+    # a collection while the entries are read would free garbage nodes
+    # whose references the snapshot still holds
+    gc.disable()
+    try:
+        entries = list(_NODES.items())
+        dead = [k for k, r in entries if r() is None]
+    finally:
+        gc.enable()
+    assert len(entries) > 1000
+    assert dead == []
+    assert all(r.key is k for k, r in entries)
+
+
+def test_a_late_callback_leaves_a_rebuilt_node_in_the_table():
+    # weak reference callbacks run newest first, so `hook` rebuilds the
+    # structure after the old node has died and before its own callback
+    # runs; that callback must not remove the new node's entry
+    import gc
+    import weakref
+
+    from hooplog.syntax import _NODES
+
+    name = "Rebuilt_in_this_test"
+    key = (Var, name)
+    v = Var(name)
+    old = _NODES[key]
+    rebuilt = []
+    hook = weakref.ref(v, lambda _: rebuilt.append(Var(name)))
+    gc.disable()
+    try:
+        del v
+        assert hook() is None and old() is None
+        (v,) = rebuilt
+        assert _NODES[key] is not old and _NODES[key]() is v
+        assert Var(name) is v
+    finally:
+        gc.enable()
 
 
 def _corpus_formulas():
