@@ -9,8 +9,11 @@ element interpreting the constant 1 (falsehood).
 Class flags on top of pocrim: hoop (divisibility, the algebraic CWC),
 bounded (EFQ), involutive (DNE), idempotent (CON).  Enumeration yields one
 representative per isomorphism class, chains before non-linear orders,
-sorted by canonical table form within each size; countermodel search walks
-that stream and returns the first falsifying (algebra, assignment).
+sorted by canonical table form within each size.  Each size is held in
+blocks, one per size and set of required flags, built when first read.
+Countermodel search reads the blocks of a theory's class size by size and
+returns the first falsifying (algebra, assignment); it starts at size 2,
+since the one-element algebra, where every formula is 0, falsifies nothing.
 
 How a size is enumerated: every finite pocrim is bounded, since
 a + b >= a + 0 = a puts the sum of all the elements above each of them.
@@ -81,7 +84,6 @@ from .syntax import (
     Var,
     compile_formulas,
     expand_one_level,
-    variables,
 )
 from .theories import TheoryId
 
@@ -246,21 +248,24 @@ def _block_layout(n: int, k: int) -> tuple:
     return tails, [pack(col) for col in zip(*tails)], consts, lookup, unpack
 
 
-def _compile(fs, names: list[str]) -> tuple:
-    """fs compiled over names: the template (leaves, ops) of
-    `compile_formulas`, each leaf's column (its name's place in names, None
-    if absent; len(names) for 0, one more for 1) and each formula's slot."""
+def _compile(fs, names: list[str] | None = None) -> tuple:
+    """fs compiled over names, by default the sorted names of their
+    variables: names, the template (leaves, ops) of `compile_formulas`, each
+    leaf's column (its name's place in names, None if absent; len(names)
+    for 0, one more for 1) and each formula's slot."""
     (leaves, ops), slot = compile_formulas(fs)
+    if names is None:
+        names = sorted(x for x, _ in leaves if x is not None)
     at = dict(zip(names, range(len(names))))
     at[ZERO], at[ONE] = len(names), len(names) + 1
     sources = [at.get(f if x is None else x) for x, f in leaves]
-    return leaves, sources, list(ops), [slot[f] for f in fs]
+    return names, leaves, sources, list(ops), [slot[f] for f in fs]
 
 
-def _check(s: Sequent, names: list[str]) -> tuple:
+def _check(s: Sequent, names: list[str] | None = None) -> tuple:
     """0, s's context and goal compiled, then the check of s as the last op:
     the context tensored from 0, -o the goal, 0 exactly where s holds."""
-    prog = leaves, _, ops, roots = _compile((ZERO, *s.context, s.goal), names)
+    prog = _, leaves, _, ops, roots = _compile((ZERO, *s.context, s.goal), names)
     acc = roots[0]
     for k in roots[1:-1]:
         ops.append((Tensor, acc, k))
@@ -273,7 +278,7 @@ def _first_error(prog: tuple, top: int | None) -> None:
     """Raise the error that evaluating prog's roots in order, depth first,
     meets first: an unassigned variable or, without a top, the constant 1,
     a negation (before its body) or !! (after its operands)."""
-    leaves, sources, ops, roots = prog
+    _, leaves, sources, ops, roots = prog
     seen = set()
 
     def visit(k):
@@ -317,7 +322,7 @@ def _lookup_table(m: FiniteAlgebra, cls: type) -> bytes | list[int]:
 def _evaluate(prog: tuple, m: FiniteAlgebra, layout: tuple, heads):
     """Per head of the blocks (layout, heads): (head, the value table of
     each slot of prog over the block)."""
-    _, sources, ops, _ = prog
+    _, _, sources, ops, _ = prog
     if m.top is None or None in sources:
         _first_error(prog, m.top)
     _, columns, consts, lookup, _ = layout
@@ -366,9 +371,8 @@ def falsifier(s: Sequent) -> Callable[[FiniteAlgebra], Assignment | None]:
     """s compiled once: a function from an algebra to the first assignment,
     in `_assignment_blocks` order, under which s fails there, or None.  A
     caller checking s in several algebras compiles it once this way."""
-    names = _sorted_names(s)
-    prog = _check(s, names)
-    return lambda m: _first_failure(prog, m, names)
+    prog = _check(s)
+    return lambda m: _first_failure(prog, m)
 
 
 def valid(s: Sequent, m: FiniteAlgebra) -> bool:
@@ -381,12 +385,9 @@ def falsifying_assignment(s: Sequent, m: FiniteAlgebra) -> Assignment | None:
     return falsifier(s)(m)
 
 
-def _sorted_names(s: Sequent) -> list[str]:
-    return sorted(set().union(*map(variables, s.context), variables(s.goal)))
-
-
-def _first_failure(prog: tuple, m: FiniteAlgebra, names: list[str]) -> Assignment | None:
-    """The first assignment to names under which the `_check` prog fails."""
+def _first_failure(prog: tuple, m: FiniteAlgebra) -> Assignment | None:
+    """The first assignment to its names under which the `_check` prog fails."""
+    names = prog[0]
     layout, heads = _assignment_blocks(names, m.size)
     tails, *_, unpack = layout
     for head, vals in _evaluate(prog, m, layout, heads):
@@ -663,18 +664,12 @@ def canonical_key(m: FiniteAlgebra) -> tuple:
     return tuple(best[:n]), tuple(best[n : 2 * n]), best[-1]
 
 
-_ENUM_CACHE: dict[tuple[int, bool], list[tuple[FiniteAlgebra, frozenset[str]]]] = {}
-
-
 def _pocrims_of_size(
     n: int, chains_only: bool
 ) -> list[tuple[FiniteAlgebra, frozenset[str]]]:
     """(algebra, class flags) for one representative of each isomorphism
     class of size-n pocrims whose order is the chain (chains_only) or is
     not, in canonical order.  Every such order is bounded."""
-    key = (n, chains_only)
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
     found: dict[tuple, tuple[FiniteAlgebra, frozenset[str]]] = {}
     chain = _chain_poset(n)
     if chains_only:
@@ -689,17 +684,36 @@ def _pocrims_of_size(
             form = canonical_key(alg)
             if form not in found:
                 found[form] = (alg, _class_flags(alg))
-    result = [found[k] for k in sorted(found)]
-    _ENUM_CACHE[key] = result
-    return result
+    return [found[k] for k in sorted(found)]
+
+
+_POCRIM = frozenset(("pocrim",))
+_ENUM_CACHE: dict[tuple[int, frozenset[str]], list[tuple[FiniteAlgebra, frozenset[str]]]] = {}
+
+
+def _class_block(
+    n: int, required: frozenset[str]
+) -> list[tuple[FiniteAlgebra, frozenset[str]]]:
+    """The (algebra, class flags) pairs of size n whose flags include
+    required, in stream order: chains first.  Each size is enumerated once
+    per process, and each (size, required) block is filtered from it once."""
+    block = _ENUM_CACHE.get((n, required))
+    if block is None:
+        if required == _POCRIM:
+            block = _pocrims_of_size(n, True) + _pocrims_of_size(n, False)
+        else:
+            block = [p for p in _class_block(n, _POCRIM) if required <= p[1]]
+        _ENUM_CACHE[n, required] = block
+    return block
 
 
 def enumerate_classified(
     size_max: int,
-    required: frozenset[str] | set[str] = frozenset(("pocrim",)),
+    required: frozenset[str] | set[str] = _POCRIM,
     forbidden: frozenset[str] | set[str] = frozenset(),
 ):
-    """(algebra, class flags) pairs in the order of `enumerate_algebras`."""
+    """(algebra, class flags) pairs in the order of `enumerate_algebras`,
+    read size by size from their `_class_block`s."""
     required = frozenset(required) | {"pocrim"}
     forbidden = frozenset(forbidden)
     unknown = (required | forbidden) - set(FLAGS)
@@ -709,16 +723,16 @@ def enumerate_classified(
             f" FLAGS are {', '.join(FLAGS)}"
         )
     return (
-        (alg, flags)
+        pair
         for n in range(1, size_max + 1)
-        for alg, flags in _pocrims_of_size(n, True) + _pocrims_of_size(n, False)
-        if required <= flags and not (forbidden & flags)
+        for pair in _class_block(n, required)
+        if not (forbidden & pair[1])
     )
 
 
 def enumerate_algebras(
     size_max: int,
-    required: frozenset[str] | set[str] = frozenset(("pocrim",)),
+    required: frozenset[str] | set[str] = _POCRIM,
     forbidden: frozenset[str] | set[str] = frozenset(),
 ):
     """One representative per isomorphism class, sizes ascending, chains
@@ -731,6 +745,7 @@ def enumerate_algebras(
 _AXIOM_FLAG = {"CWC": "hoop", "CON": "idempotent", "EFQ": "bounded", "DNE": "involutive"}
 
 
+@cache
 def theory_class(t: TheoryId) -> frozenset[str]:
     return frozenset(["pocrim"] + [_AXIOM_FLAG[a] for a in t.axioms() if a != "ASM"])
 
@@ -739,23 +754,27 @@ def find_countermodel(
     s: Sequent, t: TheoryId, size_max: int
 ) -> tuple[FiniteAlgebra, Assignment] | None:
     """First algebra of t's class (by the enumeration order) falsifying s."""
-    return _first_countermodel(s, t, size_max, _sorted_names(s))
+    return _first_countermodel(_check(s), t, size_max)
 
 
 def _first_countermodel(
-    s: Sequent, t: TheoryId, size_max: int, names: list[str]
+    prog: tuple, t: TheoryId, size_max: int
 ) -> tuple[FiniteAlgebra, Assignment] | None:
-    """The body of `find_countermodel`, over the sorted variable names of s,
+    """The body of `find_countermodel`, over a sequent's `_check` program,
     compiled once for all the algebras.  `bounded_prove` calls it directly,
-    with the names it has counted, so traces of `find_countermodel` count
-    only countermodel searches.  The constant 1 is read as the top, which
-    every finite pocrim has: a + b >= a for all a and b, so the sum of all
-    the elements is the maximum."""
-    prog = _check(s, names)
-    for alg in enumerate_algebras(size_max, theory_class(t)):
-        v = _first_failure(prog, alg, names)
-        if v is not None:
-            return alg, v
+    with the program whose names it has counted, so traces of
+    `find_countermodel` count only countermodel searches.  The walk starts
+    at size 2: every formula is 0 in the one-element algebra, so it
+    falsifies nothing.  It reads the `_class_block`s of t's class size by
+    size, so it enumerates no size past its countermodel.  The constant 1
+    is read as the top, which every finite pocrim has: a + b >= a for all a
+    and b, so the sum of all the elements is the maximum."""
+    required = theory_class(t)
+    for n in range(2, size_max + 1):
+        for alg, _ in _class_block(n, required):
+            v = _first_failure(prog, alg)
+            if v is not None:
+                return alg, v
     return None
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import attrgetter
 
-from .algebra import _first_countermodel, _sorted_names
+from .algebra import _check, _first_countermodel
 from .syntax import (
     Formula,
     FormulaError,
@@ -404,10 +404,8 @@ def bounded_prove(s: Sequent, theory: TheoryId, depth: int) -> ProofTree | None:
     found."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    names = _sorted_names(s)
-    if len(names) <= _REFUTE_VARS and _first_countermodel(
-        s, theory, _REFUTE_SIZE, names
-    ):
+    prog = names, *_ = _check(s)
+    if len(names) <= _REFUTE_VARS and _first_countermodel(prog, theory, _REFUTE_SIZE):
         return None
     return _search(s, depth, _Search(theory))
 

@@ -714,7 +714,7 @@ def test_a_falsifier_compiles_its_sequent_once_for_every_algebra(monkeypatch):
     compiled = []
     real = algebra_module._check
 
-    def counting(s, names):
+    def counting(s, names=None):
         compiled.append(s)
         return real(s, names)
 
@@ -738,12 +738,84 @@ def test_a_corpus_run_compiles_each_checked_sequent_once(monkeypatch):
     compiled = []
     real = algebra_module._check
 
-    def counting(s, names):
+    def counting(s, names=None):
         compiled.append(s)
         return real(s, names)
 
     monkeypatch.setattr(algebra_module, "_check", counting)
-    Corpus().run()
-    # 120 programs: the `checked` entries and the remark and Rose-Rosser
-    # builtins compile each sequent once, not once per algebra (626)
+    # a run reports an entry's exception as its failure, so check the report
+    assert Corpus().run().ok
+    # 21 programs: the `checked` entries, the remark and Rose-Rosser
+    # builtins and `find_countermodel` compile each sequent once, not once
+    # per algebra (626); the root pre-check compiles through `sequent`'s own
+    # name for `_check`, which this spy does not replace
     assert len(compiled) <= 160
+
+
+def _reference_countermodel(s, t, size_max):
+    for alg in enumerate_algebras(size_max, theory_class(t)):
+        v = falsifying_assignment(s, alg)
+        if v is not None:
+            return alg, v
+    return None
+
+
+# Random sequents are refuted at size 2 or 3; these need sizes 4 and 5 in
+# some classes (divisibility, prelinearity, distributivity).
+_DEEP_COUNTERMODELS = (
+    "A * (A -o B) |- B * (B -o A)",
+    "|- (A -o B) \\/ (B -o A)",
+    "(A -o B) -o B |- (B -o A) -o A",
+    "A /\\ (B \\/ C) |- (A /\\ B) \\/ (A /\\ C)",
+    "(A -o B) -o C, (B -o A) -o C |- C",
+)
+
+
+@pytest.mark.parametrize("t", ALL_THEORIES, ids=lambda t: t.name)
+def test_countermodel_walk_agrees_with_a_walk_of_the_whole_stream(t):
+    # the walk starts at size 2 and reads class blocks; the reference walks
+    # the stream from size 1 and must meet the same algebra object first
+    deep = [parse_sequent(text) for text in _DEEP_COUNTERMODELS]
+    for s in _random_sequents(21, 25) + deep:
+        for size_max in range(1, 6):
+            got, want = find_countermodel(s, t, size_max), _reference_countermodel(s, t, size_max)
+            if want is None:
+                assert got is None, (s, size_max)
+            else:
+                assert got[0] is want[0] and list(got[1].items()) == list(want[1].items())
+
+
+_LAZY_WALK_CHILD = r"""
+import hooplog.algebra as algebra
+from hooplog.sequent import parse_sequent
+from hooplog.theories import ALm
+
+sizes = set()
+real = algebra._pocrims_of_size
+
+def spy(n, chains_only):
+    sizes.add(n)
+    return real(n, chains_only)
+
+algebra._pocrims_of_size = spy
+alg, v = algebra.find_countermodel(parse_sequent("A |- A * A"), ALm, 10)
+print(alg.size, v, sorted(sizes))
+"""
+
+
+def test_countermodel_walk_enumerates_no_size_past_its_countermodel():
+    # in a fresh interpreter, so no earlier test has filled the blocks; a
+    # walk that built the whole stream to size 10 would take many minutes
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(algebra_module.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _LAZY_WALK_CHILD],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "3 {'A': 1} [2, 3]\n"

@@ -29,6 +29,13 @@ def test_prove_rejects_an_empty_context_formula(capsys, sequent, slot):
     assert main(["prove", "|- A -o A", "--theory", "ALm"]) == 0
 
 
+def test_models_find_below_size_2_refutes_nothing(capsys):
+    # the one-element algebra validates every sequent, so the walk skips it
+    rc = main(["models", "find", "--max-size", "1", "--falsify", "A |- A * A"])
+    assert rc == 1
+    assert capsys.readouterr().out == "not refuted in the ALm class up to size 1\n"
+
+
 def test_models_find(capsys):
     rc = main(
         ["models", "find", "--theory", "LLc", "--max-size", "10", "--falsify", "A |- A * A"]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hooplog import sequent
-from hooplog.algebra import _first_countermodel, _sorted_names
+from hooplog.algebra import _check, _first_countermodel
 from hooplog.syntax import ONE, ZERO, Imp, Neg, Tensor, Var, WConj, formula_key, parse_formula
 from hooplog.theories import ALL_THEORIES, ALm, ALi, ALc, LLm, LLi, ML, theory_by_name
 from hooplog.sequent import (
@@ -258,7 +258,7 @@ def test_root_pre_check_finds_the_raw_search_proofs(searched):
         got = bounded_prove(s, t, 6)
         assert _text(got) == _text(raw), (t, s)
         proved += got is not None
-        refuted += _first_countermodel(s, t, _REFUTE_SIZE, _sorted_names(s)) is not None
+        refuted += _first_countermodel(_check(s), t, _REFUTE_SIZE) is not None
     assert proved > 150 and refuted > 450
 
 
@@ -281,16 +281,16 @@ def test_pre_check_skips_roots_with_many_variables(monkeypatch):
     checked = []
     first = sequent._first_countermodel
 
-    def counting(s, *args):
-        checked.append(s)
-        return first(s, *args)
+    def counting(prog, *args):
+        checked.append(prog)
+        return first(prog, *args)
 
     monkeypatch.setattr(sequent, "_first_countermodel", counting)
     five = parse_sequent("A1, A2, A3, A4, A5 |- A1")
     six = parse_sequent("A1, A2, A3, A4, A5, A6 |- A1 * A1")
     assert bounded_prove(five, ALm, 10) is not None
     assert bounded_prove(six, ALm, 10) is None
-    assert checked == [five]
+    assert checked == [_check(five)]
 
 
 # Run in a child interpreter: seeded random sequents in the style of the
