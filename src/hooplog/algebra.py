@@ -62,7 +62,8 @@ algebras, the only size branch, hold lists and look each row up.  Lookup
 tables are built on first use and kept on the algebra, so they live as long
 as it does.  A block's first failing row is its check's lowest nonzero
 byte; `eval_formula` and `seq_holds` are the one-row case, and reject a
-value that is not an element.
+value that is not an element.  `refuter` packs the rows of every algebra
+of size 2 and 3 of a class into one table, over their disjoint union.
 """
 
 from __future__ import annotations
@@ -80,8 +81,11 @@ from .syntax import (
     Imp,
     Neg,
     Nor,
+    SDisj,
+    SImp,
     Tensor,
     Var,
+    WConj,
     compile_formulas,
     expand_one_level,
 )
@@ -241,11 +245,18 @@ def _block_layout(n: int, k: int) -> tuple:
     else:
         pack = lambda col: int.from_bytes(bytes(col), "little")  # noqa: E731
         unpack = lambda v: v.to_bytes(rows, "little")  # noqa: E731
-        lookup = lambda t, a, b: int.from_bytes(  # noqa: E731
-            (a * n + b).to_bytes(rows, "little").translate(t), "little"
-        )
+        lookup = _packed_lookup(n, rows)
     consts = [pack([a] * rows) for a in range(n)]
     return tails, [pack(col) for col in zip(*tails)], consts, lookup, unpack
+
+
+def _packed_lookup(n: int, rows: int) -> Callable[[bytes, int, int], int]:
+    """lookup(t, a, b): lookup table t over value tables of rows bytes."""
+
+    def lookup(t: bytes, a: int, b: int) -> int:
+        return int.from_bytes((a * n + b).to_bytes(rows, "little").translate(t), "little")
+
+    return lookup
 
 
 def _compile(fs, names: list[str] | None = None) -> tuple:
@@ -753,22 +764,11 @@ def theory_class(t: TheoryId) -> frozenset[str]:
 def find_countermodel(
     s: Sequent, t: TheoryId, size_max: int
 ) -> tuple[FiniteAlgebra, Assignment] | None:
-    """First algebra of t's class (by the enumeration order) falsifying s."""
-    return _first_countermodel(_check(s), t, size_max)
-
-
-def _first_countermodel(
-    prog: tuple, t: TheoryId, size_max: int
-) -> tuple[FiniteAlgebra, Assignment] | None:
-    """The body of `find_countermodel`, over a sequent's `_check` program,
-    compiled once for all the algebras.  `bounded_prove` calls it directly,
-    with the program whose names it has counted, so traces of
-    `find_countermodel` count only countermodel searches.  The walk starts
-    at size 2: every formula is 0 in the one-element algebra, so it
-    falsifies nothing.  It reads the `_class_block`s of t's class size by
-    size, so it enumerates no size past its countermodel.  The constant 1
-    is read as the top, which every finite pocrim has: a + b >= a for all a
-    and b, so the sum of all the elements is the maximum."""
+    """First algebra of t's class (by the enumeration order) falsifying s,
+    and the assignment.  s is compiled once, and t's `_class_block`s are read
+    from size 2 up (the one-element algebra, where every formula is 0,
+    falsifies nothing), so no size past the countermodel is enumerated."""
+    prog = _check(s)
     required = theory_class(t)
     for n in range(2, size_max + 1):
         for alg, _ in _class_block(n, required):
@@ -776,6 +776,63 @@ def _first_countermodel(
             if v is not None:
                 return alg, v
     return None
+
+
+# The largest size whose class algebras `refuter` reads: their disjoint
+# union has at most 2 + 2*3 = 8 elements, so a pair fits a byte (to 36 with size 4).
+_REFUTE_SIZE = 3
+
+
+@cache
+def _union(k: int, required: frozenset[str]) -> tuple:
+    """(n, rows, columns, zero, one, tables): the n-element disjoint union of
+    the algebras of sizes 2 to _REFUTE_SIZE with flags required, the packed
+    tables of k names and 0 and 1 over its rows, and its lookup tables."""
+    algs = [m for size in range(2, _REFUTE_SIZE + 1) for m, _ in _class_block(size, required)]
+    n = sum(m.size for m in algs)
+    cols = [[] for _ in range(k + 2)]
+    tables = {cls: bytearray(256) for cls in (Imp, Tensor, Neg, WConj, SDisj, SImp, Nor)}
+    o = 0  # the union's element o + a is element a of m
+    for m in algs:
+        tails = list(product(range(m.size), repeat=k))
+        for col, vals in zip(cols, [*zip(*tails), [0] * len(tails), [m.top] * len(tails)]):
+            col += [o + x for x in vals]
+        for cls, t in tables.items():
+            own = _lookup_table(m, cls)
+            for a, b in product(range(m.size), repeat=2):
+                t[(o + a) * n + o + b] = o + own[a * m.size + b]
+        o += m.size
+    *columns, zero, one = [int.from_bytes(bytes(col), "little") for col in cols]
+    return n, len(cols[-1]), columns, zero, one, {c: bytes(t) for c, t in tables.items()}
+
+
+class _Refuter(dict):
+    """Formulas' value tables over a `_union`, each computed when first read
+    (a known one is read with no Python-level call), and `refutes`."""
+
+    __slots__ = ("lookup", "zero", "tables")
+
+    def __missing__(self, f: Formula) -> int:
+        kids = f.children()
+        v = self[f] = self.lookup(self.tables[type(f)], self[kids[0]], self[kids[-1]])
+        return v
+
+    def refutes(self, s: Sequent) -> bool:
+        ctx, lookup, tables = s.context, self.lookup, self.tables
+        acc = self[ctx[0]] if ctx else self.zero  # 0 * f = f
+        for f in ctx[1:]:
+            acc = lookup(tables[Tensor], acc, self[f])
+        return lookup(tables[Imp], acc, self[s.goal]) != self.zero
+
+
+def refuter(names: list[str], t: TheoryId) -> Callable[[Sequent], bool]:
+    """refutes(s): whether an algebra of t's class of size 2 to _REFUTE_SIZE
+    falsifies s, a sequent over names, so that s has no proof in t."""
+    n, rows, columns, zero, one, tables = _union(len(names), theory_class(t))
+    r = _Refuter(zip(map(Var, names), columns))
+    r[ZERO], r[ONE] = zero, one
+    r.lookup, r.zero, r.tables = _packed_lookup(n, rows), zero, tables
+    return r.refutes
 
 
 # Plain-text algebra files: `size n`, optional `top i`, `add:` rows, `res:` rows.

@@ -182,6 +182,11 @@ def _cmd_prove(args) -> int:
     if tree is None:
         print(f"not found within depth {args.depth} (this is not a refutation)")
         return 1
+    v = check_proof(tree, theory)
+    if not v or tree.conclusion != s:
+        why = v.message if not v else f"it concludes {tree.conclusion!r}"
+        print(f"the search's proof of {s!r} is rejected: {why}")
+        return 1
     sys.stdout.write(format_proof(tree))
     return 0
 

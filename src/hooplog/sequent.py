@@ -12,14 +12,13 @@ candidates `G^^ -o G` and `1 -o G` when the theory has those axioms), then
 TensorE on a context tensor.  Failed (sequent, budget) pairs are memoised per
 invocation.
 
-Before any search a root sequent of at most 5 variables is evaluated in
-the algebras of size 2 and 3 of the theory's class (the Boolean algebra,
-and the three-element Lukasiewicz and Goedel chains where the class admits
-them).  Every rule and axiom of a theory is sound in its class, so a
-sequent one of them falsifies has no proof at any depth, and
-`bounded_prove` returns None at once, as the search would have.  Only the root is checked: which proof the search finds
-depends on what its per-call memo holds when each node is reached, so
-cutting inner nodes could change the proof found.
+When the root has at most 5 variables, each sequent the search meets is
+first evaluated in the theory's class algebras of size 2 and 3 by one
+`algebra.refuter`.  Every rule and axiom of a theory is sound in its class,
+so a sequent they falsify has no proof at any depth: it fails at every
+budget unsearched, as Gelernter's geometry machine dropped subgoals false in
+its diagram.  Verdicts are unchanged.  Proofs could change, as the memo
+then holds less, but are the same on every seeded pool tried; tests pin one.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from operator import attrgetter
+from typing import Callable
 
-from .algebra import _check, _first_countermodel
+from .algebra import refuter
 from .syntax import (
     Formula,
     FormulaError,
@@ -39,6 +39,7 @@ from .syntax import (
     format_formula,
     parse_formula,
     substitute,
+    variables,
 )
 from .theories import TheoryId
 
@@ -380,34 +381,24 @@ def contraction_axiom_premise(a: Formula, gamma=()) -> ProofTree:
 @dataclass
 class _Search:
     theory: TheoryId
+    refutes: Callable[[Sequent], bool] | None = None  # see `algebra.refuter`
     fail: dict[Sequent, int] = field(default_factory=dict)
     hit: dict[Sequent, ProofTree] = field(default_factory=dict)
     dneg: dict[Formula, Formula] = field(default_factory=dict)  # goal -> core_dneg(goal)
 
 
-# The root sequent is checked before search in the algebras of size at most
-# _REFUTE_SIZE (on random sequents, sizes 4 and 5 refuted nothing more and
-# cost more on provable ones), and only when it has at most _REFUTE_VARS
-# variables: 3^5 = 243 assignments, one value-table block per algebra, so
-# the check's cost does not grow with the number of variables.
-_REFUTE_SIZE = 3
-_REFUTE_VARS = 5
+_REFUTE_VARS = 5  # a refuter's union then has at most 2^5 + 2 * 3^5 = 518 rows
 
 
 def bounded_prove(s: Sequent, theory: TheoryId, depth: int) -> ProofTree | None:
     """Deterministic depth-bounded search; sound, complete only up to depth.
-
-    None without search when s has at most 5 variables and an algebra of
-    size 2 or 3 of the theory's class falsifies it: no proof exists then.
-    This check is made on the root only, because the search's memo depends
-    on the path taken, so pruning inner nodes could change which proof is
-    found."""
+    With a refuter (s has at most _REFUTE_VARS variables), a refuted root
+    returns None at once, and a refuted inner node fails unsearched."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    prog = names, *_ = _check(s)
-    if len(names) <= _REFUTE_VARS and _first_countermodel(prog, theory, _REFUTE_SIZE):
-        return None
-    return _search(s, depth, _Search(theory))
+    names = sorted(set().union(variables(s.goal), *map(variables, s.context)))
+    refutes = refuter(names, theory) if len(names) <= _REFUTE_VARS else None
+    return _search(s, depth, _Search(theory, refutes))
 
 
 def _splits(ctx: tuple[Formula, ...], parts: int):
@@ -428,7 +419,12 @@ def _search(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
     got = st.hit.get(s)
     if got is not None and got.height() <= depth:
         return got
-    if st.fail.get(s, 0) >= depth:
+    failed = st.fail.get(s)
+    if failed is None:
+        if got is None and st.refutes is not None and st.refutes(s):
+            st.fail[s] = float("inf")  # failed at every budget
+            return None
+    elif failed >= depth:
         return None
 
     p = _try_all(s, depth, st)

@@ -322,17 +322,9 @@ def compile_formulas(fs) -> tuple[tuple, dict[Formula, int]]:
     (class, first operand slot, last operand slot)), leaves first.  `hilbert`
     fills templates of core formulas with formulas, `algebra` evaluates."""
     formulas: dict[Formula, tuple] = {}
-
-    def visit(f: Formula) -> None:
-        kids = f.children()
-        for c in kids:
-            if c not in formulas:
-                visit(c)
-        formulas[f] = kids
-
     for f in fs:
         if f not in formulas:
-            visit(f)
+            _post_order(f, formulas)
     leaves, inner = [], []
     for f, kids in formulas.items():
         (inner if kids else leaves).append(f)
@@ -344,6 +336,15 @@ def compile_formulas(fs) -> tuple[tuple, dict[Formula, int]]:
         ops.append((type(f), slot[kids[0]], slot[kids[-1]]))
     leaves = tuple([(f.name if isinstance(f, Var) else None, f) for f in leaves])
     return (leaves, tuple(ops)), slot
+
+
+def _post_order(f: Formula, formulas: dict) -> None:
+    """Enter f's new subformulas in post-order (a closure would be a cycle)."""
+    kids = f.children()
+    for c in kids:
+        if c not in formulas:
+            _post_order(c, formulas)
+    formulas[f] = kids
 
 
 # Positions

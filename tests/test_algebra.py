@@ -37,6 +37,7 @@ from hooplog.algebra import (
     godel_chain,
     lukasiewicz_chain,
     parse_algebra,
+    refuter,
     seq_holds,
     theory_class,
     valid,
@@ -571,14 +572,14 @@ _CONNECTIVES = (Imp, Tensor, WConj, SDisj, SImp, Nor)
 _LEAVES = (ONE, ZERO, Var("A"), Var("B"), Var("C"), Var("A"), Var("B"))
 
 
-def _random_formula(rng, size):
+def _random_formula(rng, size, leaves=_LEAVES):
     if size <= 1:
-        return rng.choice(_LEAVES)
+        return rng.choice(leaves)
     if size == 2 or rng.random() < 0.2:
-        return Neg(_random_formula(rng, size - 1))
+        return Neg(_random_formula(rng, size - 1, leaves))
     left = rng.randint(1, size - 2)
     return rng.choice(_CONNECTIVES)(
-        _random_formula(rng, left), _random_formula(rng, size - 1 - left)
+        _random_formula(rng, left, leaves), _random_formula(rng, size - 1 - left, leaves)
     )
 
 
@@ -747,8 +748,8 @@ def test_a_corpus_run_compiles_each_checked_sequent_once(monkeypatch):
     assert Corpus().run().ok
     # 21 programs: the `checked` entries, the remark and Rose-Rosser
     # builtins and `find_countermodel` compile each sequent once, not once
-    # per algebra (626); the root pre-check compiles through `sequent`'s own
-    # name for `_check`, which this spy does not replace
+    # per algebra (626); `bounded_prove` compiles none, as its `refuter`
+    # evaluates each formula where it first meets it
     assert len(compiled) <= 160
 
 
@@ -783,6 +784,30 @@ def test_countermodel_walk_agrees_with_a_walk_of_the_whole_stream(t):
                 assert got is None, (s, size_max)
             else:
                 assert got[0] is want[0] and list(got[1].items()) == list(want[1].items())
+
+
+@pytest.mark.parametrize("t", ALL_THEORIES, ids=lambda t: t.name)
+def test_a_refuter_agrees_with_validity_in_the_small_class_algebras(t):
+    """refutes(s) iff an algebra of t's class of size 2 or 3 fails `valid`
+    on s, for sequents over 0 to 5 variables with both constants and every
+    connective; one refuter per number of variables serves all its
+    sequents, so the value tables it keeps are read across sequents."""
+    algebras = list(enumerate_algebras(3, theory_class(t)))
+    rng = random.Random(22)
+    verdicts = set()
+    for k in range(6):
+        names = list("ABCDE"[:k])
+        refutes = refuter(names, t)
+        leaves = (ONE, ZERO) + tuple(Var(x) for x in names) * 2
+        for _ in range(25):
+            s = Sequent(
+                [_random_formula(rng, rng.randint(1, 5), leaves) for _ in range(rng.randint(0, 2))],
+                _random_formula(rng, rng.randint(1, 7), leaves),
+            )
+            want = any(not valid(s, m) for m in algebras)
+            assert refutes(s) == want, (k, s)
+            verdicts.add(want)
+    assert verdicts == {False, True}
 
 
 _LAZY_WALK_CHILD = r"""

@@ -18,6 +18,24 @@ def test_prove_found_and_not_found(capsys):
     assert main(["prove", "|- A -o A * A", "--theory", "ALm", "--depth", "6"]) == 1
 
 
+def test_prove_prints_no_proof_that_the_kernel_rejects(capsys, monkeypatch):
+    import hooplog.cli as cli
+    from hooplog.sequent import ProofTree, bounded_prove, parse_sequent
+    from hooplog.syntax import Var
+    from hooplog.theories import ALm
+
+    bad = ProofTree(parse_sequent("A |- B"), "AxASM", inst=(Var("B"),))
+    other = bounded_prove(parse_sequent("B |- B"), ALm, 2)
+    for tree, asked, why in [
+        (bad, "A |- B", "AxASM: context lacks the schema formulas"),
+        (other, "A |- A", "it concludes B |- B"),
+    ]:
+        monkeypatch.setattr(cli, "bounded_prove", lambda s, t, d: tree)
+        assert main(["prove", asked, "--theory", "ALm"]) == 1
+        out = capsys.readouterr().out
+        assert out == f"the search's proof of {asked} is rejected: {why}\n"
+
+
 @pytest.mark.parametrize(
     "sequent, slot",
     [(", |- A", 1), ("A,, B |- A", 2), ("A, |- A", 2)],  # leading, doubled, trailing

@@ -1,13 +1,29 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from hooplog import sequent
-from hooplog.algebra import _check, _first_countermodel
-from hooplog.syntax import ONE, ZERO, Imp, Neg, Tensor, Var, WConj, formula_key, parse_formula
+from hooplog.algebra import find_countermodel, format_algebra
+from hooplog.hilbert import format_derivation, sequent_to_hilbert
+from hooplog.syntax import (
+    ONE,
+    ZERO,
+    Imp,
+    Neg,
+    Nor,
+    SDisj,
+    SImp,
+    Tensor,
+    Var,
+    WConj,
+    expand_derived,
+    formula_key,
+    parse_formula,
+)
 from hooplog.theories import ALL_THEORIES, ALm, ALi, ALc, LLm, LLi, ML, theory_by_name
 from hooplog.sequent import (
-    _REFUTE_SIZE,
     _Search,
     _search,
     Sequent,
@@ -252,14 +268,33 @@ def searched():
     return out
 
 
-def test_root_pre_check_finds_the_raw_search_proofs(searched):
+def test_root_pre_check_finds_the_raw_search_proofs(searched, monkeypatch):
+    """`bounded_prove`, which refutes each sequent it meets, finds the proofs
+    of the raw search, which refutes none; and it refutes inner nodes, not
+    only roots."""
+    logs = []  # per search, the refuter's verdicts in call order, root first
+    real = sequent.refuter
+
+    def logging(names, t):
+        refutes, log = real(names, t), []
+        logs.append(log)
+
+        def logged(s):
+            log.append(refutes(s))
+            return log[-1]
+
+        return logged
+
+    monkeypatch.setattr(sequent, "refuter", logging)
     proved = refuted = 0
     for t, s, raw in searched:
         got = bounded_prove(s, t, 6)
         assert _text(got) == _text(raw), (t, s)
         proved += got is not None
-        refuted += _first_countermodel(_check(s), t, _REFUTE_SIZE) is not None
+        refuted += logs[-1][0]
+    assert len(logs) == len(searched)
     assert proved > 150 and refuted > 450
+    assert sum(sum(log[1:]) for log in logs) > 0
 
 
 def test_refuted_root_runs_no_search(monkeypatch):
@@ -278,19 +313,19 @@ def test_refuted_root_runs_no_search(monkeypatch):
 
 
 def test_pre_check_skips_roots_with_many_variables(monkeypatch):
-    checked = []
-    first = sequent._first_countermodel
+    built = []
+    real = sequent.refuter
 
-    def counting(prog, *args):
-        checked.append(prog)
-        return first(prog, *args)
+    def counting(names, t):
+        built.append(names)
+        return real(names, t)
 
-    monkeypatch.setattr(sequent, "_first_countermodel", counting)
+    monkeypatch.setattr(sequent, "refuter", counting)
     five = parse_sequent("A1, A2, A3, A4, A5 |- A1")
     six = parse_sequent("A1, A2, A3, A4, A5, A6 |- A1 * A1")
     assert bounded_prove(five, ALm, 10) is not None
     assert bounded_prove(six, ALm, 10) is None
-    assert checked == [_check(five)]
+    assert built == [["A1", "A2", "A3", "A4", "A5"]]
 
 
 # Run in a child interpreter: seeded random sequents in the style of the
@@ -366,3 +401,58 @@ def test_proofs_do_not_depend_on_hash_order():
         outs.append(out)
     assert outs[0] == outs[1]
     assert outs[0].count("ImpI") > 5
+
+
+def _pool_formula(rng, size, names):
+    if size <= 1:
+        r = rng.random()
+        return ONE if r < 0.1 else ZERO if r < 0.15 else Var(rng.choice(names))
+    if size == 2 or rng.random() < 0.15:
+        return Neg(_pool_formula(rng, size - 1, names))
+    left = rng.randint(1, size - 2)
+    op = rng.choice((Imp,) * 5 + (Tensor,) * 3 + (WConj, SDisj, SImp, Nor))
+    return op(_pool_formula(rng, left, names), _pool_formula(rng, size - 1 - left, names))
+
+
+def test_search_outcomes_are_pinned():
+    """The proof texts, Hilbert derivations and countermodels (algebra and
+    assignment) of a seeded pool of 297 sequents, searched at depth 10 and
+    refuted up to size 5, hash to a pinned SHA-256: a change to the search
+    or to the countermodel walk that finds other outcomes fails here.  The
+    pool is in the style of the `search` benchmark: 1-4 variables, formula
+    sizes 1-6, 0-2 context formulas, every connective, theories in turn."""
+    rng = random.Random(2222)
+    digest = hashlib.sha256()
+    kinds = []
+    for k in range(297):
+        t = ALL_THEORIES[k % 9]
+        names = "ABCD"[: rng.randint(1, 4)]
+        ctx = [expand_derived(_pool_formula(rng, rng.randint(1, 6), names)) for _ in range(k // 9 % 3)]
+        s = Sequent(ctx, expand_derived(_pool_formula(rng, 1 + k // 27 % 6, names)))
+        p = bounded_prove(s, t, 10)
+        if p is not None:
+            kinds.append("proved")
+            text = format_proof(p) + format_derivation(sequent_to_hilbert(p, t)[0])
+        elif (got := find_countermodel(s, t, 5)) is not None:
+            kinds.append("refuted")
+            text = format_algebra(got[0]) + repr(sorted(got[1].items()))
+        else:
+            kinds.append("open")
+            text = "open"
+        digest.update(f"{k} {t} {s!r}\n{text}\n".encode())
+    assert Counter(kinds) == {"proved": 98, "refuted": 190, "open": 9}
+    assert digest.hexdigest() == "aa228d57a53085550492a68f897f5e933bf5ff38617e45201f92fb9a745338a2"
+
+
+def test_a_search_leaves_no_cyclic_garbage():
+    import gc
+
+    s = parse_sequent("A * A^, A !! B^ |- A * (B * B)")
+    gc.collect()
+    gc.disable()  # reference counting alone must free the search and its refuter
+    try:
+        assert bounded_prove(s, theory_by_name("LLc"), 10) is None
+        assert bounded_prove(parse_sequent("A, A -o B |- B"), ALm, 5) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
