@@ -11,9 +11,9 @@ bounded (EFQ), involutive (DNE), idempotent (CON).  Enumeration yields one
 representative per isomorphism class, chains before non-linear orders,
 sorted by canonical table form within each size.  Each size is held in
 blocks, one per size and set of required flags, built when first read.
-Countermodel search reads the blocks of a theory's class size by size and
-returns the first falsifying (algebra, assignment); it starts at size 2,
-since the one-element algebra, where every formula is 0, falsifies nothing.
+Countermodel search returns the first falsifying (algebra, assignment) of
+a theory's class from size 2 (size 1 falsifies nothing): for at most five
+names, sizes 2 and 3 in one pass over `refuter`'s union, then block by block.
 
 How a size is enumerated: every finite pocrim is bounded, since
 a + b >= a + 0 = a puts the sum of all the elements above each of them.
@@ -88,6 +88,7 @@ from .syntax import (
     WConj,
     compile_formulas,
     expand_one_level,
+    variables,
 )
 from .theories import TheoryId
 
@@ -765,12 +766,22 @@ def find_countermodel(
     s: Sequent, t: TheoryId, size_max: int
 ) -> tuple[FiniteAlgebra, Assignment] | None:
     """First algebra of t's class (by the enumeration order) falsifying s,
-    and the assignment.  s is compiled once, and t's `_class_block`s are read
-    from size 2 up (the one-element algebra, where every formula is 0,
-    falsifies nothing), so no size past the countermodel is enumerated."""
-    prog = _check(s)
+    and the assignment.  With at most _REFUTE_VARS names, sizes 2 to
+    _REFUTE_SIZE are one evaluation over their `_union`, whose rows are in
+    the walk's order.  Later sizes, or all from 2 with more names (size 1
+    falsifies nothing), walk t's `_class_block`s with s compiled once."""
+    names = sorted(set().union(variables(s.goal), *map(variables, s.context)))
     required = theory_class(t)
-    for n in range(2, size_max + 1):
+    start = 2
+    if len(names) <= _REFUTE_VARS:
+        r = _Refuter(names, required)
+        failing = r.check(s) ^ r.zero  # its lowest nonzero byte is the first failing row
+        if failing:
+            alg, values = r.rows[((failing & -failing).bit_length() - 1) >> 3]
+            return (alg, dict(zip(names, values))) if alg.size <= size_max else None
+        start = _REFUTE_SIZE + 1
+    prog = _check(s) if start <= size_max else None
+    for n in range(start, size_max + 1):
         for alg, _ in _class_block(n, required):
             v = _first_failure(prog, alg)
             if v is not None:
@@ -778,23 +789,38 @@ def find_countermodel(
     return None
 
 
-# The largest size whose class algebras `refuter` reads: their disjoint
+def countermodel_fault(s: Sequent, t: TheoryId, m: FiniteAlgebra, v: Assignment) -> str | None:
+    """Why the kernel rejects (m, v) as a countermodel of s in t's class,
+    or None: `check_class` must find m in the class, and s must fail under v."""
+    rep = check_class(m)
+    if rep.failure or theory_class(t) - rep.flags:
+        return rep.failure or f"the algebra is not in the {t} class"
+    try:
+        return "the sequent holds under the assignment" if seq_holds(s, m, v) else None
+    except AlgebraError as e:
+        return str(e)
+
+
+# The largest size whose class algebras a `_union` holds: their disjoint
 # union has at most 2 + 2*3 = 8 elements, so a pair fits a byte (to 36 with size 4).
 _REFUTE_SIZE = 3
+_REFUTE_VARS = 5  # the most names of a `_union`: at most 2^5 + 2 * 3^5 = 518 rows
 
 
 @cache
 def _union(k: int, required: frozenset[str]) -> tuple:
-    """(n, rows, columns, zero, one, tables): the n-element disjoint union of
-    the algebras of sizes 2 to _REFUTE_SIZE with flags required, the packed
-    tables of k names and 0 and 1 over its rows, and its lookup tables."""
+    """(rows, columns, zero, one, tables, lookup): each row's (algebra, values
+    of k names) in the disjoint union of the algebras of sizes 2 to
+    _REFUTE_SIZE with flags required, in `_class_block` then product order;
+    the packed tables of the names, 0 and 1 over them; its lookup tables."""
     algs = [m for size in range(2, _REFUTE_SIZE + 1) for m, _ in _class_block(size, required)]
     n = sum(m.size for m in algs)
-    cols = [[] for _ in range(k + 2)]
+    rows, cols = [], [[] for _ in range(k + 2)]
     tables = {cls: bytearray(256) for cls in (Imp, Tensor, Neg, WConj, SDisj, SImp, Nor)}
     o = 0  # the union's element o + a is element a of m
     for m in algs:
         tails = list(product(range(m.size), repeat=k))
+        rows += [(m, tail) for tail in tails]
         for col, vals in zip(cols, [*zip(*tails), [0] * len(tails), [m.top] * len(tails)]):
             col += [o + x for x in vals]
         for cls, t in tables.items():
@@ -803,36 +829,42 @@ def _union(k: int, required: frozenset[str]) -> tuple:
                 t[(o + a) * n + o + b] = o + own[a * m.size + b]
         o += m.size
     *columns, zero, one = [int.from_bytes(bytes(col), "little") for col in cols]
-    return n, len(cols[-1]), columns, zero, one, {c: bytes(t) for c, t in tables.items()}
+    tables = {c: bytes(t) for c, t in tables.items()}
+    return rows, columns, zero, one, tables, _packed_lookup(n, len(rows))
 
 
 class _Refuter(dict):
     """Formulas' value tables over a `_union`, each computed when first read
-    (a known one is read with no Python-level call), and `refutes`."""
+    (a known one is read with no Python-level call), and sequents' checks."""
 
-    __slots__ = ("lookup", "zero", "tables")
+    __slots__ = ("lookup", "zero", "tables", "rows")
+
+    def __init__(self, names: list[str], required: frozenset[str]):
+        self.rows, columns, self.zero, one, self.tables, self.lookup = _union(len(names), required)
+        super().__init__([*zip(map(Var, names), columns), (ZERO, self.zero), (ONE, one)])
 
     def __missing__(self, f: Formula) -> int:
         kids = f.children()
         v = self[f] = self.lookup(self.tables[type(f)], self[kids[0]], self[kids[-1]])
         return v
 
-    def refutes(self, s: Sequent) -> bool:
+    def check(self, s: Sequent) -> int:
+        """The packed table of s's check: a row's byte is its algebra's 0
+        exactly where s holds, as in `_check`."""
         ctx, lookup, tables = s.context, self.lookup, self.tables
         acc = self[ctx[0]] if ctx else self.zero  # 0 * f = f
         for f in ctx[1:]:
             acc = lookup(tables[Tensor], acc, self[f])
-        return lookup(tables[Imp], acc, self[s.goal]) != self.zero
+        return lookup(tables[Imp], acc, self[s.goal])
+
+    def refutes(self, s: Sequent) -> bool:
+        return self.check(s) != self.zero
 
 
 def refuter(names: list[str], t: TheoryId) -> Callable[[Sequent], bool]:
     """refutes(s): whether an algebra of t's class of size 2 to _REFUTE_SIZE
     falsifies s, a sequent over names, so that s has no proof in t."""
-    n, rows, columns, zero, one, tables = _union(len(names), theory_class(t))
-    r = _Refuter(zip(map(Var, names), columns))
-    r[ZERO], r[ONE] = zero, one
-    r.lookup, r.zero, r.tables = _packed_lookup(n, rows), zero, tables
-    return r.refutes
+    return _Refuter(names, theory_class(t)).refutes
 
 
 # Plain-text algebra files: `size n`, optional `top i`, `add:` rows, `res:` rows.

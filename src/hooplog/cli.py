@@ -12,9 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .syntax import FormulaError, Formula, Var, format_formula, parse_formula
+from .syntax import FormulaError, Formula, Var, expand_derived, format_formula, parse_formula
 from .theories import theory_by_name
 from .sequent import (
+    Sequent,
     bounded_prove,
     check_proof,
     format_proof,
@@ -25,6 +26,7 @@ from .hilbert import check_derivation, parse_derivation
 from .eqengine import EqError, check_script, parse_script
 from .algebra import (
     check_class,
+    countermodel_fault,
     enumerate_classified,
     find_countermodel,
     format_algebra,
@@ -178,12 +180,13 @@ def _sniff(text: str) -> str:
 def _cmd_prove(args) -> int:
     s = parse_sequent(args.sequent)
     theory = theory_by_name(args.theory)
-    tree = bounded_prove(s, theory, args.depth)
+    core = Sequent([expand_derived(f) for f in s.context], expand_derived(s.goal))
+    tree = bounded_prove(core, theory, args.depth)
     if tree is None:
         print(f"not found within depth {args.depth} (this is not a refutation)")
         return 1
     v = check_proof(tree, theory)
-    if not v or tree.conclusion != s:
+    if not v or tree.conclusion != core:
         why = v.message if not v else f"it concludes {tree.conclusion!r}"
         print(f"the search's proof of {s!r} is rejected: {why}")
         return 1
@@ -199,6 +202,10 @@ def _cmd_models_find(args) -> int:
         print(f"not refuted in the {theory} class up to size {args.max_size}")
         return 1
     alg, v = got
+    why = countermodel_fault(s, theory, alg, v)
+    if why:
+        print(f"the countermodel of {s!r} is rejected: {why}")
+        return 1
     print(f"sequent: {s!r}")
     print("assign: " + ", ".join(f"{k}={x}" for k, x in sorted(v.items())))
     sys.stdout.write(format_algebra(alg))

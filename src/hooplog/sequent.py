@@ -28,7 +28,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Callable
 
-from .algebra import refuter
+from .algebra import _REFUTE_VARS, refuter
 from .syntax import (
     Formula,
     FormulaError,
@@ -385,9 +385,6 @@ class _Search:
     fail: dict[Sequent, int] = field(default_factory=dict)
     hit: dict[Sequent, ProofTree] = field(default_factory=dict)
     dneg: dict[Formula, Formula] = field(default_factory=dict)  # goal -> core_dneg(goal)
-
-
-_REFUTE_VARS = 5  # a refuter's union then has at most 2^5 + 2 * 3^5 = 518 rows
 
 
 def bounded_prove(s: Sequent, theory: TheoryId, depth: int) -> ProofTree | None:

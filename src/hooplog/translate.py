@@ -17,7 +17,7 @@ Whatever remains is reported inconclusive, never pass/fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .syntax import (
     Formula,
@@ -35,7 +35,7 @@ from .syntax import (
 )
 from .sequent import Sequent, bounded_prove
 from .theories import TheoryId
-from .algebra import FiniteAlgebra, find_countermodel
+from .algebra import FiniteAlgebra, countermodel_fault, find_countermodel
 from .eqengine import (
     EQUIV,
     EqScript,
@@ -351,6 +351,9 @@ def _refute_or_keep(entry: DnsEntry, sequents, theory, model_size) -> DnsEntry:
         got = find_countermodel(s, theory, model_size)
         if got is not None:
             alg, v = got
+            why = countermodel_fault(s, theory, alg, v)
+            if why:  # entry is not a pass, so it stays as it is, with this evidence
+                return replace(entry, evidence=f"the countermodel of {s!r} is rejected: {why}")
             return DnsEntry(
                 entry.requirement,
                 entry.formula,

@@ -746,9 +746,10 @@ def test_a_corpus_run_compiles_each_checked_sequent_once(monkeypatch):
     monkeypatch.setattr(algebra_module, "_check", counting)
     # a run reports an entry's exception as its failure, so check the report
     assert Corpus().run().ok
-    # 21 programs: the `checked` entries, the remark and Rose-Rosser
-    # builtins and `find_countermodel` compile each sequent once, not once
-    # per algebra (626); `bounded_prove` compiles none, as its `refuter`
+    # 21 programs: the `checked` entries and the remark and Rose-Rosser
+    # builtins compile each sequent once, not once per algebra (626), and
+    # `find_countermodel` compiles only the two sequents that no algebra of
+    # size 2 or 3 refutes; `bounded_prove` compiles none, as its `refuter`
     # evaluates each formula where it first meets it
     assert len(compiled) <= 160
 
@@ -772,18 +773,66 @@ _DEEP_COUNTERMODELS = (
 )
 
 
+def _sequents_over(names, seed, count):
+    """Random sequents with every connective and both constants, over
+    exactly names: each name x also occurs in a context formula x -o x."""
+    rng = random.Random(seed)
+    leaves = (ONE, ZERO) + tuple(map(Var, names)) * 2
+    every = [Imp(Var(x), Var(x)) for x in names]  # 0 everywhere
+    return [
+        Sequent(
+            [_random_formula(rng, rng.randint(1, 5), leaves) for _ in range(rng.randint(0, 2))]
+            + every,
+            _random_formula(rng, rng.randint(1, 7), leaves),
+        )
+        for _ in range(count)
+    ]
+
+
 @pytest.mark.parametrize("t", ALL_THEORIES, ids=lambda t: t.name)
 def test_countermodel_walk_agrees_with_a_walk_of_the_whole_stream(t):
-    # the walk starts at size 2 and reads class blocks; the reference walks
-    # the stream from size 1 and must meet the same algebra object first
+    # up to 5 names, sizes 2 and 3 are read off the refuter's union and the
+    # walk reads class blocks from size 4; with 6 names it walks from size
+    # 2.  The reference walks the stream from size 1 and must meet the same
+    # algebra object first, with the same assignment in the same key order
     deep = [parse_sequent(text) for text in _DEEP_COUNTERMODELS]
-    for s in _random_sequents(21, 25) + deep:
+    over = _sequents_over((), 23, 6) + _sequents_over(tuple("ABCDEF"), 24, 4)
+    assert {len(set().union(*map(variables, (*s.context, s.goal)))) for s in over} == {0, 6}
+    for s in _random_sequents(21, 25) + deep + over:
         for size_max in range(1, 6):
             got, want = find_countermodel(s, t, size_max), _reference_countermodel(s, t, size_max)
             if want is None:
                 assert got is None, (s, size_max)
             else:
                 assert got[0] is want[0] and list(got[1].items()) == list(want[1].items())
+
+
+def test_the_union_finds_small_countermodels_without_compiling(monkeypatch):
+    """A sequent over at most 5 names refuted at size 2 or 3 is read off
+    the refuter's union: no `_check` program.  One that needs size 4, or
+    has 6 names, is compiled once for its walk, and one that holds up to
+    size 3 is not compiled for a walk that has no size left."""
+    compiled = []
+    real = algebra_module._check
+
+    def counting(s, names=None):
+        compiled.append(s)
+        return real(s, names)
+
+    monkeypatch.setattr(algebra_module, "_check", counting)
+    for text, theory, size, programs in [
+        ("A -o B |- B -o A", ALm, 2, 0),
+        ("A |- A * A", LLi, 3, 0),
+        ("A, B * C, D -o E |- E * A", ALm, 2, 0),
+        ("A * (A -o B) |- B * (B -o A)", ALm, 4, 1),
+        ("B, C -o D, E * F |- A -o A * A", LLi, 3, 1),
+    ]:
+        compiled.clear()
+        alg, v = find_countermodel(parse_sequent(text), theory, 5)
+        assert (alg.size, len(compiled)) == (size, programs), text
+        assert not seq_holds(parse_sequent(text), alg, v)
+    compiled.clear()  # nothing is left to walk past size 3
+    assert find_countermodel(parse_sequent("A |- A"), ALm, 3) is None and not compiled
 
 
 @pytest.mark.parametrize("t", ALL_THEORIES, ids=lambda t: t.name)

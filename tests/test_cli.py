@@ -36,6 +36,18 @@ def test_prove_prints_no_proof_that_the_kernel_rejects(capsys, monkeypatch):
         assert out == f"the search's proof of {asked} is rejected: {why}\n"
 
 
+def test_prove_searches_the_core_form_of_derived_connectives(capsys):
+    # the proof printed is of the expanded sequent, as the kernel checked it
+    assert main(["prove", "A /\\ B |- A", "--theory", "ALm"]) == 0
+    assert capsys.readouterr().out == (
+        "TensorE | A * (A -o B) |- A | A; A -o B\n"
+        "  AxASM | A * (A -o B) |- A * (A -o B) | A * (A -o B)\n"
+        "  AxASM | A, A -o B |- A | A\n"
+    )
+    assert main(["prove", "A^^ |- A", "--theory", "LLc", "--depth", "12"]) == 0
+    assert capsys.readouterr().out == "AxDNE | (A -o 1) -o 1 |- A | A\n"
+
+
 @pytest.mark.parametrize(
     "sequent, slot",
     [(", |- A", 1), ("A,, B |- A", 2), ("A, |- A", 2)],  # leading, doubled, trailing
@@ -65,6 +77,67 @@ def test_models_find(capsys):
         ["models", "find", "--theory", "ALm", "--max-size", "3", "--falsify", "A |- A"]
     )
     assert rc == 1
+
+
+_SIZE_2 = "size 2\ntop 1\nadd:\n0 1\n1 1\nres:\n0 1\n0 0\n"
+_SIZE_3 = "size 3\ntop 2\nadd:\n0 1 2\n1 2 2\n2 2 2\nres:\n0 1 2\n0 0 1\n0 0 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (
+            ["--falsify", "A -o B |- B -o A"],
+            0,
+            "sequent: A -o B |- B -o A\nassign: A=1, B=0\n" + _SIZE_2,
+        ),
+        (
+            ["--theory", "LLc", "--falsify", "A |- A * A"],
+            0,
+            "sequent: A |- A * A\nassign: A=1\n" + _SIZE_3,
+        ),
+        (
+            ["--falsify", "A * (A -o B) |- B * (B -o A)"],
+            0,
+            "sequent: A * (A -o B) |- B * (B -o A)\nassign: A=2, B=1\n"
+            "size 4\ntop 3\nadd:\n0 1 2 3\n1 3 3 3\n2 3 3 3\n3 3 3 3\n"
+            "res:\n0 1 2 3\n0 0 1 1\n0 0 0 1\n0 0 0 0\n",
+        ),
+        (
+            ["--theory", "LLc", "--falsify", "B, C -o D, E * F |- A -o A * A"],
+            0,
+            "sequent: B, C -o D, E * F |- A -o A * A\n"
+            "assign: A=1, B=0, C=0, D=0, E=0, F=0\n" + _SIZE_3,
+        ),
+        (
+            ["--theory", "LLc", "--max-size", "2", "--falsify", "A |- A * A"],
+            1,
+            "not refuted in the LLc class up to size 2\n",
+        ),
+    ],
+)
+def test_models_find_output_is_pinned(capsys, argv, code, out):
+    # sizes 2, 3 and 4, six names (walked from size 2), and a first
+    # countermodel of size 3 past --max-size 2
+    assert main(["models", "find", *argv]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_models_find_prints_no_countermodel_that_the_kernel_rejects(capsys, monkeypatch):
+    import hooplog.cli as cli
+    from hooplog.algebra import FiniteAlgebra, boolean_algebra, godel_chain
+
+    not_a_pocrim = FiniteAlgebra(2, ((0, 1), (1, 0)), ((0, 1), (0, 0)), 1)
+    for model, theory, asked, why in [
+        ((boolean_algebra(), {"A": 0, "B": 0}), "ALm", "A |- B", "the sequent holds under the assignment"),
+        ((boolean_algebra(), {"B": 1}), "ALm", "A |- B", "unassigned variable A"),
+        ((godel_chain(3), {"A": 1}), "LLc", "A^^ |- A", "the algebra is not in the LLc class"),
+        ((not_a_pocrim, {"A": 1}), "ALm", "A |- 0", "residuation fails at (1,1,1)"),
+    ]:
+        monkeypatch.setattr(cli, "find_countermodel", lambda s, t, n: model)
+        assert main(["models", "find", "--theory", theory, "--falsify", asked]) == 1
+        out = capsys.readouterr().out
+        assert out == f"the countermodel of {asked} is rejected: {why}\n"
 
 
 def test_models_enum_deterministic(capsys):

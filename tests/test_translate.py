@@ -122,6 +122,19 @@ def test_check_dns_reports_goedel_atom_instability(corpus):
     assert dns3.status == "fail" and dns3.countermodel is not None
 
 
+def test_check_dns_reports_no_countermodel_that_the_kernel_rejects(corpus, monkeypatch):
+    from hooplog.algebra import boolean_algebra
+
+    # P = 0 satisfies the DNS3 sequent P^^ |- P, so this model falsifies nothing
+    monkeypatch.setattr(translate_module, "find_countermodel", lambda s, t, n: (boolean_algebra(), {"P": 0}))
+    rep = check_dns("goedel", ALi, [P], corpus.registry)
+    dns3 = [e for e in rep.entries if e.requirement == "DNS3"][0]
+    assert not rep.ok and dns3.status == "inconclusive" and dns3.countermodel is None
+    assert dns3.evidence == (
+        "the countermodel of (P -o 1) -o 1 |- P is rejected: the sequent holds under the assignment"
+    )
+
+
 def test_check_dns_needs_efq():
     from hooplog.corpus.builtins import regression_list
 
