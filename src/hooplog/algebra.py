@@ -46,24 +46,23 @@ prefix whose bounds already exceed the best key, and tries the children
 of a prefix in ascending order of their bounds.  Each size is enumerated
 once per process.
 
-How formulas are evaluated: they are compiled once per call, per
-`falsifier` (one sequent, any number of algebras), or per countermodel
-search, into a program, `compile_formulas`'s template of their distinct
-subformulas (leaves first, then each connective in post-order with its
-operands' slots); a sequent's program ends with its check, the context
-tensored from 0, -o the goal, 0 exactly where the sequent holds.
-Assignments to the sorted variables come in product order, in blocks of at
-most _BLOCK_ROWS rows over the trailing variables.  A slot's value table on
-a block is an int with one byte per row, and a connective is one multiply-
+How formulas are evaluated: by one evaluator, `_Values`, a dict from each
+formula to its value table over a set of rows, filled when first read.
+The rows are a block of one algebra's assignments to the sorted names, in
+product order, at most _BLOCK_ROWS of them with the leading names constant
+over the block (`_blocks`), or the rows of a `_union`: those of every
+algebra of sizes 2 and 3 of a class, over their disjoint union.  A value
+table is an int with one byte per row, and a connective is one multiply-
 add and one `bytes.translate`: a*n + b, in one byte and carrying out of none
 while n <= _PACKED_MAX, through its 256-byte lookup table, entry a*n + b
-its value at (a, b) (for a derived connective, its definition's).  Larger
-algebras, the only size branch, hold lists and look each row up.  Lookup
-tables are built on first use and kept on the algebra, so they live as long
-as it does.  A block's first failing row is its check's lowest nonzero
-byte; `eval_formula` and `seq_holds` are the one-row case, and reject a
-value that is not an element.  `refuter` packs the rows of every algebra
-of size 2 and 3 of a class into one table, over their disjoint union.
+its value at (a, b) (for a derived connective, its definition's, evaluated
+by the same evaluator).  Larger algebras, the only size branch, hold lists
+and look each row up.  An algebra's lookup tables are built on first use
+and kept in its `_Tables`, which does not refer back to it.  A sequent's
+check is its context tensored from 0, -o its goal, 0 exactly where it
+holds, and a block's first failing row is the lowest byte at which the
+check differs from the zero column; `eval_formula` and `seq_holds` are the
+one-row case, and reject a value that is not an element.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ from .syntax import (
     Tensor,
     Var,
     WConj,
-    compile_formulas,
     expand_one_level,
     variables,
 )
@@ -113,9 +111,9 @@ class FiniteAlgebra:
         return self.res[a][b] == 0
 
     @cached_property
-    def _tables(self) -> dict:
-        """Each connective's `_lookup_table` in this algebra, once built."""
-        return {}
+    def _tables(self) -> _Tables:
+        """Its size, top and connectives' lookup tables, for evaluation."""
+        return _Tables(self)
 
     def __repr__(self):
         return f"<FiniteAlgebra n={self.size} top={self.top}>"
@@ -216,39 +214,99 @@ def _class_flags(m: FiniteAlgebra) -> frozenset[str]:
 Assignment = dict[str, int]
 _A, _B = Var("A"), Var("B")
 
-# The most assignments evaluated together; see `_assignment_blocks`.
+# The most assignments evaluated together; see `_blocks`.
 _BLOCK_ROWS = 256
 # The largest algebra whose pairs (a, b) fit one byte, as a*n + b.
 _PACKED_MAX = 16
 
 
-def _assignment_blocks(names: list[str], n: int):
-    """All assignments of 0..n-1 to names in product order, in blocks of at
-    most _BLOCK_ROWS rows: (layout, heads).  Each head, in product order,
-    fixes the leading names over a block whose rows give the trailing ones
-    the tails of layout, their `_block_layout`."""
-    k = 0
-    while k < len(names) and n ** (k + 1) <= _BLOCK_ROWS:
-        k += 1
-    return _block_layout(n, k), product(range(n), repeat=len(names) - k)
+class _Tables(dict):
+    """An algebra's size, top and connectives' lookup tables, entry a*n + b
+    a connective's value at (a, b): res and add, or a derived connective's
+    definition evaluated over A, B in product order (so ^ ignores b).  Each
+    table is built when first read; ^ and !! raise without a top.  It holds
+    the algebra's operation tables but not the algebra."""
+
+    __slots__ = ("size", "top", "add", "res")
+
+    def __init__(self, m: FiniteAlgebra):
+        self.size, self.top, self.add, self.res = m.size, m.top, m.add, m.res
+
+    def __missing__(self, cls: type) -> bytes | list[int]:
+        if self.top is None and cls in (Neg, Nor):
+            raise AlgebraError(f"{'negation' if cls is Neg else '!!'} needs a bounded algebra")
+        if cls in (Imp, Tensor):
+            t = [x for row in (self.res if cls is Imp else self.add) for x in row]
+        else:
+            d = expand_one_level(Neg(_A) if cls is Neg else cls(_A, _B))
+            t = [x for _, tails, vals in _blocks([_A, _B], self) for x in _unpack(vals[d], len(tails))]
+        t = self[cls] = bytes(t).ljust(256, b"\0") if self.size <= _PACKED_MAX else t
+        return t
+
+
+class _Values(dict):
+    """Formulas' value tables over a set of rows, each computed when first
+    read (a known one is read with no Python-level call).  A value table is
+    an int with one byte per row while the rows' algebras have at most
+    _PACKED_MAX elements, a list otherwise; a connective is one lookup of
+    its table in tables over its operands' value tables.  The rows are a
+    block of one algebra's assignments (`_blocks`) or a `_union`'s."""
+
+    __slots__ = ("lookup", "tables", "zero")
+
+    def __init__(self, leaves, tables, lookup: Callable):
+        super().__init__(leaves)
+        self.tables, self.lookup, self.zero = tables, lookup, self[ZERO]
+
+    def __missing__(self, f: Formula):
+        kids = f.children()
+        if not kids:  # a leaf with no column
+            raise AlgebraError(
+                f"unassigned variable {f.name}" if isinstance(f, Var)
+                else "the constant 1 needs a bounded algebra"
+            )
+        if type(f) is Nor:  # !! is checked after its operands, ^ before its body
+            self[kids[0]], self[kids[1]]
+        v = self[f] = self.lookup(self.tables[type(f)], self[kids[0]], self[kids[-1]])
+        return v
+
+    def check(self, s: Sequent):
+        """The value table of s's check: the context tensored from 0, -o the
+        goal, a row's algebra's 0 exactly where s holds."""
+        ctx, lookup, tables = s.context, self.lookup, self.tables
+        acc = self[ctx[0]] if ctx else self.zero  # 0 * f = f
+        for f in ctx[1:]:
+            acc = lookup(tables[Tensor], acc, self[f])
+        return lookup(tables[Imp], acc, self[s.goal])
+
+    def refutes(self, s: Sequent) -> bool:
+        return self.check(s) != self.zero
+
+    def first_failure(self, s: Sequent) -> int | None:
+        """The first row where s fails, the lowest byte at which its check
+        differs from the zero column, or None."""
+        bad = self.check(s)
+        if isinstance(bad, list):  # one algebra, whose 0 is 0
+            return next((i for i, x in enumerate(bad) if x), None)
+        bad ^= self.zero
+        return ((bad & -bad).bit_length() - 1) >> 3 if bad else None
 
 
 @cache
 def _block_layout(n: int, k: int) -> tuple:
-    """(tails, columns, consts, lookup, unpack) of blocks over k names in an
+    """(tails, columns, consts, lookup) of blocks over k names in an
     n-element algebra: each row's values; each name's and element's value
-    table; lookup(t, a, b), the connective with lookup table t over value
-    tables a and b; and a value table's values."""
+    table; and lookup(t, a, b), the connective with lookup table t over
+    value tables a and b."""
     rows, tails = n**k, list(product(range(n), repeat=k))
     if n > _PACKED_MAX:
-        pack = unpack = list
+        pack = list
         lookup = lambda t, a, b: [t[x * n + y] for x, y in zip(a, b)]  # noqa: E731
     else:
         pack = lambda col: int.from_bytes(bytes(col), "little")  # noqa: E731
-        unpack = lambda v: v.to_bytes(rows, "little")  # noqa: E731
         lookup = _packed_lookup(n, rows)
     consts = [pack([a] * rows) for a in range(n)]
-    return tails, [pack(col) for col in zip(*tails)], consts, lookup, unpack
+    return tails, [pack(col) for col in zip(*tails)], consts, lookup
 
 
 def _packed_lookup(n: int, rows: int) -> Callable[[bytes, int, int], int]:
@@ -260,131 +318,71 @@ def _packed_lookup(n: int, rows: int) -> Callable[[bytes, int, int], int]:
     return lookup
 
 
-def _compile(fs, names: list[str] | None = None) -> tuple:
-    """fs compiled over names, by default the sorted names of their
-    variables: names, the template (leaves, ops) of `compile_formulas`, each
-    leaf's column (its name's place in names, None if absent; len(names)
-    for 0, one more for 1) and each formula's slot."""
-    (leaves, ops), slot = compile_formulas(fs)
-    if names is None:
-        names = sorted(x for x, _ in leaves if x is not None)
-    at = dict(zip(names, range(len(names))))
-    at[ZERO], at[ONE] = len(names), len(names) + 1
-    sources = [at.get(f if x is None else x) for x, f in leaves]
-    return names, leaves, sources, list(ops), [slot[f] for f in fs]
+def _unpack(v, rows: int) -> bytes | list[int]:
+    """The values of a value table of rows rows."""
+    return v if isinstance(v, list) else v.to_bytes(rows, "little")
 
 
-def _check(s: Sequent, names: list[str] | None = None) -> tuple:
-    """0, s's context and goal compiled, then the check of s as the last op:
-    the context tensored from 0, -o the goal, 0 exactly where s holds."""
-    prog = _, leaves, _, ops, roots = _compile((ZERO, *s.context, s.goal), names)
-    acc = roots[0]
-    for k in roots[1:-1]:
-        ops.append((Tensor, acc, k))
-        acc = len(leaves) + len(ops) - 1
-    ops.append((Imp, acc, roots[-1]))
-    return prog
+def _block(tables: _Tables, xs: list[Var], head: tuple, layout: tuple) -> _Values:
+    """The `_Values` of a block of layout in tables' algebra, its leading
+    variables of xs taking the values head and the others its columns."""
+    _, columns, consts, lookup = layout
+    leaves = [*zip(xs, [consts[a] for a in head] + columns), (ZERO, consts[0])]
+    if tables.top is not None:
+        leaves.append((ONE, consts[tables.top]))
+    return _Values(leaves, tables, lookup)
 
 
-def _first_error(prog: tuple, top: int | None) -> None:
-    """Raise the error that evaluating prog's roots in order, depth first,
-    meets first: an unassigned variable or, without a top, the constant 1,
-    a negation (before its body) or !! (after its operands)."""
-    _, leaves, sources, ops, roots = prog
-    seen = set()
-
-    def visit(k):
-        if k in seen:
-            return
-        seen.add(k)
-        if k < len(leaves):
-            if sources[k] is None:
-                raise AlgebraError(f"unassigned variable {leaves[k][0]}")
-            if top is None and leaves[k][1] is ONE:
-                raise AlgebraError("the constant 1 needs a bounded algebra")
-            return
-        cls, i, j = ops[k - len(leaves)]
-        if top is None and cls is Neg:
-            raise AlgebraError("negation needs a bounded algebra")
-        visit(i)
-        visit(j)
-        if top is None and cls is Nor:
-            raise AlgebraError("!! needs a bounded algebra")
-
-    for k in roots:
-        visit(k)
-
-
-def _lookup_table(m: FiniteAlgebra, cls: type) -> bytes | list[int]:
-    """Connective cls's lookup table in m, entry a*n + b its value at
-    (a, b): res and add, or a derived connective's definition evaluated
-    over A, B in product order (so ^ ignores b).  Built on first use and
-    kept on m."""
-    t = m._tables.get(cls)
-    if t is None:
-        if cls in (Imp, Tensor):
-            t = [x for row in (m.res if cls is Imp else m.add) for x in row]
-        else:
-            d = expand_one_level(Neg(_A) if cls is Neg else cls(_A, _B))
-            t = [x for _, (col,) in value_tables((d,), m, ["A", "B"]) for x in col]
-        t = m._tables[cls] = bytes(t).ljust(256, b"\0") if m.size <= _PACKED_MAX else t
-    return t
-
-
-def _evaluate(prog: tuple, m: FiniteAlgebra, layout: tuple, heads):
-    """Per head of the blocks (layout, heads): (head, the value table of
-    each slot of prog over the block)."""
-    _, _, sources, ops, _ = prog
-    if m.top is None or None in sources:
-        _first_error(prog, m.top)
-    _, columns, consts, lookup, _ = layout
-    steps = [(_lookup_table(m, cls), i, j) for cls, i, j in ops]
-    fixed = columns + [consts[0], None if m.top is None else consts[m.top]]
-    for head in heads:
-        cols = [consts[a] for a in head] + fixed
-        vals = [cols[k] for k in sources]
-        for t, i, j in steps:
-            vals.append(lookup(t, vals[i], vals[j]))
-        yield head, vals
+def _blocks(xs: list[Var], tables: _Tables):
+    """All assignments of tables' algebra's elements to the variables xs in
+    product order, in blocks of at most _BLOCK_ROWS rows: per block, (head,
+    tails, values), the values of the leading variables, constant over the
+    block, each row's values of the trailing ones, and the block's
+    `_Values`."""
+    n, k = tables.size, 0
+    while k < len(xs) and n ** (k + 1) <= _BLOCK_ROWS:
+        k += 1
+    layout = _block_layout(n, k)
+    for head in product(range(n), repeat=len(xs) - k):
+        yield head, layout[0], _block(tables, xs, head, layout)
 
 
 def value_tables(fs, m: FiniteAlgebra, names: list[str]):
-    """Per block of `_assignment_blocks(names, m.size)`, in order: its
+    """Per block of the assignments to names (`_blocks`), in order: its
     columns and the value table of each formula of fs."""
-    prog = *_, roots = _compile(fs, names)
-    layout, heads = _assignment_blocks(names, m.size)
-    tails, *_, unpack = layout
-    for head, vals in _evaluate(prog, m, layout, heads):
+    for head, tails, vals in _blocks([*map(Var, names)], m._tables):
         cols = [[a] * len(tails) for a in head] + [list(c) for c in zip(*tails)]
-        yield dict(zip(names, cols)), [list(unpack(vals[k])) for k in roots]
+        yield dict(zip(names, cols)), [list(_unpack(vals[f], len(tails))) for f in fs]
 
 
-def _one_row(prog: tuple, m: FiniteAlgebra, v: Assignment, slot: int) -> int:
-    """The value of prog's slot under v, prog being compiled over list(v)."""
+def _row(m: FiniteAlgebra, v: Assignment) -> _Values:
+    """The `_Values` of the one row v."""
     for x, a in v.items():
         if not 0 <= a < m.size:
             raise AlgebraError(f"{x}={a} is outside 0..{m.size - 1}")
-    layout = *_, unpack = _block_layout(m.size, 0)
-    _, vals = next(_evaluate(prog, m, layout, [tuple(v.values())]))
-    return unpack(vals[slot])[0]
+    return _block(m._tables, [*map(Var, v)], tuple(v.values()), _block_layout(m.size, 0))
 
 
 def eval_formula(f: Formula, m: FiniteAlgebra, v: Assignment) -> int:
     """Homomorphic evaluation under one assignment."""
-    prog = *_, (root,) = _compile((f,), list(v))
-    return _one_row(prog, m, v, root)
+    return _unpack(_row(m, v)[f], 1)[0]
 
 
 def seq_holds(s: Sequent, m: FiniteAlgebra, v: Assignment) -> bool:
-    return not _one_row(_check(s, list(v)), m, v, -1)
+    return _row(m, v).first_failure(s) is None
+
+
+def sequent_names(s: Sequent) -> list[str]:
+    """The sorted names of s's variables."""
+    return sorted(set().union(variables(s.goal), *map(variables, s.context)))
 
 
 def falsifier(s: Sequent) -> Callable[[FiniteAlgebra], Assignment | None]:
-    """s compiled once: a function from an algebra to the first assignment,
-    in `_assignment_blocks` order, under which s fails there, or None.  A
-    caller checking s in several algebras compiles it once this way."""
-    prog = _check(s)
-    return lambda m: _first_failure(prog, m)
+    """A function from an algebra to the first assignment, in `_blocks`
+    order, under which s fails there, or None.  A caller checking s in
+    several algebras gathers its names once this way."""
+    xs = [*map(Var, sequent_names(s))]
+    return lambda m: _first_failure(s, xs, m)
 
 
 def valid(s: Sequent, m: FiniteAlgebra) -> bool:
@@ -393,20 +391,16 @@ def valid(s: Sequent, m: FiniteAlgebra) -> bool:
 
 
 def falsifying_assignment(s: Sequent, m: FiniteAlgebra) -> Assignment | None:
-    """The first assignment, in `_assignment_blocks` order, under which s fails."""
+    """The first assignment, in `_blocks` order, under which s fails."""
     return falsifier(s)(m)
 
 
-def _first_failure(prog: tuple, m: FiniteAlgebra) -> Assignment | None:
-    """The first assignment to its names under which the `_check` prog fails."""
-    names = prog[0]
-    layout, heads = _assignment_blocks(names, m.size)
-    tails, *_, unpack = layout
-    for head, vals in _evaluate(prog, m, layout, heads):
-        check = unpack(vals[-1])
-        if check.count(0) < len(tails):
-            row = check.index(next(filter(None, check)))
-            return dict(zip(names, head + tails[row]))
+def _first_failure(s: Sequent, xs: list[Var], m: FiniteAlgebra) -> Assignment | None:
+    """The first assignment to xs, s's variables, under which s fails in m."""
+    for head, tails, vals in _blocks(xs, m._tables):
+        row = vals.first_failure(s)
+        if row is not None:
+            return {x.name: a for x, a in zip(xs, head + tails[row])}
     return None
 
 
@@ -769,21 +763,20 @@ def find_countermodel(
     and the assignment.  With at most _REFUTE_VARS names, sizes 2 to
     _REFUTE_SIZE are one evaluation over their `_union`, whose rows are in
     the walk's order.  Later sizes, or all from 2 with more names (size 1
-    falsifies nothing), walk t's `_class_block`s with s compiled once."""
-    names = sorted(set().union(variables(s.goal), *map(variables, s.context)))
+    falsifies nothing), walk t's `_class_block`s block by block."""
+    names = sequent_names(s)
     required = theory_class(t)
     start = 2
     if len(names) <= _REFUTE_VARS:
-        r = _Refuter(names, required)
-        failing = r.check(s) ^ r.zero  # its lowest nonzero byte is the first failing row
-        if failing:
-            alg, values = r.rows[((failing & -failing).bit_length() - 1) >> 3]
+        row = _refutation(names, required).first_failure(s)
+        if row is not None:
+            alg, values = _union(len(names), required)[0][row]
             return (alg, dict(zip(names, values))) if alg.size <= size_max else None
         start = _REFUTE_SIZE + 1
-    prog = _check(s) if start <= size_max else None
+    xs = [*map(Var, names)]
     for n in range(start, size_max + 1):
         for alg, _ in _class_block(n, required):
-            v = _first_failure(prog, alg)
+            v = _first_failure(s, xs, alg)
             if v is not None:
                 return alg, v
     return None
@@ -809,10 +802,10 @@ _REFUTE_VARS = 5  # the most names of a `_union`: at most 2^5 + 2 * 3^5 = 518 ro
 
 @cache
 def _union(k: int, required: frozenset[str]) -> tuple:
-    """(rows, columns, zero, one, tables, lookup): each row's (algebra, values
-    of k names) in the disjoint union of the algebras of sizes 2 to
-    _REFUTE_SIZE with flags required, in `_class_block` then product order;
-    the packed tables of the names, 0 and 1 over them; its lookup tables."""
+    """(rows, columns, tables, lookup): each row's (algebra, values of k
+    names) in the disjoint union of the algebras of sizes 2 to _REFUTE_SIZE
+    with flags required, in `_class_block` then product order; the packed
+    tables of the names, 0 and 1 over them; its lookup tables."""
     algs = [m for size in range(2, _REFUTE_SIZE + 1) for m, _ in _class_block(size, required)]
     n = sum(m.size for m in algs)
     rows, cols = [], [[] for _ in range(k + 2)]
@@ -824,47 +817,31 @@ def _union(k: int, required: frozenset[str]) -> tuple:
         for col, vals in zip(cols, [*zip(*tails), [0] * len(tails), [m.top] * len(tails)]):
             col += [o + x for x in vals]
         for cls, t in tables.items():
-            own = _lookup_table(m, cls)
+            own = m._tables[cls]
             for a, b in product(range(m.size), repeat=2):
                 t[(o + a) * n + o + b] = o + own[a * m.size + b]
         o += m.size
-    *columns, zero, one = [int.from_bytes(bytes(col), "little") for col in cols]
+    columns = [int.from_bytes(bytes(col), "little") for col in cols]
     tables = {c: bytes(t) for c, t in tables.items()}
-    return rows, columns, zero, one, tables, _packed_lookup(n, len(rows))
+    return rows, columns, tables, _packed_lookup(n, len(rows))
 
 
-class _Refuter(dict):
-    """Formulas' value tables over a `_union`, each computed when first read
-    (a known one is read with no Python-level call), and sequents' checks."""
+@cache
+def _union_leaves(names: tuple[str, ...], required: frozenset[str]) -> dict:
+    """The columns of names, 0 and 1 over their `_union`, by formula."""
+    return dict(zip([*map(Var, names), ZERO, ONE], _union(len(names), required)[1]))
 
-    __slots__ = ("lookup", "zero", "tables", "rows")
 
-    def __init__(self, names: list[str], required: frozenset[str]):
-        self.rows, columns, self.zero, one, self.tables, self.lookup = _union(len(names), required)
-        super().__init__([*zip(map(Var, names), columns), (ZERO, self.zero), (ONE, one)])
-
-    def __missing__(self, f: Formula) -> int:
-        kids = f.children()
-        v = self[f] = self.lookup(self.tables[type(f)], self[kids[0]], self[kids[-1]])
-        return v
-
-    def check(self, s: Sequent) -> int:
-        """The packed table of s's check: a row's byte is its algebra's 0
-        exactly where s holds, as in `_check`."""
-        ctx, lookup, tables = s.context, self.lookup, self.tables
-        acc = self[ctx[0]] if ctx else self.zero  # 0 * f = f
-        for f in ctx[1:]:
-            acc = lookup(tables[Tensor], acc, self[f])
-        return lookup(tables[Imp], acc, self[s.goal])
-
-    def refutes(self, s: Sequent) -> bool:
-        return self.check(s) != self.zero
+def _refutation(names: list[str], required: frozenset[str]) -> _Values:
+    """The `_Values` over the `_union` of names and required."""
+    _, _, tables, lookup = _union(len(names), required)
+    return _Values(_union_leaves(tuple(names), required), tables, lookup)
 
 
 def refuter(names: list[str], t: TheoryId) -> Callable[[Sequent], bool]:
     """refutes(s): whether an algebra of t's class of size 2 to _REFUTE_SIZE
     falsifies s, a sequent over names, so that s has no proof in t."""
-    return _Refuter(names, theory_class(t)).refutes
+    return _refutation(names, theory_class(t)).refutes
 
 
 # Plain-text algebra files: `size n`, optional `top i`, `add:` rows, `res:` rows.

@@ -28,7 +28,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Callable
 
-from .algebra import _REFUTE_VARS, refuter
+from .algebra import _REFUTE_VARS, refuter, sequent_names
 from .syntax import (
     Formula,
     FormulaError,
@@ -39,7 +39,6 @@ from .syntax import (
     format_formula,
     parse_formula,
     substitute,
-    variables,
 )
 from .theories import TheoryId
 
@@ -393,7 +392,7 @@ def bounded_prove(s: Sequent, theory: TheoryId, depth: int) -> ProofTree | None:
     returns None at once, and a refuted inner node fails unsearched."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    names = sorted(set().union(variables(s.goal), *map(variables, s.context)))
+    names = sequent_names(s)
     refutes = refuter(names, theory) if len(names) <= _REFUTE_VARS else None
     return _search(s, depth, _Search(theory, refutes))
 

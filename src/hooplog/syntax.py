@@ -319,8 +319,8 @@ def compile_formulas(fs) -> tuple[tuple, dict[Formula, int]]:
     """A flat template of the formulas fs and their subformulas, and the
     slot of each: (leaves, the variables as (name, node) and the constants
     as (None, node); inner, the other distinct formulas in post-order as
-    (class, first operand slot, last operand slot)), leaves first.  `hilbert`
-    fills templates of core formulas with formulas, `algebra` evaluates."""
+    (class, first operand slot, last operand slot)), leaves first.  Its one
+    user is `hilbert`, which fills templates of core formulas with formulas."""
     formulas: dict[Formula, tuple] = {}
     for f in fs:
         if f not in formulas:

@@ -15,7 +15,7 @@ from hooplog.algebra import (
     ClassReport,
     FiniteAlgebra,
     _BLOCK_ROWS,
-    _assignment_blocks,
+    _blocks,
     _bounded_posets,
     _chain_poset,
     _class_flags,
@@ -62,7 +62,7 @@ from hooplog.syntax import (
     parse_formula,
     variables,
 )
-from hooplog.theories import ALm, LLi, ALL_THEORIES
+from hooplog.theories import ALm, LLc, LLi, ALL_THEORIES
 
 
 def test_boolean_flags():
@@ -647,29 +647,40 @@ def test_unassigned_variable_is_reported_in_evaluation_order():
         for v in ({"B": 0, "C": 0}, {"A": 0, "C": 0}, {"A": 0, "B": 0}, {"A": 0}):
             assert _outcome(seq_holds, s, alg, v) == _outcome(_reference_holds, s, alg, v)
     assert _outcome(seq_holds, s, unbounded, {"A": 0}) == ("error", "unassigned variable B")
+    # ^ is checked before its body, !! after its operands
+    v = {"A": 0}
+    for text, unassigned, assigned in [
+        ("|- (C)^", "negation needs a bounded algebra", "negation needs a bounded algebra"),
+        ("|- C !! A", "unassigned variable C", "!! needs a bounded algebra"),
+    ]:
+        s = parse_sequent(text)
+        for got, want, message in [
+            ((eval_formula, s.goal, unbounded, v), (_reference_eval, s.goal, unbounded, v), unassigned),
+            ((seq_holds, s, unbounded, v), (_reference_holds, s, unbounded, v), unassigned),
+            ((falsifying_assignment, s, unbounded), (_reference_falsifying, s, unbounded), assigned),
+        ]:
+            assert _outcome(*got) == _outcome(*want) == ("error", message), (text, got[0])
 
 
 def test_blocks_cover_the_assignments_in_product_order():
-    names = ["A", "B", "C", "D", "E"]
-    (tails, *_), heads = _assignment_blocks(names, 7)
-    heads = list(heads)
-    assert len(heads) > 1 and len(tails) <= _BLOCK_ROWS
-    rows = [head + tail for head in heads for tail in tails]
+    blocks = list(_blocks([Var(x) for x in "ABCDE"], lukasiewicz_chain(7)._tables))
+    assert len(blocks) > 1 and all(len(tails) <= _BLOCK_ROWS for _, tails, _ in blocks)
+    rows = [head + tail for head, tails, _ in blocks for tail in tails]
     assert rows == list(product(range(7), repeat=5))
 
 
 def test_first_falsifying_assignment_in_a_later_block():
     m = lukasiewicz_chain(7)
     s = parse_sequent("A * B, C -o D |- E \\/ (B * B)")
-    (tails, *_), heads = _assignment_blocks(["A", "B", "C", "D", "E"], m.size)
+    head, tails, _ = next(_blocks([Var(x) for x in "ABCDE"], m._tables))
     w = falsifying_assignment(s, m)
     assert w == _reference_falsifying(s, m) == {"A": 0, "B": 1, "C": 0, "D": 0, "E": 2}
     assert list(w) == ["A", "B", "C", "D", "E"]
     # B leads, so it is 0 on every row of the first block
-    assert len(tails) < m.size**5 and next(heads)[:2] == (0, 0)
+    assert len(tails) < m.size**5 and head[:2] == (0, 0)
     big = lukasiewicz_chain(algebra_module._PACKED_MAX + 1)
-    (tails, *_), heads = _assignment_blocks(["A", "B"], big.size)
-    assert len(tails) == big.size and next(heads) == (0,)
+    head, tails, _ = next(_blocks([Var("A"), Var("B")], big._tables))
+    assert len(tails) == big.size and head == (0,)
     assert falsifying_assignment(parse_sequent("B |- A"), big) == {"A": 1, "B": 0}
 
 
@@ -709,49 +720,85 @@ def test_lookup_tables_do_not_keep_their_algebra_alive():
     del m
     gc.collect()
     assert ref() is None
+    # the evaluator builds the derived connectives' tables itself, and
+    # reference counting alone frees the algebra and its tables
+    fresh = lukasiewicz_chain(6)
+    s = parse_sequent("A^, A /\\ B, A \\/ B |- (A => B) !! B")
+    assert falsifying_assignment(s, fresh) == _reference_falsifying(s, fresh)
+    assert set(fresh._tables) == {Imp, Tensor, Neg, WConj, SDisj, SImp, Nor}
+    gc.collect()
+    gc.disable()
+    try:
+        ref = weakref.ref(fresh)
+        del fresh
+        assert ref() is None and gc.collect() == 0
+    finally:
+        gc.enable()
 
 
-def test_a_falsifier_compiles_its_sequent_once_for_every_algebra(monkeypatch):
-    compiled = []
-    real = algebra_module._check
+def test_evaluation_leaves_no_cyclic_garbage():
+    s = parse_sequent("A * A^, A !! B^ |- A /\\ (B => B)")
+    refuted = parse_sequent("A \\/ B |- A")
+    deep = parse_sequent(_DEEP_COUNTERMODELS[0])
+    six = parse_sequent("B, C -o D, E * F |- A -o A * A")
+    list(enumerate_algebras(5))  # enumeration's backtracking builds cycles of its own
+    gc.collect()
+    gc.disable()
+    try:
+        m = godel_chain(5)
+        assert eval_formula(s.goal, m, {"A": 2, "B": 1}) == 2
+        assert falsifying_assignment(s, m) == _reference_falsifying(s, m)
+        assert find_countermodel(s, LLc, 5) is None
+        assert find_countermodel(refuted, LLc, 5)[0].size == 2
+        assert find_countermodel(deep, ALm, 5)[0].size == 4
+        assert find_countermodel(six, LLi, 5)[0].size == 3
+        refutes = refuter(["A", "B"], LLc)
+        assert refutes(refuted) and not refutes(s)
+        del refutes, m
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
-    def counting(s, names=None):
-        compiled.append(s)
-        return real(s, names)
 
-    monkeypatch.setattr(algebra_module, "_check", counting)
+def test_a_falsifier_gathers_its_names_once_for_every_algebra(monkeypatch):
+    gathered = []
+    real = algebra_module.sequent_names
+
+    def counting(s):
+        gathered.append(s)
+        return real(s)
+
+    monkeypatch.setattr(algebra_module, "sequent_names", counting)
     algebras = list(enumerate_algebras(4)) + [lukasiewicz_chain(algebra_module._PACKED_MAX + 1)]
     for text in ("A |- A * A", "A \\/ B |- B \\/ A", "A !! B |- B !! A", "|- A -o B -o A"):
         s = parse_sequent(text)
         falsify = falsifier(s)
         got = [falsify(m) for m in algebras]
-        assert len(compiled) == 1
+        assert len(gathered) == 1
         want = [_reference_falsifying(s, m) for m in algebras]
         assert got == want and [list(w or ()) for w in got] == [list(w or ()) for w in want]
         assert got == [falsifying_assignment(s, m) for m in algebras]
         assert [w is None for w in got] == [valid(s, m) for m in algebras]
-        compiled.clear()
+        gathered.clear()
 
 
-def test_a_corpus_run_compiles_each_checked_sequent_once(monkeypatch):
+def test_a_corpus_run_gathers_each_checked_sequents_names_once(monkeypatch):
     from hooplog.corpus import Corpus
 
-    compiled = []
-    real = algebra_module._check
+    gathered = []
+    real = algebra_module.sequent_names
 
-    def counting(s, names=None):
-        compiled.append(s)
-        return real(s, names)
+    def counting(s):
+        gathered.append(s)
+        return real(s)
 
-    monkeypatch.setattr(algebra_module, "_check", counting)
+    monkeypatch.setattr(algebra_module, "sequent_names", counting)
     # a run reports an entry's exception as its failure, so check the report
     assert Corpus().run().ok
-    # 21 programs: the `checked` entries and the remark and Rose-Rosser
-    # builtins compile each sequent once, not once per algebra (626), and
-    # `find_countermodel` compiles only the two sequents that no algebra of
-    # size 2 or 3 refutes; `bounded_prove` compiles none, as its `refuter`
-    # evaluates each formula where it first meets it
-    assert len(compiled) <= 160
+    # 18 gatherings: the `checked` entries and the remark and Rose-Rosser
+    # builtins gather each sequent's names once, not once per algebra
+    # (626), and `find_countermodel` once for each of its two calls
+    assert len(gathered) <= 160
 
 
 def _reference_countermodel(s, t, size_max):
@@ -807,32 +854,40 @@ def test_countermodel_walk_agrees_with_a_walk_of_the_whole_stream(t):
                 assert got[0] is want[0] and list(got[1].items()) == list(want[1].items())
 
 
-def test_the_union_finds_small_countermodels_without_compiling(monkeypatch):
+def test_the_union_finds_small_countermodels_without_walking_a_block(monkeypatch):
     """A sequent over at most 5 names refuted at size 2 or 3 is read off
-    the refuter's union: no `_check` program.  One that needs size 4, or
-    has 6 names, is compiled once for its walk, and one that holds up to
-    size 3 is not compiled for a walk that has no size left."""
-    compiled = []
-    real = algebra_module._check
+    the refuter's union: no single-algebra block is walked.  One that needs
+    size 4, or has 6 names, walks each algebra's blocks once, and one that
+    holds up to size 3 walks none with no size left."""
+    cases = [
+        ("A -o B |- B -o A", ALm, 2, 2),
+        ("A |- A * A", LLi, 3, 3),
+        ("A, B * C, D -o E |- E * A", ALm, 2, 2),
+        ("A * (A -o B) |- B * (B -o A)", ALm, 4, 4),
+        ("B, C -o D, E * F |- A -o A * A", LLi, 3, 2),
+    ]
+    for text, theory, _, _ in cases:  # first build the unions and their tables
+        find_countermodel(parse_sequent(text), theory, 5)
+    walked = []
+    real = algebra_module._blocks
 
-    def counting(s, names=None):
-        compiled.append(s)
-        return real(s, names)
+    def spying(xs, tables):
+        walked.append(tables)
+        return real(xs, tables)
 
-    monkeypatch.setattr(algebra_module, "_check", counting)
-    for text, theory, size, programs in [
-        ("A -o B |- B -o A", ALm, 2, 0),
-        ("A |- A * A", LLi, 3, 0),
-        ("A, B * C, D -o E |- E * A", ALm, 2, 0),
-        ("A * (A -o B) |- B * (B -o A)", ALm, 4, 1),
-        ("B, C -o D, E * F |- A -o A * A", LLi, 3, 1),
-    ]:
-        compiled.clear()
+    monkeypatch.setattr(algebra_module, "_blocks", spying)
+    for text, theory, size, first in cases:
+        walked.clear()
         alg, v = find_countermodel(parse_sequent(text), theory, 5)
-        assert (alg.size, len(compiled)) == (size, programs), text
+        assert alg.size == size, text
         assert not seq_holds(parse_sequent(text), alg, v)
-    compiled.clear()  # nothing is left to walk past size 3
-    assert find_countermodel(parse_sequent("A |- A"), ALm, 3) is None and not compiled
+        if first == size and size <= 3:
+            assert not walked, text
+        else:
+            assert walked[0].size == first and walked[-1] is alg._tables, text
+            assert len({id(t) for t in walked}) == len(walked), text
+    walked.clear()  # nothing is left to walk past size 3
+    assert find_countermodel(parse_sequent("A |- A"), ALm, 3) is None and not walked
 
 
 @pytest.mark.parametrize("t", ALL_THEORIES, ids=lambda t: t.name)
