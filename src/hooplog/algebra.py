@@ -67,7 +67,6 @@ one-row case, and reject a value that is not an element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Callable
@@ -100,12 +99,29 @@ class AlgebraError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class FiniteAlgebra:
-    size: int
-    add: tuple[tuple[int, ...], ...]
-    res: tuple[tuple[int, ...], ...]
-    top: int | None = None
+    """An algebra by its size, add and res tables and top (or None), which
+    it is compared and hashed by."""
+
+    def __init__(
+        self,
+        size: int,
+        add: tuple[tuple[int, ...], ...],
+        res: tuple[tuple[int, ...], ...],
+        top: int | None = None,
+    ):
+        self.size, self.add, self.res, self.top = size, add, res, top
+
+    def _fields(self) -> tuple:
+        return self.size, self.add, self.res, self.top
+
+    def __eq__(self, other):
+        if type(other) is not FiniteAlgebra:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def geq(self, a: int, b: int) -> bool:
         return self.res[a][b] == 0
@@ -143,10 +159,16 @@ def godel_chain(k: int) -> FiniteAlgebra:
     return FiniteAlgebra(k, add, res, top=k - 1)
 
 
-@dataclass
 class ClassReport:
-    flags: frozenset[str]
-    failure: str | None = None
+    """The class flags of an algebra, or why it is not a pocrim."""
+
+    def __init__(self, flags: frozenset[str], failure: str | None = None):
+        self.flags, self.failure = flags, failure
+
+    def __eq__(self, other):
+        if type(other) is not ClassReport:
+            return NotImplemented
+        return (self.flags, self.failure) == (other.flags, other.failure)
 
 
 def check_class(m: FiniteAlgebra) -> ClassReport:
@@ -410,6 +432,9 @@ def _first_failure(s: Sequent, xs: list[Var], m: FiniteAlgebra) -> Assignment | 
 def _posets_with_bottom(n: int):
     """Down-set matrices leq[i][j] ('i <= j') with 0 the bottom and the
     numeric order a linear extension."""
+    if n == 1:
+        yield ((True,),)
+        return
 
     def extend(leq: list[list[bool]], j: int):
         if j == n:
@@ -428,11 +453,9 @@ def _posets_with_bottom(n: int):
             for i in down:
                 leq[i][j] = False
 
-    if n == 1:
-        yield ((True,),)
-        return
     leq = [[i == j for j in range(n)] for i in range(n)]
     yield from extend(leq, 1)
+    del extend  # see `_complete_tables`
 
 
 def _bounded_posets(n: int):
@@ -486,6 +509,7 @@ def _mark_relabellings(leq, seen: set) -> None:
                 p.pop()
 
     walk()
+    del walk  # see `_complete_tables`
 
 
 def _chain_poset(n: int):
@@ -592,6 +616,9 @@ def _complete_tables(n: int, leq) -> list[tuple]:
     # above every element
     res = [list(range(n)) for _ in range(top)] + [[0] * n]
     place(0)
+    # place refers to itself through this cell; emptying it frees place by
+    # reference counting, leaving no cycle for the collector
+    del place
     return out
 
 
@@ -667,6 +694,7 @@ def canonical_key(m: FiniteAlgebra) -> tuple:
             p.pop()
 
     extend(0)
+    del extend  # see `_complete_tables`
     return tuple(best[:n]), tuple(best[n : 2 * n]), best[-1]
 
 

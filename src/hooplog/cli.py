@@ -4,6 +4,10 @@ Every subcommand is non-interactive and exits 0 on success, 1 when the
 checked object is rejected or a search refutes/exhausts, and 2 on usage or
 input errors.  Budgets are explicit flags: proof depth defaults to 8 and
 model size to 6, and a size, depth or budget below 1 is a usage error.
+
+A command imports `hilbert`, `eqengine`, `translate` and `corpus` only when
+it uses them, so that `parse`, `prove` and `models` load no more than
+`syntax`, `theories`, `sequent` and `algebra`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .syntax import FormulaError, Formula, Var, expand_derived, format_formula, parse_formula
+from .syntax import (
+    TRANSLATIONS,
+    FormulaError,
+    Formula,
+    Var,
+    expand_derived,
+    format_formula,
+    parse_formula,
+)
 from .theories import theory_by_name
 from .sequent import (
     Sequent,
@@ -22,8 +34,6 @@ from .sequent import (
     parse_proof,
     parse_sequent,
 )
-from .hilbert import check_derivation, parse_derivation
-from .eqengine import EqError, check_script, parse_script
 from .algebra import (
     check_class,
     countermodel_fault,
@@ -32,9 +42,6 @@ from .algebra import (
     format_algebra,
     parse_algebra,
 )
-from .translate import TRANSLATIONS, check_dns, translate
-from .corpus import Corpus, generate_k_contradiction, load_index, run_corpus
-from .eqengine import format_script
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,9 +49,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormulaError, EqError, ValueError, OSError) as e:
+    except (FormulaError, _eq_error(), ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+
+
+def _eq_error() -> type:
+    """`eqengine.EqError`, imported only once a command has raised."""
+    from .eqengine import EqError
+
+    return EqError
 
 
 def _at_least_one(text: str) -> int:
@@ -150,11 +164,16 @@ def _cmd_check(args) -> int:
               + ("accepted" if v else f"rejected: {v.message}"))
         return 0 if v else 1
     if kind == "derivation":
+        from .hilbert import check_derivation, parse_derivation
+
         d = parse_derivation(text)
         v = check_derivation(d, f"H-{theory.name}")
         print(f"derivation of {format_formula(d.final)} in H-{theory.name}: "
               + ("accepted" if v else f"rejected: {v.message}"))
         return 0 if v else 1
+    from .corpus import Corpus
+    from .eqengine import check_script, parse_script
+
     script = parse_script(text)
     corpus = Corpus()
     corpus.run()
@@ -235,13 +254,17 @@ def _cmd_models_classify(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from .translate import translate
+
     f = parse_formula(args.formula)
     print(format_formula(translate(args.scheme, f)))
     return 0
 
 
 def _cmd_dns(args) -> int:
+    from .corpus import Corpus
     from .corpus.builtins import regression_list
+    from .translate import check_dns
 
     theory = theory_by_name(args.theory)
     corpus = Corpus()
@@ -259,6 +282,8 @@ def _cmd_dns(args) -> int:
 
 
 def _cmd_corpus_run(args) -> int:
+    from .corpus import load_index, run_corpus
+
     if args.filter is not None and not any(args.filter in e.id for e in load_index()):
         print(f"error: no corpus entry id contains {args.filter!r}", file=sys.stderr)
         return 2
@@ -268,7 +293,7 @@ def _cmd_corpus_run(args) -> int:
 
 
 def _cmd_corpus_show(args) -> int:
-    from .corpus import _data_text
+    from .corpus import _data_text, load_index
 
     for entry in load_index():
         if entry.id == args.id:
@@ -287,6 +312,9 @@ def _cmd_corpus_show(args) -> int:
 
 
 def _cmd_gen_k(args) -> int:
+    from .corpus import Corpus, generate_k_contradiction
+    from .eqengine import format_script
+
     corpus = Corpus()
     corpus.run()
     seq, script, rep = generate_k_contradiction(args.k, corpus.registry)

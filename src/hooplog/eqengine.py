@@ -570,7 +570,7 @@ def _check_provable(step, script, local, registry, easy_depth) -> None:
     if step.just == "easy":
         depth = step.depth or easy_depth
         core = expand_derived(g)
-        if bounded_prove(Sequent((), core), script.theory, depth) is None:
+        if not _discharged(Sequent((), core), script.theory, depth):
             raise EqError(
                 f"could not discharge |- {format_formula(g)} within depth {depth}"
             )
@@ -610,16 +610,30 @@ def _check_easy(cur: Formula, step: EqStep, script: EqScript, easy_depth) -> str
     depth = step.depth or easy_depth
     a = expand_derived(cur)
     b = expand_derived(step.result)
-    if bounded_prove(Sequent((a,), b), script.theory, depth) is None:
+    if not _discharged(Sequent((a,), b), script.theory, depth):
         raise EqError(
             f"easy step not discharged: {format_formula(cur)} |- "
             f"{format_formula(step.result)} within depth {depth}"
         )
     if step.relation == EQUIV:
-        if bounded_prove(Sequent((b,), a), script.theory, depth) is None:
+        if not _discharged(Sequent((b,), a), script.theory, depth):
             raise EqError("easy step claims ~= but the converse was not discharged")
         return EQUIV
     return GEQ
+
+
+def _discharged(s: Sequent, theory: TheoryId, depth: int) -> bool:
+    """Whether the bounded search proves s within depth.  Its proof must
+    pass the kernel, `check_proof`, and conclude s itself; one that does not
+    is an EqError."""
+    tree = bounded_prove(s, theory, depth)
+    if tree is None:
+        return False
+    v = check_proof(tree, theory)
+    if not v or tree.conclusion != s:
+        why = v.message if not v else f"it concludes {tree.conclusion!r}"
+        raise EqError(f"the search's proof of {s!r} is rejected: {why}")
+    return True
 
 
 def apply_rewrite(

@@ -23,7 +23,6 @@ then holds less, but are the same on every seeded pool tried; tests pin one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from operator import attrgetter
 from typing import Callable
@@ -156,11 +155,14 @@ class ProofTree:
         return f"<ProofTree {self.rule} {self.conclusion!r}>"
 
 
-@dataclass
 class Verdict:
-    ok: bool
-    message: str = ""
-    where: tuple[int, ...] = ()
+    """A checker's answer: true when it accepts; otherwise why not, and the
+    path to the node at fault."""
+
+    __slots__ = ("ok", "message", "where")
+
+    def __init__(self, ok: bool, message: str = "", where: tuple[int, ...] = ()):
+        self.ok, self.message, self.where = ok, message, where
 
     def __bool__(self):
         return self.ok
@@ -377,13 +379,15 @@ def contraction_axiom_premise(a: Formula, gamma=()) -> ProofTree:
 # Bounded backward search
 
 
-@dataclass
 class _Search:
-    theory: TheoryId
-    refutes: Callable[[Sequent], bool] | None = None  # see `algebra.refuter`
-    fail: dict[Sequent, int] = field(default_factory=dict)
-    hit: dict[Sequent, ProofTree] = field(default_factory=dict)
-    dneg: dict[Formula, Formula] = field(default_factory=dict)  # goal -> core_dneg(goal)
+    __slots__ = ("theory", "refutes", "fail", "hit", "dneg")
+
+    def __init__(self, theory: TheoryId, refutes: Callable[[Sequent], bool] | None = None):
+        self.theory = theory
+        self.refutes = refutes  # see `algebra.refuter`
+        self.fail: dict[Sequent, int] = {}
+        self.hit: dict[Sequent, ProofTree] = {}
+        self.dneg: dict[Formula, Formula] = {}  # goal -> core_dneg(goal)
 
 
 def bounded_prove(s: Sequent, theory: TheoryId, depth: int) -> ProofTree | None:

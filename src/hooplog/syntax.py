@@ -271,6 +271,12 @@ def core_dneg(f: Formula) -> Formula:
     return core_neg(core_neg(f))
 
 
+# The names of the double-negation translations that `translate.translate`
+# applies, kept here so that the command line can offer them without
+# loading `translate`.
+TRANSLATIONS = ("kolmogorov", "goedel", "gentzen", "glivenko")
+
+
 def _fill(t: Formula, operands) -> Formula:
     """The core definition t with operands[0] for A and operands[1] for B."""
     if isinstance(t, Var):

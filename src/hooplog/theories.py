@@ -9,8 +9,6 @@ DNE iff level is classical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 BASES = ("affine", "lukasiewicz", "full")
 LEVELS = ("minimal", "intuitionistic", "classical")
 
@@ -18,21 +16,26 @@ _BASE_ORD = {b: i for i, b in enumerate(BASES)}
 _LEVEL_ORD = {l: i for i, l in enumerate(LEVELS)}
 
 
-@dataclass(frozen=True)
 class TheoryId:
-    base: str
-    level: str
+    """One of the nine theories, as its (base, level) pair.  There is one
+    instance per pair, so theories compare and hash by identity."""
 
-    def __post_init__(self):
-        if self.base not in BASES or self.level not in LEVELS:
-            raise ValueError(f"unknown theory ({self.base}, {self.level})")
+    __slots__ = ("base", "level", "name", "_axioms")
 
-    @property
-    def name(self) -> str:
-        return _NAMES[(self.base, self.level)]
+    def __new__(cls, base: str, level: str) -> "TheoryId":
+        try:
+            return _BY_PAIR[base, level]
+        except KeyError:
+            raise ValueError(f"unknown theory ({base}, {level})") from None
+
+    def __reduce__(self):
+        return TheoryId, (self.base, self.level)
+
+    def __repr__(self) -> str:
+        return f"TheoryId(base={self.base!r}, level={self.level!r})"
 
     def axioms(self) -> frozenset[str]:
-        return _AXIOMS[self.base, self.level]
+        return self._axioms
 
     def leq(self, other: "TheoryId") -> bool:
         """True when everything provable here is provable in `other`."""
@@ -61,9 +64,6 @@ def _axiom_set(base: str, level: str) -> frozenset[str]:
     return frozenset(ax)
 
 
-# Built once: the search asks for a theory's axioms at every node.
-_AXIOMS = {(b, l): _axiom_set(b, l) for b in BASES for l in LEVELS}
-
 _NAMES = {
     ("affine", "minimal"): "ALm",
     ("affine", "intuitionistic"): "ALi",
@@ -76,15 +76,16 @@ _NAMES = {
     ("full", "classical"): "BL",
 }
 
-ALm = TheoryId("affine", "minimal")
-ALi = TheoryId("affine", "intuitionistic")
-ALc = TheoryId("affine", "classical")
-LLm = TheoryId("lukasiewicz", "minimal")
-LLi = TheoryId("lukasiewicz", "intuitionistic")
-LLc = TheoryId("lukasiewicz", "classical")
-ML = TheoryId("full", "minimal")
-IL = TheoryId("full", "intuitionistic")
-BL = TheoryId("full", "classical")
+
+def _theory(base: str, level: str, name: str) -> TheoryId:
+    t = object.__new__(TheoryId)
+    # The axiom set is built once: the search asks for it at every node.
+    t.base, t.level, t.name, t._axioms = base, level, name, _axiom_set(base, level)
+    return t
+
+
+_BY_PAIR = {pair: _theory(*pair, name) for pair, name in _NAMES.items()}
+ALm, ALi, ALc, LLm, LLi, LLc, ML, IL, BL = _BY_PAIR.values()
 
 ALL_THEORIES = (ALm, ALi, ALc, LLm, LLi, LLc, ML, IL, BL)
 

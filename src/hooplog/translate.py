@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .syntax import (
+    TRANSLATIONS,
     Formula,
     Imp,
     ONE,
@@ -48,8 +49,6 @@ from .eqengine import (
     check_script,
     _matches_provable,
 )
-
-TRANSLATIONS = ("kolmogorov", "goedel", "gentzen", "glivenko")
 
 
 def translate(scheme: str, f: Formula) -> Formula:

@@ -292,6 +292,39 @@ start A
     assert not rep.ok and "discharge" in rep.message
 
 
+def test_easy_steps_accept_only_proofs_that_the_kernel_accepts(monkeypatch):
+    import hooplog.eqengine as eqengine
+    from hooplog.sequent import ProofTree, parse_sequent
+
+    reg = _registry()
+    easy = parse_script(
+        """
+lemma swap-geq theory ALm claim A * B >= B * A
+start A * B
+>= B * A by easy 4
+"""
+    )
+    ins = parse_script(
+        """
+lemma ins-truth theory ALm claim A ~= A * 0
+start A
+= A * 0 by ins 0 at root by easy 4
+"""
+    )
+    assert check_script(easy, reg) and check_script(ins, reg)
+    bad = ProofTree(parse_sequent("A |- B"), "AxASM", inst=(B,))
+    other = bounded_prove(parse_sequent("B |- B"), ALm, 2)
+    for tree, why in [
+        (bad, "AxASM: context lacks the schema formulas"),
+        (other, "it concludes B |- B"),
+    ]:
+        monkeypatch.setattr(eqengine, "bounded_prove", lambda s, t, d: tree)
+        for script, asked in [(easy, "A * B |- B * A"), (ins, "|- 1 -o 1")]:
+            rep = check_script(script, reg)
+            assert not rep.ok and rep.step == 0
+            assert rep.message == f"the search's proof of {asked} is rejected: {why}"
+
+
 def test_script_format_roundtrip():
     reg = _registry()
     text = """
