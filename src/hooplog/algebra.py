@@ -67,9 +67,9 @@ one-row case, and reject a value that is not an element.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cache, cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Callable
 
 from .syntax import (
     ONE,
@@ -89,8 +89,8 @@ from .syntax import (
 )
 from .theories import TheoryId
 
-if TYPE_CHECKING:
-    from .sequent import Sequent
+# `Sequent` in annotations is `sequent.Sequent`; `sequent` imports this
+# module, so the name stays an unevaluated string here.
 
 FLAGS = ("pocrim", "hoop", "bounded", "involutive", "idempotent")
 
@@ -873,6 +873,22 @@ def refuter(names: list[str], t: TheoryId) -> Callable[[Sequent], bool]:
 
 
 # Plain-text algebra files: `size n`, optional `top i`, `add:` rows, `res:` rows.
+# A model file, as `models find` prints it, puts `sequent:` and `assign:`
+# lines before them.
+
+
+def split_model_file(text: str) -> tuple[str | None, str | None, str]:
+    """A model file's `sequent:` and `assign:` values, None where the line
+    is missing, and the algebra text of its other lines."""
+    header: dict[str, str] = {}
+    rest = []
+    for line in text.splitlines():
+        key, sep, value = line.partition(":")
+        if sep and key in ("sequent", "assign"):
+            header[key] = value.strip()
+        else:
+            rest.append(line)
+    return header.get("sequent"), header.get("assign"), "\n".join(rest)
 
 
 def format_algebra(m: FiniteAlgebra) -> str:

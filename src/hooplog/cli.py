@@ -41,6 +41,7 @@ from .algebra import (
     find_countermodel,
     format_algebra,
     parse_algebra,
+    split_model_file,
 )
 
 
@@ -244,7 +245,7 @@ def _cmd_models_enum(args) -> int:
 
 
 def _cmd_models_classify(args) -> int:
-    alg = parse_algebra(Path(args.file).read_text())
+    alg = parse_algebra(split_model_file(Path(args.file).read_text())[2])
     rep = check_class(alg)
     if rep.failure:
         print(f"not a pocrim: {rep.failure}")

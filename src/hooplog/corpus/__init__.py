@@ -52,6 +52,7 @@ from ..algebra import (
     falsifier,
     parse_algebra,
     seq_holds,
+    split_model_file,
     theory_class,
 )
 from .builtins import TABLE, generate_k_contradiction  # the latter is re-exported
@@ -300,7 +301,9 @@ class Corpus:
 
     def _ev_model(self, entry: CorpusEntry):
         text = _data_text(entry.evidence[1])
-        seq_line, assign_line, alg_text = _split_model_file(text)
+        seq_line, assign_line, alg_text = split_model_file(text)
+        if seq_line is None or assign_line is None:
+            raise ValueError("model file needs sequent: and assign: lines")
         seq = parse_sequent(seq_line)
         if format_sequent(seq) != format_sequent(parse_sequent(entry.statement)):
             return False, "model file sequent differs from the statement"
@@ -343,21 +346,6 @@ class Corpus:
         if missing:
             return False, f"members not verified: {missing}"
         return True, f"{len(members)} members verified"
-
-
-def _split_model_file(text: str):
-    seq_line = assign_line = None
-    rest = []
-    for line in text.splitlines():
-        if line.startswith("sequent:"):
-            seq_line = line[len("sequent:") :].strip()
-        elif line.startswith("assign:"):
-            assign_line = line[len("assign:") :].strip()
-        else:
-            rest.append(line)
-    if seq_line is None or assign_line is None:
-        raise ValueError("model file needs sequent: and assign: lines")
-    return seq_line, assign_line, "\n".join(rest)
 
 
 def run_corpus(pattern: str | None = None) -> CorpusReport:

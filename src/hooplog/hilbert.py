@@ -23,13 +23,14 @@ tensor, and the root curries the sorted context out one element at a time,
 last to second, leaving the first as the outermost antecedent.
 
 `hilbert_to_sequent` replays the other direction, turning modus ponens into
-ImpE and each axiom instance into its schema's once-proved sequent tree
-under the instance's substitution.  Each (schema, theory) tree is compiled
-once into a flat template: its distinct formulas as variable or constant
-slots and constructors over earlier slots, and its nodes over those slots.
-An instance is one pass over the slots and one over the nodes.  Schema
-formulas are compiled the same way, once each, so that the builder and
-`check_derivation` build an axiom line's formula in one pass over its slots.
+ImpE and each axiom instance into one `Lem` leaf.  Each (schema, theory)
+sequent proof is found once and admitted by the kernel (`sequent.admit`)
+when `schema_proof` first builds it, so the leaf cites |- schema and the
+kernel checks that the line is an instance of it, in time linear in the
+schema, not in its proof.  Schema formulas are compiled once each into flat
+templates (`syntax.compile_formulas`), so that the builder,
+`check_derivation` and the replay build an axiom line's formula in one pass
+over its slots.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .sequent import (
     Sequent,
     Verdict,
     _ctx_minus,
+    admit,
     bounded_prove,
     check_proof,
     imp_e,
@@ -536,7 +538,7 @@ def _curry_out(
 
 # Hilbert -> sequent replay
 
-_SCHEMA_PROOFS: dict[tuple[str, TheoryId], tuple[ProofTree, tuple]] = {}
+_SCHEMA_PROOFS: dict[tuple[str, TheoryId], ProofTree] = {}
 
 _SCHEMA_DEPTH = {
     "Comp": 7,
@@ -553,80 +555,29 @@ _SCHEMA_DEPTH = {
 
 
 def schema_proof(name: str, theory: TheoryId) -> ProofTree:
-    """A once-computed sequent proof of |- schema."""
-    return _schema_compiled(name, theory)[0]
-
-
-def _schema_compiled(name: str, theory: TheoryId) -> tuple[ProofTree, tuple]:
-    """The schema's proof and its template, both built on first use."""
+    """A once-computed sequent proof of |- schema, admitted in theory when
+    it is built."""
     key = (name, theory)
-    got = _SCHEMA_PROOFS.get(key)
-    if got is None:
+    tree = _SCHEMA_PROOFS.get(key)
+    if tree is None:
         depth = _SCHEMA_DEPTH.get(name, 8)
         tree = bounded_prove(Sequent((), SCHEMAS[name]), theory, depth)
         if tree is None:
             raise FormulaError(f"no sequent proof for schema {name} in {theory}")
-        got = _SCHEMA_PROOFS[key] = (tree, _compile(tree))
-    return got
-
-
-def _compile(tree: ProofTree) -> tuple:
-    """A flat template of `tree` for `_instantiate`: the formula template of
-    its formulas (`compile_formulas`), and its distinct nodes in post-order
-    as (context slots, goal slot, inst slots, rule, premise nodes)."""
-    nodes: dict[int, ProofTree] = {}
-
-    def walk(q: ProofTree) -> None:
-        if id(q) not in nodes:
-            for p in q.premises:
-                walk(p)
-            nodes[id(q)] = q
-
-    walk(tree)
-    formulas, slot = compile_formulas(
-        f for q in nodes.values() for f in (*q.conclusion.context, q.conclusion.goal, *q.inst)
-    )
-    node_slot = {k: n for n, k in enumerate(nodes)}
-    return (
-        formulas,
-        tuple(
-            (
-                tuple(slot[f] for f in q.conclusion.context),
-                slot[q.conclusion.goal],
-                tuple(slot[f] for f in q.inst),
-                q.rule,
-                tuple(node_slot[id(p)] for p in q.premises),
-            )
-            for q in nodes.values()
-        ),
-    )
-
-
-def _instantiate(template: tuple, sigma: dict[str, Formula]) -> ProofTree:
-    """The compiled tree under sigma: equal, node for node, to
-    `substitute_proof` of the tree it was compiled from."""
-    formulas, nodes = template
-    vals = _fill_slots(formulas, sigma)
-    val = vals.__getitem__
-    trees: list[ProofTree] = []
-    for ctx, goal, inst, rule, prems in nodes:
-        trees.append(
-            ProofTree(
-                Sequent(map(val, ctx), vals[goal]),
-                rule,
-                map(trees.__getitem__, prems),
-                map(val, inst),
-            )
-        )
-    return trees[-1]
+        v = admit(tree, theory)
+        if not v:
+            raise FormulaError(f"schema {name}'s proof is rejected in {theory}: {v.message}")
+        _SCHEMA_PROOFS[key] = tree
+    return tree
 
 
 def hilbert_to_sequent(d: HilbertDerivation, theory: TheoryId) -> ProofTree:
     """Replay a derivation as a sequent proof of |- final line: an axiom
-    line instantiates its schema's compiled proof, an mp line is ImpE.
-    Raises FormulaError naming the first line that cites a line not before
-    it, names a schema outside the theory's system, or whose replayed
-    conclusion is not the line's formula."""
+    line is a `Lem` leaf citing its schema, whose proof `schema_proof`
+    admits on first use, and an mp line is ImpE.  Raises FormulaError naming
+    the first line that cites a line not before it, names a schema outside
+    the theory's system, is not its schema's instance under its
+    substitution, or whose replayed conclusion is not the line's formula."""
     schemas = system_for(theory)
     proofs: list[ProofTree] = []
     for n, (f, just) in enumerate(d.lines):
@@ -634,7 +585,10 @@ def hilbert_to_sequent(d: HilbertDerivation, theory: TheoryId) -> ProofTree:
             _, name, subst = just
             if name not in schemas:
                 raise FormulaError(f"line {n + 1}: schema {name} not in H-{theory.name}")
-            tree = _instantiate(_schema_compiled(name, theory)[1], subst)
+            schema_proof(name, theory)  # admits |- schema on first use
+            tree = ProofTree(
+                Sequent((), _schema_instance(name, subst)), "Lem", inst=(SCHEMAS[name],)
+            )
         else:
             _, i, j = just
             if not (0 <= i < n and 0 <= j < n):

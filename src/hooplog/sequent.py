@@ -6,6 +6,14 @@ leaves (ASM, CON, EFQ, DNE, CWC) which may carry an arbitrary extra context.
 Proof trees store premise sequents explicitly, so context splits are checked
 rather than inferred and checking is linear in the tree size.
 
+One more leaf, `Lem`, cites a lemma: a closed sequent |- G that `admit` has
+accepted, after `check_proof` passed a proof of it, in the leaf's theory or
+one below it.  The leaf concludes an instance of G under one substitution
+for G's variables, as rules and axioms are closed under substitution (the
+LCF discipline: Gordon, Milner and Wadsworth, *Edinburgh LCF*, 1979).  The
+table of admitted lemmas is part of the kernel, and `admit` is its only
+writer.
+
 Search works backwards from the goal: axioms, then ImpI, TensorI, chains of
 ImpE over an implication drawn from the context (plus the DNE and EFQ cut
 candidates `G^^ -o G` and `1 -o G` when the theory has those axioms), then
@@ -23,9 +31,9 @@ then holds less, but are the same on every seeded pool tried; tests pin one.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import product
 from operator import attrgetter
-from typing import Callable
 
 from .algebra import _REFUTE_VARS, refuter, sequent_names
 from .syntax import (
@@ -34,12 +42,13 @@ from .syntax import (
     Imp,
     ONE,
     Tensor,
+    Var,
     core_dneg,
     format_formula,
     parse_formula,
     substitute,
 )
-from .theories import TheoryId
+from .theories import ALL_THEORIES, TheoryId
 
 RULES = ("ImpI", "ImpE", "TensorI", "TensorE")
 AXIOMS = ("AxASM", "AxCON", "AxEFQ", "AxDNE", "AxCWC")
@@ -173,13 +182,36 @@ def _reject(msg: str, path) -> Verdict:
 
 
 def check_proof(p: ProofTree, theory: TheoryId) -> Verdict:
-    """Accept iff every node instantiates a rule or an axiom of `theory`."""
+    """Accept iff every node instantiates a rule or an axiom of `theory`, or
+    is a `Lem` leaf citing a lemma admitted in `theory` or a theory below."""
     return _check_node(p, theory, ())
+
+
+# Each admitted formula G, with the theories in which a `Lem` leaf may cite
+# |- G.  `admit` is the only writer.
+_ADMITTED: dict[Formula, set[TheoryId]] = {}
+
+
+def admit(p: ProofTree, theory: TheoryId) -> Verdict:
+    """Check p in theory and, if it passes and concludes a closed sequent
+    |- G, admit G: from then on a `Lem` leaf may cite it in theory and in
+    every theory above.  A rejected proof admits nothing."""
+    s = p.conclusion
+    if s.context:
+        return Verdict(False, f"only a closed sequent is admitted, not {s!r}")
+    v = check_proof(p, theory)
+    if v:
+        _ADMITTED.setdefault(s.goal, set()).update(
+            t for t in ALL_THEORIES if theory.leq(t)
+        )
+    return v
 
 
 def _check_node(p: ProofTree, theory: TheoryId, path) -> Verdict:
     s = p.conclusion
     r = p.rule
+    if r == "Lem":
+        return _check_lemma(p, theory, path)
     if r in AXIOMS:
         if p.premises:
             return _reject(f"{r}: axiom leaves take no premises", path)
@@ -239,6 +271,40 @@ def _check_node(p: ProofTree, theory: TheoryId, path) -> Verdict:
         if not v:
             return v
     return Verdict(True)
+
+
+def _check_lemma(p: ProofTree, theory: TheoryId, path) -> Verdict:
+    """A `Lem` leaf, inst (G,), concludes an instance of an admitted |- G.
+    Like an axiom leaf it may carry any further context: every theory here
+    has weakening."""
+    if len(p.inst) != 1:
+        return _reject("Lem: a lemma leaf cites exactly one formula", path)
+    (g,) = p.inst
+    if p.premises:
+        why = "lemma leaves take no premises"
+    elif theory not in _ADMITTED.get(g, ()):
+        why = f"not admitted in {theory} or a theory below it"
+    elif not _matches(g, p.conclusion.goal):
+        why = f"{format_formula(p.conclusion.goal)} is not an instance"
+    else:
+        return Verdict(True)
+    return _reject(f"Lem |- {format_formula(g)}: {why}", path)
+
+
+def _matches(pattern: Formula, f: Formula) -> bool:
+    """Whether f is pattern under one substitution for its variables."""
+    sigma: dict[str, Formula] = {}
+    stack = [(pattern, f)]
+    while stack:
+        p, g = stack.pop()
+        if isinstance(p, Var):
+            if sigma.setdefault(p.name, g) is not g:
+                return False
+        elif type(p) is not type(g):  # each constant is its class's one node
+            return False
+        else:
+            stack.extend(zip(p.children(), g.children()))
+    return True
 
 
 def _check_axiom_shape(p: ProofTree, path) -> Verdict:

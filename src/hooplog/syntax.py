@@ -38,7 +38,7 @@ associate to the right.
 from __future__ import annotations
 
 import weakref
-from typing import Iterator
+from collections.abc import Iterator
 
 
 class FormulaError(Exception):

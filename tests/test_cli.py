@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +171,18 @@ def test_check_proof_file(tmp_path, capsys):
     assert main(["check", str(f), "--theory", "ALm", "--kind", "proof"]) == 0
 
 
+def test_check_proof_rejects_an_unadmitted_lemma(tmp_path, capsys):
+    f = tmp_path / "lemma.proof"
+    f.write_text("Lem | |- X1 -o Y1 -o X1 | X1 -o Y1 -o X1\n")
+    assert main(["check", str(f), "--theory", "ALm", "--kind", "proof"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "proof of |- X1 -o Y1 -o X1 in ALm: rejected: "
+        "Lem |- X1 -o Y1 -o X1: not admitted in ALm or a theory below it\n"
+    )
+    assert captured.err == ""
+
+
 def test_check_derivation_file(tmp_path):
     from hooplog.hilbert import format_derivation, sequent_to_hilbert
     from hooplog.sequent import bounded_prove, parse_sequent
@@ -213,6 +226,18 @@ def test_models_enum_rejects_unknown_flags(capsys, flag):
     captured = capsys.readouterr()
     assert "hoopz" in captured.err and "FLAGS" in captured.err
     assert captured.out == ""
+
+
+def test_models_find_output_passes_through_classify(tmp_path, capsys):
+    assert main(["models", "find", "--theory", "LLc", "--falsify", "A |- A * A"]) == 0
+    f = tmp_path / "found.model"
+    f.write_text(capsys.readouterr().out)
+    assert main(["models", "classify", str(f)]) == 0
+    assert capsys.readouterr().out == "bounded,hoop,involutive,pocrim\n"
+    # the corpus's pinned model files too
+    a6 = Path(__file__).resolve().parents[1] / "src/hooplog/corpus/data/a6.model"
+    assert main(["models", "classify", str(a6)]) == 0
+    assert capsys.readouterr().out == "bounded,hoop,idempotent,pocrim\n"
 
 
 def test_models_classify_out_of_range_entry(tmp_path, capsys):

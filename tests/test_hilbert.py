@@ -24,7 +24,9 @@ from hooplog.sequent import (
     ax_cwc,
     bounded_prove,
     check_proof,
+    format_proof,
     imp_i,
+    parse_proof,
     parse_sequent,
     substitute_proof,
     tensor_e,
@@ -35,8 +37,6 @@ from hooplog.hilbert import (
     SCHEMAS,
     _Builder,
     _comb,
-    _instantiate,
-    _schema_compiled,
     _schema_instance,
     check_derivation,
     curry_sequent,
@@ -44,6 +44,7 @@ from hooplog.hilbert import (
     hilbert_to_sequent,
     parse_derivation,
     rose_rosser_embed,
+    schema_proof,
     sequent_to_hilbert,
     system_for,
 )
@@ -127,6 +128,18 @@ def test_hilbert_to_sequent_replay():
     back = hilbert_to_sequent(der, ALm)
     assert check_proof(back, ALm)
     assert back.conclusion == Sequent((), der.final)
+
+
+def test_a_replayed_tree_with_lemma_leaves_prints_and_reads_back():
+    p = bounded_prove(parse_sequent("A -o B, B -o C, A |- C"), ALm, 8)
+    der, _ = sequent_to_hilbert(p, ALm)
+    back = hilbert_to_sequent(der, ALm)
+    text = format_proof(back)
+    axioms = sum(just[0] == "axiom" for _, just in der.lines)
+    assert text.count("Lem | |- ") == axioms > 0
+    q = parse_proof(text)
+    assert format_proof(q) == text
+    assert check_proof(q, ALm) and q.conclusion == back.conclusion
 
 
 def test_derivation_file_roundtrip():
@@ -368,14 +381,10 @@ def test_seeded_curry_out_derivations_check():
             assert der.final == want, (order, k)
 
 
-def _same_tree(p, q):
-    assert p.conclusion == q.conclusion and p.rule == q.rule and p.inst == q.inst
-    assert len(p.premises) == len(q.premises)
-    for a, b in zip(p.premises, q.premises):
-        _same_tree(a, b)
-
-
 def test_compiled_schema_proofs_instantiate_as_substitute_proof():
+    """An axiom line replays as one `Lem` leaf citing its schema, and the
+    kernel accepts it exactly where it accepts the schema's proof under the
+    line's substitution, which the leaf stands for."""
     from hooplog.theories import ALL_THEORIES
 
     rng = random.Random(1402)
@@ -387,14 +396,19 @@ def test_compiled_schema_proofs_instantiate_as_substitute_proof():
     ]
     for theory in ALL_THEORIES:
         for name in system_for(theory):
-            tree, template = _schema_compiled(name, theory)
             sigmas = fixed + [
                 {v: _random_core(rng, rng.randint(1, 4)) for v in "ABC"} for _ in range(4)
             ]
             for sigma in sigmas:
-                got = _instantiate(template, sigma)
-                _same_tree(got, substitute_proof(tree, sigma))
-                assert check_proof(got, theory), (theory, name, sigma)
+                line = substitute(SCHEMAS[name], sigma)
+                leaf = hilbert_to_sequent(
+                    HilbertDerivation(((line, ("axiom", name, sigma)),)), theory
+                )
+                full = substitute_proof(schema_proof(name, theory), sigma)
+                assert leaf.rule == "Lem" and leaf.inst == (SCHEMAS[name],)
+                assert leaf.conclusion == full.conclusion == Sequent((), line)
+                assert check_proof(leaf, theory), (theory, name, sigma)
+                assert check_proof(full, theory), (theory, name, sigma)
     # every schema formula's own template, Rose-Rosser's included
     assert len(SCHEMAS) == 13
     for name, schema in SCHEMAS.items():

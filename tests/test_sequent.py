@@ -22,11 +22,13 @@ from hooplog.syntax import (
     formula_key,
     parse_formula,
 )
-from hooplog.theories import ALL_THEORIES, ALm, ALi, ALc, LLm, LLi, ML, theory_by_name
+from hooplog.theories import ALL_THEORIES, ALm, ALi, ALc, BL, LLc, LLm, LLi, ML, theory_by_name
 from hooplog.sequent import (
     _Search,
     _search,
+    ProofTree,
     Sequent,
+    admit,
     ax_asm,
     ax_con,
     ax_cwc,
@@ -119,6 +121,63 @@ def test_check_rejects_each_malformed_rule():
     assert not check_proof(bad_leaf, ALm)
     # unknown rule names are rejected
     assert not check_proof(ProofTree(Sequent((A,), A), "Cut", ()), ALm)
+
+
+def _lemma(goal, cited, premises=(), context=()):
+    return ProofTree(Sequent(context, goal), "Lem", premises, inst=(cited,))
+
+
+def test_lemma_leaves_cite_only_admitted_instances():
+    comm = parse_formula("A * B -o B * A")
+    assert admit(bounded_prove(Sequent((), comm), ALm, 6), ALm)
+    inst = parse_formula("(P -o A) * A -o A * (P -o A)")
+    assert check_proof(_lemma(inst, comm), ALm)
+    assert check_proof(_lemma(inst, comm, context=(B,)), LLc)  # weakened, above ALm
+    # a non-instance: Comm cited for Wk
+    v = check_proof(_lemma(parse_formula("A * B -o A"), comm), ALm)
+    assert not v and v.message == "Lem |- A * B -o B * A: A * B -o A is not an instance"
+    # one variable, two values
+    assert not check_proof(_lemma(parse_formula("A * B -o A * A"), comm), ALm)
+    # a lemma never admitted
+    never = parse_formula("Q1 -o Q1 * Q1")
+    v = check_proof(_lemma(never, never), ML)
+    assert not v and v.message == "Lem |- Q1 -o Q1 * Q1: not admitted in ML or a theory below it"
+    # a lemma leaf citing no formula, or two
+    assert not check_proof(ProofTree(Sequent((), inst), "Lem"), ALm)
+    assert not check_proof(ProofTree(Sequent((), inst), "Lem", inst=(comm, comm)), ALm)
+    # a lemma leaf with premises
+    v = check_proof(_lemma(inst, comm, premises=(ax_asm(A),)), ALm)
+    assert not v and v.message == "Lem |- A * B -o B * A: lemma leaves take no premises"
+    # nested in a tree, the path names the leaf
+    v = check_proof(imp_i(_lemma(A, never, context=(B,)), B), ALm)
+    assert not v and v.where == (0,) and "Q1 -o Q1 * Q1" in v.message
+
+
+def test_a_lemma_admitted_in_a_stronger_theory_is_not_cited_below_it():
+    cwc = parse_formula("A * (A -o B) -o B * (B -o A)")
+    assert admit(bounded_prove(Sequent((), cwc), LLm, 4), LLm)
+    inst = parse_formula("P * (P -o P) -o P * (P -o P)")
+    for t in ALL_THEORIES:
+        v = check_proof(_lemma(inst, cwc), t)
+        assert bool(v) == LLm.leq(t), t
+    v = check_proof(_lemma(inst, cwc), ALm)
+    assert v.message == (
+        "Lem |- A * (A -o B) -o B * (B -o A): not admitted in ALm or a theory below it"
+    )
+
+
+def test_admit_records_nothing_from_a_rejected_proof():
+    goal = parse_formula("Q2 -o Q2")
+    q2 = Var("Q2")
+    bad = ProofTree(Sequent((), goal), "ImpI", (ax_asm(Var("Q3")),), inst=(q2, q2))
+    v = admit(bad, ALm)
+    assert not v and v.message == check_proof(bad, ALm).message
+    assert goal not in sequent._ADMITTED
+    assert not check_proof(_lemma(goal, goal), BL)
+    # an open sequent is not admitted either, though its proof checks
+    v = admit(ax_asm(q2), ALm)
+    assert not v and v.message == "only a closed sequent is admitted, not Q2 |- Q2"
+    assert q2 not in sequent._ADMITTED
 
 
 def test_context_is_a_multiset():
