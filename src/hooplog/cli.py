@@ -179,8 +179,7 @@ def _cmd_check(args) -> int:
     corpus = Corpus()
     corpus.run()
     rep = check_script(script, corpus.registry, args.depth)
-    print(f"script {script.id} in {script.theory}: "
-          + ("accepted" if rep.ok else f"rejected at step {rep.step}: {rep.message}"))
+    print(f"script {script.id} in {script.theory}: {rep}")
     return 0 if rep.ok else 1
 
 

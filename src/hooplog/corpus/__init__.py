@@ -250,7 +250,7 @@ class Corpus:
         if script.assumes:
             rep = check_script(script, self.registry)
             if not rep.ok:
-                return False, f"step {rep.step}: {rep.message}"
+                return False, str(rep)
         else:
             lemma = LemmaEntry(
                 entry.id, script.claim_lhs, script.claim_rhs, script.claim_rel,

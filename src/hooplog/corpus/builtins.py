@@ -261,7 +261,7 @@ def bi_kcontr_family(corpus, entry):
     for k in range(1, 5):
         seq, script, rep = generate_k_contradiction(k, corpus.registry)
         if not rep.ok:
-            return False, f"k={k}: step {rep.step}: {rep.message}"
+            return False, f"k={k}: {rep}"
         if not _curries_match(script.claim_rhs, seq):
             return False, f"k={k}: script claim does not curry the sequent"
     return True, "k = 1..4 generated and checked"

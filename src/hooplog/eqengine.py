@@ -362,7 +362,7 @@ class LemmaRegistry:
             return False, "script theory is not below the lemma theory"
         rep = check_script(script, self)
         if not rep.ok:
-            return False, f"script {script.id} rejected at step {rep.step}: {rep.message}"
+            return False, f"script {script.id} {rep}"
         return True, ""
 
 
@@ -399,10 +399,15 @@ class EqScript:
 class ScriptReport:
     ok: bool
     message: str = ""
-    step: int = -1
+    step: int | None = None  # None when the failure belongs to no step
 
     def __bool__(self):
         return self.ok
+
+    def __str__(self) -> str:
+        """"accepted", or "rejected", the failing step if any, and why."""
+        at = "" if self.step is None else f" at step {self.step}"
+        return "accepted" if self.ok else f"rejected{at}: {self.message}"
 
 
 def _compose(rel_a: str, rel_b: str) -> str:
@@ -437,7 +442,9 @@ def check_script(
         composed = _compose(composed, step.relation)
         cur = step.result
     if not ac_eq(cur, script.claim_rhs):
-        return ScriptReport(False, "chain does not end at the claim's right side")
+        end = format_formula(cur)
+        why = f"chain does not end at the claim's right side: it ends at {end}"
+        return ScriptReport(False, why)
     if script.claim_rel == EQUIV and composed != EQUIV:
         return ScriptReport(False, "claim is ~= but the chain only proves >=")
     return ScriptReport(True)

@@ -27,10 +27,10 @@ ImpE and each axiom instance into one `Lem` leaf.  Each (schema, theory)
 sequent proof is found once and admitted by the kernel (`sequent.admit`)
 when `schema_proof` first builds it, so the leaf cites |- schema and the
 kernel checks that the line is an instance of it, in time linear in the
-schema, not in its proof.  Schema formulas are compiled once each into flat
-templates (`syntax.compile_formulas`), so that the builder,
-`check_derivation` and the replay build an axiom line's formula in one pass
-over its slots.
+schema, not in its proof.  An axiom line is built one way, as
+`substitute(SCHEMAS[name], sigma)`, and checked one way: `check_derivation`
+and the replay walk the schema against the line under its substitution
+(`_is_instance`), building nothing.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ from .syntax import (
     ParseError,
     Tensor,
     Var,
-    compile_formulas,
     core_dneg,
     core_neg,
     expand_derived,
     format_formula,
     formula_key,
     parse_formula,
+    substitute,
 )
 from .sequent import (
     ProofTree,
@@ -86,23 +86,18 @@ SCHEMAS: dict[str, Formula] = {
 }
 
 
-def _fill_slots(template: tuple, sigma: dict[str, Formula]) -> list[Formula]:
-    """The value of every slot of a template of core formulas under sigma:
-    one pass, each slot built from earlier ones."""
-    leaves, inner = template
-    vals = [sigma.get(name, f) for name, f in leaves]
-    for cls, i, j in inner:
-        vals.append(cls(vals[i], vals[j]))
-    return vals
-
-
-# Each schema compiled once; its root, built last, is the instance.
-_SCHEMA_TEMPLATES = {name: compile_formulas((f,))[0] for name, f in SCHEMAS.items()}
-
-
-def _schema_instance(name: str, sigma: dict[str, Formula]) -> Formula:
-    """substitute(SCHEMAS[name], sigma), from the schema's template."""
-    return _fill_slots(_SCHEMA_TEMPLATES[name], sigma)[-1]
+def _is_instance(s: Formula, sigma: dict[str, Formula], f: Formula) -> bool:
+    """Whether f is substitute(s, sigma) for a core schema s, walking s
+    against f and building nothing."""
+    if isinstance(s, Var):
+        return sigma.get(s.name, s) is f
+    if isinstance(s, (Imp, Tensor)):
+        return (
+            type(f) is type(s)
+            and _is_instance(s.left, sigma, f.left)
+            and _is_instance(s.right, sigma, f.right)
+        )
+    return s is f  # the constant 1
 
 
 _BASE = ("Comp", "Comm", "Curry", "Uncurry", "Wk")
@@ -150,7 +145,7 @@ def check_derivation(d: HilbertDerivation, system: str) -> Verdict:
             _, name, subst = just
             if name not in schemas:
                 return Verdict(False, f"line {n + 1}: schema {name} not in {system}")
-            if _schema_instance(name, subst) != f:
+            if not _is_instance(SCHEMAS[name], subst, f):
                 return Verdict(False, f"line {n + 1}: not an instance of {name}")
         elif just[0] == "mp":
             _, i, j = just
@@ -258,8 +253,7 @@ class _Builder:
     def axiom(self, name: str, **subst: Formula) -> int:
         if name not in self.schemas:
             raise FormulaError(f"schema {name} unavailable in this system")
-        sig = dict(subst)
-        return self._emit(_schema_instance(name, sig), ("axiom", name, sig))
+        return self._emit(substitute(SCHEMAS[name], subst), ("axiom", name, subst))
 
     def mp(self, i: Ref, j: Ref) -> Ref:
         fi = self.formula(i)
@@ -540,19 +534,6 @@ def _curry_out(
 
 _SCHEMA_PROOFS: dict[tuple[str, TheoryId], ProofTree] = {}
 
-_SCHEMA_DEPTH = {
-    "Comp": 7,
-    "Comm": 6,
-    "Curry": 7,
-    "Uncurry": 8,
-    "Wk": 5,
-    "EFQ": 3,
-    "DNE": 3,
-    "CWC": 4,
-    "Con": 3,
-    "A1": 4,
-}
-
 
 def schema_proof(name: str, theory: TheoryId) -> ProofTree:
     """A once-computed sequent proof of |- schema, admitted in theory when
@@ -560,8 +541,7 @@ def schema_proof(name: str, theory: TheoryId) -> ProofTree:
     key = (name, theory)
     tree = _SCHEMA_PROOFS.get(key)
     if tree is None:
-        depth = _SCHEMA_DEPTH.get(name, 8)
-        tree = bounded_prove(Sequent((), SCHEMAS[name]), theory, depth)
+        tree = bounded_prove(Sequent((), SCHEMAS[name]), theory, 8)
         if tree is None:
             raise FormulaError(f"no sequent proof for schema {name} in {theory}")
         v = admit(tree, theory)
@@ -573,11 +553,11 @@ def schema_proof(name: str, theory: TheoryId) -> ProofTree:
 
 def hilbert_to_sequent(d: HilbertDerivation, theory: TheoryId) -> ProofTree:
     """Replay a derivation as a sequent proof of |- final line: an axiom
-    line is a `Lem` leaf citing its schema, whose proof `schema_proof`
-    admits on first use, and an mp line is ImpE.  Raises FormulaError naming
-    the first line that cites a line not before it, names a schema outside
-    the theory's system, is not its schema's instance under its
-    substitution, or whose replayed conclusion is not the line's formula."""
+    line is a `Lem` leaf concluding it and citing its schema, whose proof
+    `schema_proof` admits on first use, and an mp line is ImpE.  Raises
+    FormulaError naming the first line that cites a line not before it,
+    names a schema outside the theory's system, is not its schema's
+    instance under its substitution, or whose ImpE is not the line."""
     schemas = system_for(theory)
     proofs: list[ProofTree] = []
     for n, (f, just) in enumerate(d.lines):
@@ -586,9 +566,8 @@ def hilbert_to_sequent(d: HilbertDerivation, theory: TheoryId) -> ProofTree:
             if name not in schemas:
                 raise FormulaError(f"line {n + 1}: schema {name} not in H-{theory.name}")
             schema_proof(name, theory)  # admits |- schema on first use
-            tree = ProofTree(
-                Sequent((), _schema_instance(name, subst)), "Lem", inst=(SCHEMAS[name],)
-            )
+            tree = ProofTree(Sequent((), f), "Lem", inst=(SCHEMAS[name],))
+            replayed = _is_instance(SCHEMAS[name], subst, f)
         else:
             _, i, j = just
             if not (0 <= i < n and 0 <= j < n):
@@ -597,7 +576,8 @@ def hilbert_to_sequent(d: HilbertDerivation, theory: TheoryId) -> ProofTree:
                 tree = imp_e(proofs[i], proofs[j])
             except FormulaError as e:
                 raise FormulaError(f"line {n + 1}: {e}") from None
-        if tree.conclusion.goal != f:
+            replayed = tree.conclusion.goal is f
+        if not replayed:
             raise FormulaError(f"line {n + 1}: the replayed conclusion is not this line")
         proofs.append(tree)
     return proofs[-1]

@@ -321,38 +321,6 @@ def variables(f: Formula) -> set[str]:
     return out
 
 
-def compile_formulas(fs) -> tuple[tuple, dict[Formula, int]]:
-    """A flat template of the formulas fs and their subformulas, and the
-    slot of each: (leaves, the variables as (name, node) and the constants
-    as (None, node); inner, the other distinct formulas in post-order as
-    (class, first operand slot, last operand slot)), leaves first.  Its one
-    user is `hilbert`, which fills templates of core formulas with formulas."""
-    formulas: dict[Formula, tuple] = {}
-    for f in fs:
-        if f not in formulas:
-            _post_order(f, formulas)
-    leaves, inner = [], []
-    for f, kids in formulas.items():
-        (inner if kids else leaves).append(f)
-    slot = dict(zip(leaves, range(len(leaves))))
-    ops = []
-    for f in inner:
-        kids = formulas[f]
-        slot[f] = len(slot)
-        ops.append((type(f), slot[kids[0]], slot[kids[-1]]))
-    leaves = tuple([(f.name if isinstance(f, Var) else None, f) for f in leaves])
-    return (leaves, tuple(ops)), slot
-
-
-def _post_order(f: Formula, formulas: dict) -> None:
-    """Enter f's new subformulas in post-order (a closure would be a cycle)."""
-    kids = f.children()
-    for c in kids:
-        if c not in formulas:
-            _post_order(c, formulas)
-    formulas[f] = kids
-
-
 # Positions
 
 Position = tuple[int, ...]

@@ -195,6 +195,41 @@ def test_check_derivation_file(tmp_path):
     assert main(["check", str(f), "--theory", "ALm"]) == 0
 
 
+@pytest.mark.parametrize(
+    "line, code, verdict",
+    [
+        ("A * B -o A", 0, "accepted"),
+        # C is no value of the substitution: unmapped, B stands for itself
+        ("A * C -o A", 1, "rejected: line 1: not an instance of Wk"),
+    ],
+    ids=["instance", "not-an-instance"],
+)
+def test_check_derivation_keeps_an_unmapped_schema_variable(
+    tmp_path, capsys, line, code, verdict
+):
+    f = tmp_path / "wk.hilbert"
+    f.write_text(f"1. {line} | axiom Wk {{A=A}}\n")
+    assert main(["check", str(f), "--kind", "derivation", "--theory", "ALm"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == f"derivation of {line} in H-ALm: {verdict}\n"
+    assert captured.err == ""
+
+
+def test_check_script_that_ends_elsewhere_names_no_step(tmp_path, capsys):
+    from importlib.resources import files
+
+    text = (files("hooplog.corpus") / "data" / "a3-rr.eq").read_text()
+    f = tmp_path / "bad.eq"
+    f.write_text("".join(text.splitlines(keepends=True)[:5]))
+    assert main(["check", str(f), "--kind", "script", "--theory", "LLc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "script a3-rr in LLc: rejected: chain does not end at the claim's right side: "
+        "it ends at B \\/ A -o A \\/ B\n"
+    )
+    assert captured.err == ""
+
+
 def test_corpus_run_filter(capsys):
     assert main(["corpus", "run", "--filter", "axiom-l"]) == 0
     out = capsys.readouterr().out

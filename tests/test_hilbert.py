@@ -13,6 +13,7 @@ from hooplog.syntax import (
     core_dneg,
     expand_derived,
     parse_formula,
+    replace_at,
     substitute,
 )
 from hooplog.theories import ALc, ALi, ALm, LLm, ML
@@ -37,7 +38,7 @@ from hooplog.hilbert import (
     SCHEMAS,
     _Builder,
     _comb,
-    _schema_instance,
+    _is_instance,
     check_derivation,
     curry_sequent,
     format_derivation,
@@ -409,14 +410,26 @@ def test_compiled_schema_proofs_instantiate_as_substitute_proof():
                 assert leaf.conclusion == full.conclusion == Sequent((), line)
                 assert check_proof(leaf, theory), (theory, name, sigma)
                 assert check_proof(full, theory), (theory, name, sigma)
-    # every schema formula's own template, Rose-Rosser's included
+    # every schema's instance check, Rose-Rosser's included: the line that
+    # substitute builds passes, and the line with one leaf changed fails
     assert len(SCHEMAS) == 13
+    pick = random.Random(1403)
     for name, schema in SCHEMAS.items():
         sigmas = fixed + [
             {v: _random_core(rng, rng.randint(1, 4)) for v in "ABC"} for _ in range(4)
         ]
         for sigma in sigmas:
-            assert _schema_instance(name, sigma) is substitute(schema, sigma), (name, sigma)
+            line = substitute(schema, sigma)
+            assert _is_instance(schema, sigma, line), (name, sigma)
+            mutant = replace_at(line, pick.choice(_leaf_positions(line)), Var("Z"))
+            assert not _is_instance(schema, sigma, mutant), (name, sigma, mutant)
+
+
+def _leaf_positions(f, pos=()):
+    kids = f.children()
+    if not kids:
+        return [pos]
+    return [p for i, c in enumerate(kids) for p in _leaf_positions(c, pos + (i,))]
 
 
 _WK = parse_formula("A * B -o A")
@@ -434,6 +447,8 @@ _WK_CURRY = (
         (A, ("mp", 1, 0)),  # the major premise does not match
         (Imp(A, A), ("axiom", "Id", {"A": A})),  # no such schema
         (SCHEMAS["CWC"], ("axiom", "CWC", {"A": A, "B": B})),  # not a schema of H-ALm
+        # an instance of Wk, but under {A=B; B=A}, not under its substitution
+        (parse_formula("B * A -o B"), ("axiom", "Wk", {"A": A, "B": B})),
     ],
     ids=[
         "not-its-conclusion",
@@ -441,6 +456,7 @@ _WK_CURRY = (
         "major-mismatch",
         "unknown-schema",
         "schema-outside-system",
+        "instance-under-another-substitution",
     ],
 )
 def test_replay_names_the_bad_line(line):

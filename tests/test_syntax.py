@@ -319,21 +319,6 @@ def test_a_late_callback_leaves_a_rebuilt_node_in_the_table():
         gc.enable()
 
 
-def test_compiling_formulas_leaves_no_cyclic_garbage():
-    import gc
-
-    from hooplog.syntax import compile_formulas
-
-    fs = [parse_formula("(A -o B) * (B -o A) -o A /\\ B^"), parse_formula("A !! 1")]
-    gc.collect()
-    gc.disable()  # reference counting alone must free everything a compile made
-    try:
-        compile_formulas(fs)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
 def _corpus_formulas():
     from pathlib import Path
 
