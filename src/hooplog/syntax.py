@@ -296,14 +296,14 @@ def substitute(f: Formula, sigma: dict[str, Formula], memo: dict | None = None) 
         got = memo.get(f)
         if got is not None:
             return got
-    if isinstance(f, Var):
+    if isinstance(f, _Binary):
+        out = type(f)(substitute(f.left, sigma, memo), substitute(f.right, sigma, memo))
+    elif isinstance(f, Var):
         out = sigma.get(f.name, f)
-    elif isinstance(f, _Const):
-        out = f
     elif isinstance(f, Neg):
         out = Neg(substitute(f.body, sigma, memo))
     else:
-        out = type(f)(substitute(f.left, sigma, memo), substitute(f.right, sigma, memo))
+        out = f
     if memo is not None:
         memo[f] = out
     return out

@@ -288,10 +288,57 @@ def test_canonical_key_is_invariant_under_relabelling():
             assert canonical_key(_relabel(alg, (0,) + perm)) == key
 
 
+def test_canonical_key_is_the_brute_force_key_with_the_top_anywhere():
+    algs = list(enumerate_algebras(5))
+    assert [a.size for a in algs[:3]] == [1, 2, 3]
+    for alg in algs:
+        n, top = alg.size, alg.top
+        rest = [x for x in range(1, n) if x != top]
+        # the top at every label but 0, the identity's, unless n is 1
+        perms = [[0] + rest[: k - 1] + [top] + rest[k - 1 :] for k in range(1, n)]
+        for p in perms or [[0]]:
+            moved = _relabel(alg, p)
+            assert moved.top == p.index(top)
+            assert canonical_key(moved) == _full_key(moved), format_algebra(moved)
+
+
+@pytest.mark.parametrize(
+    "base, top",
+    [(lukasiewicz_chain(3), None), (lukasiewicz_chain(3), 1), (boolean_algebra(), 0)],
+    ids=["no-top", "top-not-absorbing", "identity-as-top"],
+)
+def test_canonical_key_needs_an_absorbing_top(base, top):
+    alg = FiniteAlgebra(base.size, base.add, base.res, top)
+    with pytest.raises(ValueError, match=f"size {base.size}, top {top}$"):
+        canonical_key(alg)
+
+
+def test_canonical_key_of_sizes_1_and_2_is_the_algebra_itself():
+    one = FiniteAlgebra(1, ((0,),), ((0,),), 0)
+    for alg in (one, boolean_algebra()):
+        assert canonical_key(alg) == (alg.add, alg.res, alg.top) == _full_key(alg)
+
+
+def _label2_ranks(alg):
+    """The rank of each element x but 0 and the top: 0 if x + x is the top,
+    1 if x is idempotent, else 2."""
+    add, top = alg.add, alg.top
+    return {
+        x: 0 if add[x][x] == top else 1 if add[x][x] == x else 2
+        for x in range(1, alg.size)
+        if x != top
+    }
+
+
 def test_canonical_key_is_the_brute_force_key_at_size_6():
     rng = random.Random(6)
     algs = [alg for alg in enumerate_algebras(6) if alg.size == 6]
     assert len(algs) == 129
+    # label 2 ranges over the elements of least rank; all three ranks occur,
+    # but the least is 0 or 1, since a coatom c has c + c in {c, top}
+    ranks = [_label2_ranks(alg) for alg in algs]
+    assert {r for rs in ranks for r in rs.values()} == {0, 1, 2}
+    assert {min(rs.values()) for rs in ranks} == {0, 1}
     for alg in algs:
         key = canonical_key(alg)
         assert key == _full_key(alg), format_algebra(alg)
@@ -311,9 +358,10 @@ def _poset(n, covers):
 
 
 def test_canonical_key_is_the_brute_force_key_at_size_7():
-    # Size 6 need not reach every branch of the key's bound: on the chain
-    # and the order between, bound rows with one repeated tail value and
-    # ties carried past row 1 each occur thousands of times.
+    # Size 7 is the first size whose label-2 groups hold 4! relabellings
+    # each.  On the chain and the order between, the least rank is shared
+    # by two to five elements in 363 of the 475 tables, so the minimum runs
+    # over up to 120 relabellings, across groups.
     rng = random.Random(7)
     chain = _chain_poset(7)
     flat = _poset(7, {(0, x) for x in range(1, 7)})
