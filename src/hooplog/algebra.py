@@ -686,26 +686,18 @@ def canonical_key(m: FiniteAlgebra) -> tuple:
     return rows[:n], rows[n:], 1
 
 
-def _pocrims_of_size(
-    n: int, chains_only: bool
-) -> list[tuple[FiniteAlgebra, frozenset[str]]]:
+def _pocrims_of_size(n: int) -> list[tuple[FiniteAlgebra, frozenset[str]]]:
     """(algebra, class flags) for one representative of each isomorphism
-    class of size-n pocrims whose order is the chain (chains_only) or is
-    not, in canonical order.  Every such order is bounded."""
+    class of size-n pocrims: those whose order is the chain first, then the
+    rest, each in canonical order.  Every such order is bounded."""
     found: dict[tuple, tuple[FiniteAlgebra, frozenset[str]]] = {}
     chain = _chain_poset(n)
-    if chains_only:
-        posets = [chain]
-    else:
-        posets = (
-            leq for leq in _poset_representatives(_bounded_posets(n)) if leq != chain
-        )
-    for leq in posets:
+    for leq in _poset_representatives(_bounded_posets(n)):
         for add, res, top in _complete_tables(n, leq):
             alg = FiniteAlgebra(n, add, res, top)
-            form = canonical_key(alg)
-            if form not in found:
-                found[form] = (alg, _class_flags(alg))
+            key = (leq != chain, canonical_key(alg))
+            if key not in found:
+                found[key] = (alg, _class_flags(alg))
     return [found[k] for k in sorted(found)]
 
 
@@ -722,7 +714,7 @@ def _class_block(
     block = _ENUM_CACHE.get((n, required))
     if block is None:
         if required == _POCRIM:
-            block = _pocrims_of_size(n, True) + _pocrims_of_size(n, False)
+            block = _pocrims_of_size(n)
         else:
             block = [p for p in _class_block(n, _POCRIM) if required <= p[1]]
         _ENUM_CACHE[n, required] = block

@@ -14,9 +14,8 @@ is registered and becomes citable by later scripts.  `run_corpus` rebuilds
 the registry from scratch and re-verifies every entry, so a regression in
 any proof, script or model is a hard failure naming the entry.
 
-Each proof is kept once.  A registered lemma's trees and scripts live in
-`registry.evidence`; `Corpus.proofs` holds only the pinned trees of
-`proof` entries, which are not registered, each with its theory.
+Each proof is kept once: a registered lemma's trees and scripts live in
+`registry.evidence`.
 """
 
 from __future__ import annotations
@@ -26,15 +25,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from ..syntax import expand_derived, variables
-from ..sequent import (
-    ProofTree,
-    Sequent,
-    bounded_prove,
-    check_proof,
-    format_sequent,
-    parse_proof,
-    parse_sequent,
-)
+from ..sequent import Sequent, bounded_prove, format_sequent, parse_sequent
 from ..theories import TheoryId, theory_by_name
 from ..eqengine import (
     EQUIV,
@@ -83,9 +74,6 @@ class CorpusReport:
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
-
-    def failed(self) -> list[EntryResult]:
-        return [r for r in self.results if not r.ok]
 
     def render(self, timing: bool = False) -> str:
         # timing is off by default so identical runs print identical bytes
@@ -169,7 +157,6 @@ def register_kit(registry: LemmaRegistry) -> None:
 #   script <file>                   the script's claim is the statement
 #   scripts <fwd> <bwd>             equivalence from two >= scripts
 #   script+auto <file> <depth>      forward script, bounded converse
-#   proof <file> [<file>]           sequent proof(s) of the statement
 #   model <file>                    pinned countermodel for a sequent statement
 #   checked <size>                  valid in every algebra of the class <= size
 #   builtin <name>                  python-verified construction
@@ -203,7 +190,6 @@ class Corpus:
     def __init__(self):
         self.registry = LemmaRegistry()
         self.entries = load_index()
-        self.proofs: dict[str, tuple[ProofTree, TheoryId]] = {}
         self.scripts: dict[str, EqScript] = {}
         self.verified: set[str] = set()
 
@@ -287,17 +273,6 @@ class Corpus:
         self.registry.register(lemma, (fwd, bwd))
         self.scripts[entry.id] = fwd
         return True, f"script ({len(fwd.steps)} steps) + converse depth {depth}"
-
-    def _ev_proof(self, entry: CorpusEntry):
-        seq = parse_sequent(entry.statement)
-        tree = parse_proof(_data_text(entry.evidence[1]))
-        if tree.conclusion != seq:
-            return False, "proof conclusion differs from the statement"
-        v = check_proof(tree, entry.theory)
-        if not v:
-            return False, v.message
-        self.proofs[entry.id] = (tree, entry.theory)
-        return True, f"sequent proof, height {tree.height()}"
 
     def _ev_model(self, entry: CorpusEntry):
         text = _data_text(entry.evidence[1])

@@ -149,16 +149,14 @@ def bi_hilbert_equivalence(corpus, entry):
 
 
 def _collect_proofs(corpus):
-    """(name, tree, theory) for every sequent proof verified so far: the
-    trees among the registry's evidence, named id[i], then the pinned trees
-    of `proof` entries."""
+    """(name, tree, theory) for every sequent proof among the registry's
+    evidence so far, named id[i]."""
     out = []
     for name, ev in corpus.registry.evidence.items():
         theory = corpus.registry.entries[name].theory
         for i, item in enumerate(ev if isinstance(ev, tuple) else (ev,)):
             if isinstance(item, ProofTree):
                 out.append((f"{name}[{i}]", item, theory))
-    out.extend((name, tree, theory) for name, (tree, theory) in corpus.proofs.items())
     return out
 
 

@@ -278,7 +278,8 @@ class LemmaEntry:
 
     @cached_property
     def redexes(self) -> dict:
-        """(reverse, node) -> the node's first kit redex, kept by `translate`."""
+        """node -> the node's first redex of the lemma read left to right,
+        kept by `translate`'s kit."""
         return {}
 
 

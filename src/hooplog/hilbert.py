@@ -23,14 +23,16 @@ tensor, and the root curries the sorted context out one element at a time,
 last to second, leaving the first as the outermost antecedent.
 
 `hilbert_to_sequent` replays the other direction, turning modus ponens into
-ImpE and each axiom instance into one `Lem` leaf.  Each (schema, theory)
-sequent proof is found once and admitted by the kernel (`sequent.admit`)
-when `schema_proof` first builds it, so the leaf cites |- schema and the
-kernel checks that the line is an instance of it, in time linear in the
-schema, not in its proof.  An axiom line is built one way, as
-`substitute(SCHEMAS[name], sigma)`, and checked one way: `check_derivation`
-and the replay walk the schema against the line under its substitution
-(`_is_instance`), building nothing.
+ImpE and each axiom instance into one `Lem` leaf.  It only builds: the one
+validator of a derivation is `check_derivation`, which the replay calls
+first.  Each (schema, theory) sequent proof is found once and admitted by
+the kernel (`sequent.admit`) when `schema_proof` first builds it, so the
+leaf cites |- schema and the kernel checks that the line is an instance of
+it, in time linear in the schema, not in its proof.  An axiom line is built
+one way, as `substitute(SCHEMAS[name], sigma)`, and checked one way:
+`check_derivation` walks the schema against the line under its substitution
+(`_is_instance`), building nothing, and tests an mp line by identity, which
+for interned formulas is equality.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def check_derivation(d: HilbertDerivation, system: str) -> Verdict:
             _, i, j = just
             if not (0 <= i < n and 0 <= j < n):
                 return Verdict(False, f"line {n + 1}: mp premises must be earlier")
-            if d.lines[j][0] != Imp(d.lines[i][0], f):
+            g = d.lines[j][0]
+            if not (type(g) is Imp and g.left is d.lines[i][0] and g.right is f):
                 return Verdict(
                     False,
                     f"line {n + 1}: line {j + 1} is not (line {i + 1}) -o this line",
@@ -554,32 +557,20 @@ def schema_proof(name: str, theory: TheoryId) -> ProofTree:
 def hilbert_to_sequent(d: HilbertDerivation, theory: TheoryId) -> ProofTree:
     """Replay a derivation as a sequent proof of |- final line: an axiom
     line is a `Lem` leaf concluding it and citing its schema, whose proof
-    `schema_proof` admits on first use, and an mp line is ImpE.  Raises
-    FormulaError naming the first line that cites a line not before it,
-    names a schema outside the theory's system, is not its schema's
-    instance under its substitution, or whose ImpE is not the line."""
-    schemas = system_for(theory)
+    `schema_proof` admits on first use, and an mp line is ImpE.  The
+    derivation is checked first, by `check_derivation` in the theory's
+    system; a rejected one raises FormulaError with its message, which
+    names the line."""
+    v = check_derivation(d, f"H-{theory.name}")
+    if not v:
+        raise FormulaError(v.message)
     proofs: list[ProofTree] = []
-    for n, (f, just) in enumerate(d.lines):
+    for f, just in d.lines:
         if just[0] == "axiom":
-            _, name, subst = just
-            if name not in schemas:
-                raise FormulaError(f"line {n + 1}: schema {name} not in H-{theory.name}")
-            schema_proof(name, theory)  # admits |- schema on first use
-            tree = ProofTree(Sequent((), f), "Lem", inst=(SCHEMAS[name],))
-            replayed = _is_instance(SCHEMAS[name], subst, f)
+            schema_proof(just[1], theory)  # admits |- schema on first use
+            proofs.append(ProofTree(Sequent((), f), "Lem", inst=(SCHEMAS[just[1]],)))
         else:
-            _, i, j = just
-            if not (0 <= i < n and 0 <= j < n):
-                raise FormulaError(f"line {n + 1}: mp premises must be earlier")
-            try:
-                tree = imp_e(proofs[i], proofs[j])
-            except FormulaError as e:
-                raise FormulaError(f"line {n + 1}: {e}") from None
-            replayed = tree.conclusion.goal is f
-        if not replayed:
-            raise FormulaError(f"line {n + 1}: the replayed conclusion is not this line")
-        proofs.append(tree)
+            proofs.append(imp_e(proofs[just[1]], proofs[just[2]]))
     return proofs[-1]
 
 

@@ -50,7 +50,6 @@ from .syntax import (
 )
 from .theories import ALL_THEORIES, TheoryId
 
-RULES = ("ImpI", "ImpE", "TensorI", "TensorE")
 AXIOMS = ("AxASM", "AxCON", "AxEFQ", "AxDNE", "AxCWC")
 
 

@@ -464,7 +464,7 @@ def _labelled_reference(n):
 
 def test_representative_posets_give_the_labelled_enumeration():
     for n in range(1, 6):
-        got = _pocrims_of_size(n, True) + _pocrims_of_size(n, False)
+        got = _pocrims_of_size(n)
         assert [alg for alg, _ in got] == _labelled_reference(n), n
         assert all(flags == check_class(alg).flags for alg, flags in got)
 
@@ -812,8 +812,7 @@ def test_enumeration_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         for n in range(2, 7):
-            algebra_module._pocrims_of_size(n, True)
-            algebra_module._pocrims_of_size(n, False)
+            algebra_module._pocrims_of_size(n)
             assert gc.collect() == 0, n
     finally:
         gc.enable()
@@ -981,9 +980,9 @@ from hooplog.theories import ALm
 sizes = set()
 real = algebra._pocrims_of_size
 
-def spy(n, chains_only):
+def spy(n):
     sizes.add(n)
-    return real(n, chains_only)
+    return real(n)
 
 algebra._pocrims_of_size = spy
 alg, v = algebra.find_countermodel(parse_sequent("A |- A * A"), ALm, 10)

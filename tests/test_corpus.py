@@ -32,6 +32,14 @@ def test_script_easy_depths_within_budget(corpus):
                 assert st.depth <= 8, (name, st.depth)
 
 
+def test_an_evidence_kind_without_a_handler_fails_its_entry():
+    from hooplog.corpus import Corpus, CorpusEntry
+    from hooplog.theories import ALm
+
+    entry = CorpusEntry("no-kind", "proved", ALm, "A |- A", ("proof", "a.proof"))
+    assert Corpus()._verify(entry) == (False, "unknown evidence kind 'proof'")
+
+
 def test_group_members_exist(corpus):
     ids = {e.id for e in corpus.entries}
     for e in corpus.entries:

@@ -449,6 +449,7 @@ _WK_CURRY = (
         (SCHEMAS["CWC"], ("axiom", "CWC", {"A": A, "B": B})),  # not a schema of H-ALm
         # an instance of Wk, but under {A=B; B=A}, not under its substitution
         (parse_formula("B * A -o B"), ("axiom", "Wk", {"A": A, "B": B})),
+        (parse_formula("A -o B -o A"), ("bogus", 0, 1)),  # no such justification
     ],
     ids=[
         "not-its-conclusion",
@@ -457,6 +458,7 @@ _WK_CURRY = (
         "unknown-schema",
         "schema-outside-system",
         "instance-under-another-substitution",
+        "unknown-justification",
     ],
 )
 def test_replay_names_the_bad_line(line):

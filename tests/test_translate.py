@@ -103,6 +103,39 @@ def test_glivenko_matches_kolmogorov_over_lli(corpus):
         assert s is not None
 
 
+def test_the_gap_between_normal_forms_is_left_to_the_easy_step(corpus):
+    # P /\ Q ~= Q /\ P is CWC: no kit lemma applies, so the script is one
+    # easy step, which check_script discharges in LLi and not in ALm
+    from hooplog.eqengine import check_script
+
+    lhs, rhs = parse_formula("P /\\ Q"), parse_formula("Q /\\ P")
+    assert equivalence_script("cwc", lhs, rhs, ALm, corpus.registry) is None
+    s = equivalence_script("cwc", lhs, rhs, LLi, corpus.registry)
+    assert [st.kind for st in s.steps] == ["easy"]
+    assert check_script(s, corpus.registry)
+
+
+def test_dns_reports_are_pinned(corpus):
+    # every scheme in every theory with EFQ, over its regression list
+    import hashlib
+    from collections import Counter
+
+    from hooplog.corpus.builtins import regression_list
+    from hooplog.theories import ALL_THEORIES
+
+    renders, statuses = [], Counter()
+    for scheme in TRANSLATIONS:
+        for t in ALL_THEORIES:
+            if t.level != "minimal":
+                rep = check_dns(scheme, t, regression_list(t), corpus.registry)
+                renders.append(rep.render())
+                statuses.update(e.status for e in rep.entries)
+    assert len(renders) == 24
+    assert statuses == {"pass": 443, "fail": 7, "inconclusive": 6}
+    digest = hashlib.sha256("\n".join(renders).encode()).hexdigest()
+    assert digest == "e8549a1fc65cb47b839bf00042a3673a0bb03535c053c4b507056ed0aa6eaafd"
+
+
 def test_check_dns_positive_and_evidence_rechecks(corpus):
     from hooplog.corpus.builtins import regression_list
     from hooplog.eqengine import check_script
@@ -162,15 +195,14 @@ def test_dns2_failure_has_countermodel(corpus):
 
 def _per_lemma_reduce_once(cur, kit):
     """One kit rewrite that rescans every position for every lemma."""
-    for entry, rev in kit:
-        src, tgt = entry.sides(rev)
+    for entry in kit:
         for pos in sorted(positions(cur), key=len, reverse=True):
             sub = subterm_at(cur, pos)
-            for sigma in ac_match(src, sub):
-                out = replace_at(cur, pos, substitute(tgt, sigma))
+            for sigma in ac_match(entry.lhs, sub):
+                out = replace_at(cur, pos, substitute(entry.rhs, sigma))
                 if ac_normalize(out) == ac_normalize(cur):
                     continue
-                return out, EqStep("rewrite", EQUIV, out, lemma=entry.id, reverse=rev, pos=pos)
+                return out, EqStep("rewrite", EQUIV, out, lemma=entry.id, pos=pos)
     return None
 
 
@@ -231,7 +263,7 @@ def test_seeded_reduction_matches_the_per_lemma_scan(corpus, theory):
 def test_a_rewrite_that_keeps_the_normal_form_is_skipped():
     # every instance of the swap here has AC-equal sides, so none is a step
     swap = LemmaEntry("swap", parse_formula("X -o Y"), parse_formula("Y -o X"), EQUIV, ALm)
-    kit = [(swap, False)]
+    kit = [swap]
     for text in ("P * Q -o Q * P", "(P * Q -o Q * P) * (R * (P -o P))"):
         f = parse_formula(text)
         assert reduce_with_kit(f, kit) == _per_lemma_reduce(f, kit) == [(f, None)]
@@ -266,9 +298,10 @@ def test_budget_error_names_the_formula_and_the_last_lemma(monkeypatch):
 
     monkeypatch.setattr(translate_module, "_reduce_once", counting)
     # undoing a double negation first and adding one otherwise loops
-    loop = LemmaEntry("loop", Var("X"), parse_formula("X^^"), EQUIV, ALm)
+    undo = LemmaEntry("loop", parse_formula("X^^"), Var("X"), EQUIV, ALm)
+    add = LemmaEntry("loop", Var("X"), parse_formula("X^^"), EQUIV, ALm)
     with pytest.raises(RuntimeError) as err:
-        reduce_with_kit(parse_formula("P * Q"), [(loop, True), (loop, False)])
+        reduce_with_kit(parse_formula("P * Q"), [undo, add])
     assert len(steps) == _MAX_REDUCE and None not in steps
     msg = str(err.value)
     assert "P * Q" in msg and "'loop'" in msg and str(_MAX_REDUCE) in msg
@@ -278,8 +311,8 @@ def test_the_redex_memo_dies_with_its_entry():
     entry = LemmaEntry("tn", parse_formula("X^^^"), parse_formula("X^"), EQUIV, ALm)
     f = parse_formula("Lifetime^^^ -o Lifetime")
     ref = weakref.ref(f)
-    trace = reduce_with_kit(f, [(entry, False)])
-    assert len(trace) == 2 and (False, f) in entry.redexes
+    trace = reduce_with_kit(f, [entry])
+    assert len(trace) == 2 and f in entry.redexes
     del entry, f, trace
     gc.collect()
     assert ref() is None
