@@ -28,18 +28,21 @@ covers are all placed.  For each kept order the top's row and column of
 the add table are forced, as a + top = top, and so are its residuals, all
 0; every associativity instance that reads a top cell, or a sum equal to
 the top, holds by monotonicity.  The other cells are filled cell by cell,
-by backtracking, with monotone candidates, the cells below each cell being
-listed once per order; after each placement only the associativity
-instances that read the new cell as x+y or as (x+y)+z are checked (by
-commutativity the other readings are their mirror images), the filled
-cells with a given sum being indexed by that sum (appended on placement,
-truncated on undo); once row b's last free cell is placed, column b is
-complete (the table is symmetric), and its residuals are derived there,
-the branch cut if one is missing.  So completion guarantees the pocrim
-laws, and a completed table is not verified again: only its class flags
-are computed (`_class_flags`, which `check_class` reports after verifying
-the laws), once per class.  Completed tables are merged by `canonical_key`, the
-first labelling found standing for its class.  The key is the least
+by backtracking, over int masks of up-sets: a cell's candidates are the
+intersection of the up-sets of its arguments and of the sums of the filled
+cells below it (listed once per order), read lowest bit first, so in
+ascending order; after each placement only the associativity instances
+that read the new cell as x+y or as (x+y)+z are checked (by commutativity
+the other readings are their mirror images), the filled cells with a given
+sum being indexed by that sum (appended on placement, truncated on undo);
+once row b's last free cell is placed, column b is complete (the table is
+symmetric), and its residuals are derived there: res[b][c] is the lowest
+bit of the mask of rows a with a+b >= c, the branch cut if the mask is
+empty or not within that bit's up-set.  So completion guarantees the
+pocrim laws, and a completed table is not verified again: only its class
+flags are computed (`_class_flags`, which `check_class` reports after
+verifying the laws), once per class.  Completed tables are merged by
+`canonical_key`, the first labelling found standing for its class.  The key is the least
 relabelling fixing 0, and two facts leave few to compare: the top absorbs,
 so row 1 of the key is all 1s, its least value, only when the top has
 label 1; and cell (2, 2) is then the label of x + x for the element x at
@@ -526,12 +529,13 @@ def _complete_tables(n: int, leq) -> list[tuple]:
     """Backtrack over commutative monotone integral add tables for a fixed
     order that residuate; returns completed (add, res, top) triples.  An
     order without a top has none, and the top, n-1, absorbs: its row and
-    column of add are n-1, its residuals 0."""
+    column of add are n-1, its residuals 0.  Sets of elements are int masks,
+    bit v for element v; upm[v] is the up-set of v."""
     top = n - 1
     if not all(leq[a][top] for a in range(n)):
         return []
-    geq = [[leq[j][i] for j in range(n)] for i in range(n)]
-    ups = [frozenset(j for j in range(n) if geq[j][i]) for i in range(n)]
+    above = [[j for j in range(n) if leq[i][j]] for i in range(n)]
+    upm = [sum(1 << j for j in up) for up in above]
     add = [[0] * n for _ in range(n)]
     for a in range(n):
         add[a][top] = add[top][a] = top
@@ -541,12 +545,12 @@ def _complete_tables(n: int, leq) -> list[tuple]:
     by_sum = [[(0, v), (v, 0)] if v else [(0, 0)] for v in range(n)]
     by_sum[top] = [(x, y) for x in range(n) for y in range(n) if top in (x, y)]
     cells = [(i, j) for i in range(1, top) for j in range(i, top)]
-    # Cell k's value must dominate both arguments, ups[i] & ups[j], and, for
+    # Cell k's value must dominate both arguments, upm[i] & upm[j], and, for
     # monotonicity, every filled cell below it in either orientation: the
     # earlier cells of below[k].  The only filled cells above it are the
     # top's, whose value is the maximum: the other cells are filled in
     # lexicographic order, and the numeric order extends the partial one.
-    bounds = [sorted(ups[i] & ups[j]) for i, j in cells]
+    bounds = [upm[i] & upm[j] for i, j in cells]
     below = [
         [
             (x, y)
@@ -557,19 +561,6 @@ def _complete_tables(n: int, leq) -> list[tuple]:
     ]
     out: list[tuple] = []
 
-    def candidates(k):
-        lo = {add[x][y] for x, y in below[k]}
-        return [c for c in bounds[k] if all(geq[c][v] for v in lo)]
-
-    def holds(x, y, z):
-        # (x+y)+z == x+(y+z), or one of its four sums is still unknown
-        if not (filled[x][y] and filled[y][z]):
-            return True
-        xy, yz = add[x][y], add[y][z]
-        if not (filled[xy][z] and filled[x][yz]):
-            return True
-        return add[xy][z] == add[x][yz]
-
     def assoc_ok(i, j):
         # Every instance whose sums were all known before (i,j) was placed
         # has been checked already; check those that read the new cell.  The
@@ -578,28 +569,39 @@ def _complete_tables(n: int, leq) -> list[tuple]:
         # z+(y+x) being (x+y)+z: an instance reading the new cell as y+z or
         # x+(y+z) is the mirror of one reading it as x+y or (x+y)+z.  So,
         # per orientation (a, b) of the cell, only (a, b, t) and (x, y, b)
-        # with x+y == a are checked.
+        # with x+y == a are checked, the latter's a+b being the new cell.
         for a, b in {(i, j), (j, i)}:
-            ab = add[a][b]
+            add_a, fill_a, add_b, fill_b = add[a], filled[a], add[b], filled[b]
+            ab = add_a[b]
+            add_ab, fill_ab = add[ab], filled[ab]
             for t in range(n):  # (a, b, t), with a+b filled
-                if filled[b][t]:
-                    bt = add[b][t]
-                    if filled[ab][t] and filled[a][bt] and add[ab][t] != add[a][bt]:
+                if fill_b[t]:
+                    bt = add_b[t]
+                    if fill_ab[t] and fill_a[bt] and add_ab[t] != add_a[bt]:
                         return False
-            for x, y in by_sum[a]:
-                if not holds(x, y, b):
-                    return False
+            for x, y in by_sum[a]:  # (x, y, b): (x+y)+b is a+b
+                if filled[y][b]:
+                    yb = add[y][b]
+                    if filled[x][yb] and add[x][yb] != ab:
+                        return False
         return True
 
     def residuates(b):
         # Column b of add is final once its last free cell, (b, top-1), is
-        # placed: res[b][c] is the least a with a+b >= c, which comes first
-        # in the numeric order if it exists.
+        # placed.  col[v] is the rows a with a+b == v, so sat, their union
+        # over the v >= c, is the rows with a+b >= c, and res[b][c] is its
+        # least element: its lowest bit a0, if a0 lies below all of sat.
+        col = [0] * n
+        for a, v in enumerate(add[b]):
+            col[v] |= 1 << a
         for c in range(n):
-            sat = [a for a in range(n) if geq[add[a][b]][c]]
-            if not sat or not all(leq[sat[0]][x] for x in sat):
+            sat = 0
+            for v in above[c]:
+                sat |= col[v]
+            a0 = (sat & -sat).bit_length() - 1
+            if not sat or sat & ~upm[a0]:
                 return False
-            res[b][c] = sat[0]
+            res[b][c] = a0
         return True
 
     def place(k):
@@ -608,7 +610,13 @@ def _complete_tables(n: int, leq) -> list[tuple]:
             return
         i, j = cells[k]
         new = [(i, j)] if i == j else [(i, j), (j, i)]
-        for c in candidates(k):
+        # the candidates, lowest bit first: the ascending numeric order
+        cand = bounds[k]
+        for x, y in below[k]:
+            cand &= upm[add[x][y]]
+        while cand:
+            c = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
             add[i][j] = add[j][i] = c
             filled[i][j] = filled[j][i] = True
             by_sum[c].extend(new)

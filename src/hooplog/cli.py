@@ -232,8 +232,8 @@ def _cmd_models_find(args) -> int:
 
 
 def _cmd_models_enum(args) -> int:
-    required = frozenset(x for x in args.require.split(",") if x)
-    forbidden = frozenset(x for x in args.forbid.split(",") if x)
+    required = frozenset(filter(None, map(str.strip, args.require.split(","))))
+    forbidden = frozenset(filter(None, map(str.strip, args.forbid.split(","))))
     count = 0
     for alg, flags in enumerate_classified(args.max_size, required, forbidden):
         count += 1

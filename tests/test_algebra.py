@@ -414,13 +414,103 @@ def test_poset_representatives_are_those_of_the_permutation_rule():
         assert list(_poset_representatives(_bounded_posets(n))) == expected, n
 
 
-def test_enumeration_stream_up_to_size_6_is_pinned():
+def _stream_digest(size_max):
     digest = hashlib.sha256()
-    for alg, flags in enumerate_classified(6):
+    for alg, flags in enumerate_classified(size_max):
         digest.update((format_algebra(alg) + " ".join(sorted(flags)) + "\n").encode())
-    assert digest.hexdigest() == (
+    return digest.hexdigest()
+
+
+def test_enumeration_stream_up_to_size_6_is_pinned():
+    assert _stream_digest(6) == (
         "a37cc0b44e35783b727015de982609c54e6a7be795dc178964f9d521b19392c8"
     )
+
+
+def test_enumeration_stream_up_to_size_7_is_pinned():
+    assert _stream_digest(7) == (
+        "a17e67b1b2f54520bd27192c317ada1aa2d5f39702512210522a76ad462a48f1"
+    )
+
+
+def test_completed_tables_up_to_size_7_are_pinned():
+    # every table completion yields, in order, with the relabelled
+    # duplicates that the stream drops: 1,036 tables
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for leq in _poset_representatives(_bounded_posets(n)):
+            digest.update(repr(_complete_tables(n, leq)).encode())
+    assert digest.hexdigest() == (
+        "15a5e7c7a81cda04370b7874ac59e9e36f910d7946c20c4d3d6e46ec697e5bc8"
+    )
+
+
+def _chain_lengths(points, budget):
+    """The tuples of `points` chain lengths, each at least 2, with
+    sum(k - 1) <= budget."""
+    if points == 0:
+        yield ()
+        return
+    for k in range(2, budget + 2):
+        for rest in _chain_lengths(points - 1, budget - (k - 1)):
+            yield (k,) + rest
+
+
+def _poset_products(size_max):
+    """The poset products of finite MV-chains (Jipsen and Montagna, 2010)
+    with at most size_max elements, in this package's convention: 0 is
+    truth and the identity, larger is falser, so the chain at point i is
+    0..k_i-1 with a + b = min(k_i - 1, a + b).  Over a poset I of p points,
+    the elements are the f with f(i) < k_i such that i < j and f(i) != 0
+    imply f(j) = k_j - 1; + is pointwise, and res(f, g)(i) is
+    max(0, g(i) - f(i)) when f(j) >= g(j) for every j < i, else k_i - 1.
+    The all-0 function is labelled 0 and the all-top one n-1.  A product
+    has at least 1 + sum(k_i - 1) elements, with equality for a chain I,
+    so only the k within that bound are tried."""
+    for p in range(size_max):
+        for leq in _poset_representatives(_posets_with_bottom(p + 1)):
+            # I is the order with its bottom, 0, dropped: lt[i][j] is i < j
+            lt = [[i != j and leq[i + 1][j + 1] for j in range(p)] for i in range(p)]
+            for ks in _chain_lengths(p, size_max - 1):
+
+                def element(f):
+                    above = (j for i in range(p) if f[i] for j in range(p) if lt[i][j])
+                    return all(f[j] == ks[j] - 1 for j in above)
+
+                def plus(f, g):
+                    return tuple(min(k - 1, a + b) for k, a, b in zip(ks, f, g))
+
+                def arrow(f, g):
+                    return tuple(
+                        max(0, g[i] - f[i])
+                        if all(f[j] >= g[j] for j in range(p) if lt[j][i])
+                        else ks[i] - 1
+                        for i in range(p)
+                    )
+
+                elems = list(filter(element, product(*map(range, ks))))
+                n = len(elems)
+                if n <= size_max:
+                    label = {f: v for v, f in enumerate(elems)}
+                    add, res = (
+                        tuple(tuple(label[op(f, g)] for g in elems) for f in elems)
+                        for op in (plus, arrow)
+                    )
+                    yield FiniteAlgebra(n, add, res, n - 1)
+
+
+def test_poset_products_of_mv_chains_are_the_enumerated_hoops():
+    # a second source for the hoops: every finite hoop is a poset product
+    # of finite MV-chains
+    products = {n: set() for n in range(1, 8)}
+    for alg in _poset_products(7):
+        assert "hoop" in check_class(alg).flags, format_algebra(alg)
+        products[alg.size].add(canonical_key(alg))
+    enumerated = {n: set() for n in range(1, 8)}
+    for alg in enumerate_algebras(7, {"hoop"}):
+        enumerated[alg.size].add(canonical_key(alg))
+    assert products == enumerated
+    assert [len(products[n]) for n in range(1, 8)] == [1, 1, 2, 5, 10, 23, 49]
 
 
 def _residuals(n, add, leq):

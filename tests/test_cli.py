@@ -148,6 +148,17 @@ def test_models_enum_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_models_enum_strips_spaces_round_class_flags(capsys):
+    def enum(require, forbid):
+        args = ["--max-size", "4", "--require", require, "--forbid", forbid]
+        assert main(["models", "enum", *args]) == 0
+        return capsys.readouterr().out
+
+    plain = enum("hoop,bounded", "idempotent")
+    assert "# 0 algebras" not in plain
+    assert enum("hoop, bounded", " , idempotent ") == plain
+
+
 def test_models_enum_output_is_pinned(capsys):
     assert main(["models", "enum", "--max-size", "6"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
