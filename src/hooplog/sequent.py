@@ -17,16 +17,26 @@ writer.
 Search works backwards from the goal: axioms, then ImpI, TensorI, chains of
 ImpE over an implication drawn from the context (plus the DNE and EFQ cut
 candidates `G^^ -o G` and `1 -o G` when the theory has those axioms), then
-TensorE on a context tensor.  Failed (sequent, budget) pairs are memoised per
-invocation.
+TensorE on a context tensor, then TensorE on a tensor that a context
+implication yields.  Two of these rules are invertible, as residuation holds
+in every pocrim: Gamma |- A -o B iff Gamma, A |- B, and Gamma, A * B |- C iff
+Gamma, A, B |- C.  The search uses that, as focusing does (Andreoli,
+*J. Logic Comput.* 2, 1992).  When ImpI's premise fails, only the ImpE chains
+ending at the goal are tried after it, as a chain may reach the goal in fewer
+levels.  TensorE on a context tensor searches its body once, with the whole
+rest of the context, not once per split, and `_trim` then cuts each
+subproof's context to what its leaves use; the part of the rest that the
+body leaves unused goes to the tensor's AxASM premise.  Each sequent's best
+proof and largest failed budget are memoised per invocation.
 
 When the root has at most 5 variables, each sequent the search meets is
 first evaluated in the theory's class algebras of size 2 and 3 by one
 `algebra.refuter`.  Every rule and axiom of a theory is sound in its class,
 so a sequent they falsify has no proof at any depth: it fails at every
 budget unsearched, as Gelernter's geometry machine dropped subgoals false in
-its diagram.  Verdicts are unchanged.  Proofs could change, as the memo
-then holds less, but are the same on every seeded pool tried; tests pin one.
+its diagram.  Verdicts are unchanged.  Proofs could change too, as the memo
+then holds less, but on every seeded pool tried they do not: tests compare
+the two searches on one pool and pin the proofs of another.
 """
 
 from __future__ import annotations
@@ -143,16 +153,19 @@ def _ctx_minus(ctx: tuple[Formula, ...], remove) -> tuple[Formula, ...] | None:
 
 
 class ProofTree:
-    __slots__ = ("conclusion", "rule", "premises", "inst")
+    __slots__ = ("conclusion", "rule", "premises", "inst", "_height")
 
     def __init__(self, conclusion: Sequent, rule: str, premises=(), inst=()):
         self.conclusion = conclusion
         self.rule = rule
         self.premises = tuple(premises)
         self.inst = tuple(inst)
+        self._height = 0  # computed on the first call of height()
 
     def height(self) -> int:
-        return 1 + max((p.height() for p in self.premises), default=0)
+        if not self._height:
+            self._height = 1 + max((p.height() for p in self.premises), default=0)
+        return self._height
 
     def nodes(self):
         yield self
@@ -307,33 +320,42 @@ def _matches(pattern: Formula, f: Formula) -> bool:
 
 
 def _check_axiom_shape(p: ProofTree, path) -> Verdict:
-    s, r = p.conclusion, p.rule
-    goal = s.goal
-    if r == "AxASM":
-        need = (goal,)
-    elif r == "AxCON":
-        if not (isinstance(goal, Tensor) and goal.left == goal.right):
-            return _reject("AxCON: goal must be A * A", path)
-        need = (goal.left,)
-    elif r == "AxEFQ":
-        need = (ONE,)
-    elif r == "AxDNE":
-        need = (core_dneg(goal),)
-    elif r == "AxCWC":
-        # goal B * (B -o A); context must contain A and A -o B
-        if not (
-            isinstance(goal, Tensor)
-            and isinstance(goal.right, Imp)
-            and goal.right.left == goal.left
-        ):
-            return _reject("AxCWC: goal must be B * (B -o A)", path)
-        b, a = goal.left, goal.right.right
-        need = (a, Imp(a, b))
-    else:  # pragma: no cover
-        return _reject(f"unknown axiom {r!r}", path)
-    if _ctx_minus(s.context, need) is None:
+    r = p.rule
+    need = _schema_context(r, p.conclusion.goal)
+    if need is None:
+        return _reject(_SHAPES[r], path)
+    if _ctx_minus(p.conclusion.context, need) is None:
         return _reject(f"{r}: context lacks the schema formulas", path)
     return Verdict(True)
+
+
+_SHAPES = {
+    "AxCON": "AxCON: goal must be A * A",
+    "AxCWC": "AxCWC: goal must be B * (B -o A)",
+}
+
+
+def _schema_context(rule: str, goal: Formula) -> tuple[Formula, ...] | None:
+    """The formulas a leaf of `rule` needs in its context to conclude `goal`,
+    None when `goal` is not of the schema's shape.  A `Lem` leaf needs none."""
+    if rule == "AxASM":
+        return (goal,)
+    if rule == "AxCON":
+        if isinstance(goal, Tensor) and goal.left == goal.right:
+            return (goal.left,)
+        return None
+    if rule == "AxEFQ":
+        return (ONE,)
+    if rule == "AxDNE":
+        return (core_dneg(goal),)
+    if rule == "AxCWC":
+        # goal B * (B -o A); context must contain A and A -o B
+        r = goal.right if isinstance(goal, Tensor) else None
+        if isinstance(r, Imp) and r.left == goal.left:
+            a = r.right
+            return (a, Imp(a, goal.left))
+        return None
+    return ()
 
 
 # Constructors used throughout (they do not validate; check_proof does).
@@ -441,17 +463,52 @@ def contraction_axiom_premise(a: Formula, gamma=()) -> ProofTree:
     return p
 
 
+def _trim(p: ProofTree) -> ProofTree:
+    """p with each node's context cut to what its leaves use: an axiom leaf
+    keeps its schema's formulas, a `Lem` leaf none, and ImpI and TensorE
+    weaken back an antecedent or a component that their trimmed premise
+    lost.  The result concludes p's goal from a sub-multiset of p's context."""
+    s = p.conclusion
+    if not p.premises:
+        return ProofTree(Sequent(_schema_context(p.rule, s.goal), s.goal), p.rule, (), p.inst)
+    prems = [_trim(q) for q in p.premises]
+    if p.rule == "ImpI":
+        prem, ctx = _restore(prems[0], (s.goal.left,))
+        prems = [prem]
+    elif p.rule == "TensorE":
+        tprem, body = prems
+        t = tprem.conclusion.goal
+        body, rest = _restore(body, (t.left, t.right))
+        prems = [tprem, body]
+        ctx = tprem.conclusion.context + rest
+    else:
+        ctx = prems[0].conclusion.context + prems[1].conclusion.context
+    return ProofTree(Sequent(ctx, s.goal), p.rule, prems, p.inst)
+
+
+def _restore(p: ProofTree, need) -> tuple[ProofTree, tuple[Formula, ...]]:
+    """p weakened by each formula of the multiset `need` that its context
+    lacks, and that context less `need`."""
+    rest = list(p.conclusion.context)
+    for f in need:
+        if f in rest:
+            rest.remove(f)
+        else:
+            p = weaken(p, f)
+    return p, tuple(rest)
+
+
 # Bounded backward search
 
 
 class _Search:
-    __slots__ = ("theory", "refutes", "fail", "hit", "dneg")
+    __slots__ = ("theory", "refutes", "memo", "dneg")
 
     def __init__(self, theory: TheoryId, refutes: Callable[[Sequent], bool] | None = None):
         self.theory = theory
         self.refutes = refutes  # see `algebra.refuter`
-        self.fail: dict[Sequent, int] = {}
-        self.hit: dict[Sequent, ProofTree] = {}
+        # sequent -> [best proof or None, largest failed budget]
+        self.memo: dict[Sequent, list] = {}
         self.dneg: dict[Formula, Formula] = {}  # goal -> core_dneg(goal)
 
 
@@ -481,25 +538,27 @@ def _splits(ctx: tuple[Formula, ...], parts: int):
 def _search(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
     if depth <= 0:
         return None
-    got = st.hit.get(s)
-    if got is not None and got.height() <= depth:
-        return got
-    failed = st.fail.get(s)
-    if failed is None:
-        if got is None and st.refutes is not None and st.refutes(s):
-            st.fail[s] = float("inf")  # failed at every budget
+    # One lookup.  A new entry goes in before the rules run, so a search of
+    # the same sequent deeper down updates it in place.
+    entry = st.memo.get(s)
+    if entry is None:
+        if st.refutes is not None and st.refutes(s):
+            st.memo[s] = [None, float("inf")]  # failed at every budget
             return None
-    elif failed >= depth:
-        return None
+        st.memo[s] = entry = [None, 0]
+    else:
+        got, failed = entry
+        if got is not None and got.height() <= depth:
+            return got
+        if failed >= depth:
+            return None
 
     p = _try_all(s, depth, st)
     if p is None:
-        # fail[s] is below depth: it was at entry, and inner calls search shallower
-        st.fail[s] = depth
-    else:
-        old = st.hit.get(s)
-        if old is None or p.height() < old.height():
-            st.hit[s] = p
+        # the failed budget is below depth: it was at entry, and inner calls search shallower
+        entry[1] = depth
+    elif entry[0] is None or p.height() < entry[0].height():
+        entry[0] = p
     return p
 
 
@@ -533,7 +592,9 @@ def _try_all(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
     if depth == 1:
         return None
 
-    # ImpI
+    # ImpI.  It is invertible (residuation), so when its premise fails only
+    # the ImpE chains ending at the goal are tried after it: a chain may
+    # reach the goal in fewer levels.
     if isinstance(goal, Imp):
         sub = _search(Sequent(ctx + (goal.left,), goal.right), depth - 1, st)
         if sub is not None:
@@ -569,6 +630,8 @@ def _try_all(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
             p = _chain(d, args, rest, depth, st)
             if p is not None:
                 return p
+    if isinstance(goal, Imp):  # nothing follows ImpI and its chains
+        return None
 
     # Cut candidates licensed by DNE / EFQ.
     if dd is not None:
@@ -589,20 +652,20 @@ def _try_all(s: Sequent, depth: int, st: _Search) -> ProofTree | None:
             if depth >= 3:
                 return ProofTree(s, "ImpE", (minor, major), inst=(ONE, goal))
 
-    # TensorE on a context tensor.
+    # TensorE on a context tensor d.  It is invertible, so one search with
+    # the whole rest of the context; the part of the rest that the trimmed
+    # body does not use goes to d's AxASM premise.
     seen.clear()
     for d in ctx:
         if not isinstance(d, Tensor) or d in seen:
             continue
         seen.add(d)
         rest = _ctx_minus(ctx, (d,))
-        for extra, body_ctx in _splits(rest, 2):
-            tprem = ProofTree(Sequent((d,) + extra, d), "AxASM", inst=(d,))
-            body = _search(
-                Sequent(body_ctx + (d.left, d.right), goal), depth - 1, st
-            )
-            if body is not None:
-                return ProofTree(s, "TensorE", (tprem, body), inst=(d.left, d.right))
+        body = _search(Sequent(rest + (d.left, d.right), goal), depth - 1, st)
+        if body is not None:
+            body, used = _restore(_trim(body), (d.left, d.right))
+            tprem = ProofTree(Sequent((d,) + _ctx_minus(rest, used), d), "AxASM", inst=(d,))
+            return ProofTree(s, "TensorE", (tprem, body), inst=(d.left, d.right))
 
     # TensorE on a tensor obtained by applying a context implication.
     seen.clear()

@@ -19,6 +19,12 @@ def test_prove_found_and_not_found(capsys):
     assert main(["prove", "|- A -o A * A", "--theory", "ALm", "--depth", "6"]) == 1
 
 
+def test_prove_finds_an_implication_goal_by_a_chain_at_the_default_depth(capsys):
+    asked = r"((C /\ A) * A)^, C^ \/ A |- (A -o C^) \/ A"
+    assert main(["prove", asked, "--theory", "IL"]) == 0
+    assert "ImpE" in capsys.readouterr().out
+
+
 def test_prove_prints_no_proof_that_the_kernel_rejects(capsys, monkeypatch):
     import hooplog.cli as cli
     from hooplog.sequent import ProofTree, bounded_prove, parse_sequent

@@ -210,6 +210,53 @@ def test_weaken_adds_exactly_one_copy():
     )
 
 
+def test_trim_cuts_each_context_to_what_the_leaves_use():
+    C = Var("C")
+    p = bounded_prove(parse_sequent("A, A -o B |- B"), ALm, 4)
+    t = sequent._trim(weaken(weaken(p, C), A))
+    assert t.conclusion == p.conclusion and check_proof(t, ALm)
+    # a lemma leaf keeps no context
+    comm = parse_formula("A * B -o B * A")
+    assert admit(bounded_prove(Sequent((), comm), ALm, 6), ALm)
+    t = sequent._trim(_lemma(comm, comm, context=(B,)))
+    assert t.conclusion == Sequent((), comm) and check_proof(t, ALm)
+    # an antecedent that no leaf uses is put back into ImpI's premise
+    k = imp_i(ax_asm(A, (B, C)), B)
+    t = sequent._trim(k)
+    assert t.conclusion == parse_sequent("A |- B -o A") and check_proof(t, ALm)
+    assert t.premises[0].conclusion == parse_sequent("A, B |- A")
+
+
+@pytest.mark.parametrize(
+    "asked, tprem, body",
+    [
+        # the unused C goes to the tensor's AxASM premise
+        ("C, A * B |- A", "C, A * B |- A * B", "A, B |- A"),
+        # a repeated component, one copy unused
+        ("A * A |- A", "A * A |- A * A", "A, A |- A"),
+        # a body that uses neither component
+        ("A * B, C * D |- C", "A * B |- A * B", "A, B, C * D |- C"),
+    ],
+)
+def test_a_context_tensor_is_split_once_and_its_body_trimmed(asked, tprem, body):
+    s = parse_sequent(asked)
+    p = bounded_prove(s, ALm, 6)
+    assert p.rule == "TensorE" and check_proof(p, ALm) and p.conclusion == s
+    assert [q.conclusion for q in p.premises] == [parse_sequent(tprem), parse_sequent(body)]
+
+
+def test_an_implication_goal_falls_back_to_the_chains_ending_at_it():
+    """ImpI is final but for the ImpE chains whose tail is the goal: here one
+    proves an implication goal in fewer levels than ImpI, so the sequent is
+    proved at depth 10 (ImpI alone needs depth 11)."""
+    IL = theory_by_name("IL")
+    s = parse_sequent(r"((C /\ A) * A)^, C^ \/ A |- (A -o C^) \/ A")
+    core = Sequent([expand_derived(f) for f in s.context], expand_derived(s.goal))
+    p = bounded_prove(core, IL, 10)
+    assert p is not None and check_proof(p, IL) and p.conclusion == core
+    assert any(q.rule == "ImpE" and isinstance(q.conclusion.goal, Imp) for q in p.nodes())
+
+
 def test_bounded_prove_examples():
     assert bounded_prove(parse_sequent("|- A -o A"), ALm, 3) is not None
     assert bounded_prove(parse_sequent("|- A -o A * A"), ALm, 8) is None
@@ -500,7 +547,7 @@ def test_search_outcomes_are_pinned():
             text = "open"
         digest.update(f"{k} {t} {s!r}\n{text}\n".encode())
     assert Counter(kinds) == {"proved": 98, "refuted": 190, "open": 9}
-    assert digest.hexdigest() == "aa228d57a53085550492a68f897f5e933bf5ff38617e45201f92fb9a745338a2"
+    assert digest.hexdigest() == "d25576b3603d84be82decafd388ca65ac06c9a30f864c9bd51446a9a96cf9219"
 
 
 def test_a_search_leaves_no_cyclic_garbage():
