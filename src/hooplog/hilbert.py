@@ -3,24 +3,37 @@
 Each sequent theory has a Hilbert twin whose only rule is modus ponens; the
 base system has composition, commutativity, currying, uncurrying and
 weakening, and the extensions add EFQ, DNE, CWC or Con.  The Rose-Rosser
-system (A1-A4 over -o and ^ only) is registered alongside them.
+system (A1-A4 over -o and ^ only) is registered alongside them.  Each schema
+is written once, as a constructor over its variables (`_MAKE`): an axiom
+line is built by it, and `SCHEMAS` holds each constructor applied to the
+variables themselves.
 
 `sequent_to_hilbert` realises one direction of the equivalence between the
 two presentations constructively: by induction on the proof tree it keeps,
-for every node `x1, ..., xk |- G`, a derived formula
-`comb(x1, ..., xk) -o G` with `comb = x1 * (x2 * ... )`, and curries the
-result at the root.  The five base schemata serve as the combinators of the
-B, C, K reading of a Hilbert system (Troelstra and Schwichtenberg, *Basic
-Proof Theory*, ch. 6): Comp composes, Curry, Uncurry and Comm flip two
-antecedents, Wk drops one.  Every two-premise node, and every axiom leaf
-with context, goes through `_apply`: it applies a step
-`comb(o1) -o (X -o G)` to a premise `comb(o2) -o X`, chaining them into
-`comb(o1) -o (comb(o2) -o G)` and uncurrying `comb(o2)` into the comb one
-element of o1 at a time.  No step permutes a comb: ImpI curries its
-hypothesis out where it stands (`curry_out`, the mirror of that uncurrying),
-TensorE curries its two components out and uncurries them into their
-tensor, and the root curries the sorted context out one element at a time,
-last to second, leaving the first as the outermost antecedent.
+for every node, the context formulas `x1, ..., xk` that the node's leaves
+use, each once per use, and a derived formula `comb(x1, ..., xk) -o G` with
+`comb = x1 * (x2 * ... )`; an axiom leaf's comb holds only its schema's own
+formulas.  The five base schemata serve as the combinators of the B, C, K
+reading of a Hilbert system (Troelstra and Schwichtenberg, *Basic Proof
+Theory*, ch. 6): Comp composes, Curry, Uncurry and Comm flip two
+antecedents, and Wk curried is K.  A formula that no leaf uses is a vacuous
+abstraction, and it enters once, by K, where it is discharged (Hindley and
+Seldin, *Lambda-Calculus and Combinators*, 2008, ch. 2): `G -o (x -o G)`
+composed after the node for a vacuous ImpI hypothesis or a root context
+formula, and Wk on the tensor premise for a TensorE component that the body
+does not use (a premise neither of whose components is used is left out).
+A K over a closed identity `|- a -o a` is built from Comm, Wk and Curry
+(`k_ident`), without the identity's own lines.  Every two-premise node goes
+through `_apply`: it applies a step `comb(o1) -o (X -o G)` to a premise
+`comb(o2) -o X`, chaining them into `comb(o1) -o (comb(o2) -o G)` and
+uncurrying `comb(o2)` into the comb one element of o1 at a time; TensorI
+applies `a -o (b -o a * b)`, or its flip, to the premise with the shorter
+comb first.  No step permutes a comb: ImpI curries its hypothesis out where
+it stands (`curry_out`, the mirror of that uncurrying), TensorE curries its
+components out and uncurries them into their tensor, and the root curries
+the sorted context out one element at a time, last to first.  A subproof is
+translated once, and in place of each subproof that concludes its goal from
+at least its context, so a detour back to the same sequent is never built.
 
 `hilbert_to_sequent` replays the other direction, turning modus ponens into
 ImpE and each axiom instance into one `Lem` leaf.  It only builds: the one
@@ -28,9 +41,8 @@ validator of a derivation is `check_derivation`, which the replay calls
 first.  Each (schema, theory) sequent proof is found once and admitted by
 the kernel (`sequent.admit`) when `schema_proof` first builds it, so the
 leaf cites |- schema and the kernel checks that the line is an instance of
-it, in time linear in the schema, not in its proof.  An axiom line is built
-one way, as `substitute(SCHEMAS[name], sigma)`, and checked one way:
-`check_derivation` walks the schema against the line under its substitution
+it, in time linear in the schema, not in its proof.  `check_derivation`
+walks the schema against an axiom line under its substitution
 (`_is_instance`), building nothing, and tests an mp line by identity, which
 for interned formulas is equality.
 """
@@ -53,7 +65,6 @@ from .syntax import (
     format_formula,
     formula_key,
     parse_formula,
-    substitute,
 )
 from .sequent import (
     ProofTree,
@@ -67,39 +78,49 @@ from .sequent import (
 )
 from .theories import ALL_THEORIES, TheoryId
 
-_A, _B, _C = Var("A"), Var("B"), Var("C")
+# One constructor per schema, over its variables A, B, C in that order:
+# `_Builder.axiom` builds an instance with it, and SCHEMAS holds each schema
+# as its constructor applied to the variables themselves.
+_MAKE = {
+    "Comp": lambda A, B, C: Imp(Imp(A, B), Imp(Imp(B, C), Imp(A, C))),
+    "Comm": lambda A, B: Imp(Tensor(A, B), Tensor(B, A)),
+    "Curry": lambda A, B, C: Imp(Imp(Tensor(A, B), C), Imp(A, Imp(B, C))),
+    "Uncurry": lambda A, B, C: Imp(Imp(A, Imp(B, C)), Imp(Tensor(A, B), C)),
+    "Wk": lambda A, B: Imp(Tensor(A, B), A),
+    "EFQ": lambda A: Imp(ONE, A),
+    "DNE": lambda A: Imp(core_dneg(A), A),
+    "CWC": lambda A, B: Imp(Tensor(A, Imp(A, B)), Tensor(B, Imp(B, A))),
+    "Con": lambda A: Imp(A, Tensor(A, A)),
+    "A1": lambda A, B: Imp(A, Imp(B, A)),
+    "A2": lambda A, B, C: Imp(Imp(A, B), Imp(Imp(B, C), Imp(A, C))),
+    "A3": lambda A, B: Imp(Imp(Imp(A, B), B), Imp(Imp(B, A), A)),
+    "A4": lambda A, B: Imp(Imp(core_neg(A), core_neg(B)), Imp(B, A)),
+}
 
 SCHEMAS: dict[str, Formula] = {
-    "Comp": Imp(Imp(_A, _B), Imp(Imp(_B, _C), Imp(_A, _C))),
-    "Comm": Imp(Tensor(_A, _B), Tensor(_B, _A)),
-    "Curry": Imp(Imp(Tensor(_A, _B), _C), Imp(_A, Imp(_B, _C))),
-    "Uncurry": Imp(Imp(_A, Imp(_B, _C)), Imp(Tensor(_A, _B), _C)),
-    "Wk": Imp(Tensor(_A, _B), _A),
-    "EFQ": Imp(ONE, _A),
-    "DNE": Imp(core_dneg(_A), _A),
-    "CWC": Imp(
-        Tensor(_A, Imp(_A, _B)), Tensor(_B, Imp(_B, _A))
-    ),
-    "Con": Imp(_A, Tensor(_A, _A)),
-    "A1": Imp(_A, Imp(_B, _A)),
-    "A2": Imp(Imp(_A, _B), Imp(Imp(_B, _C), Imp(_A, _C))),
-    "A3": Imp(Imp(Imp(_A, _B), _B), Imp(Imp(_B, _A), _A)),
-    "A4": Imp(Imp(core_neg(_A), core_neg(_B)), Imp(_B, _A)),
+    name: make(*map(Var, "ABC"[: make.__code__.co_argcount])) for name, make in _MAKE.items()
 }
 
 
 def _is_instance(s: Formula, sigma: dict[str, Formula], f: Formula) -> bool:
-    """Whether f is substitute(s, sigma) for a core schema s, walking s
-    against f and building nothing."""
-    if isinstance(s, Var):
+    """Whether f is s with each variable X replaced by sigma.get(X, X), for
+    a core schema s, walking s against f and building nothing.  The walk is
+    unrolled one level: a variable child is looked up in place."""
+    if type(s) is Var:
         return sigma.get(s.name, s) is f
-    if isinstance(s, (Imp, Tensor)):
-        return (
-            type(f) is type(s)
-            and _is_instance(s.left, sigma, f.left)
-            and _is_instance(s.right, sigma, f.right)
-        )
-    return s is f  # the constant 1
+    if type(f) is not type(s):
+        return False
+    if type(s) is not Imp and type(s) is not Tensor:
+        return s is f  # the constant 1
+    sl, sr = s.left, s.right
+    if type(sl) is Var:
+        if sigma.get(sl.name, sl) is not f.left:
+            return False
+    elif not _is_instance(sl, sigma, f.left):
+        return False
+    if type(sr) is Var:
+        return sigma.get(sr.name, sr) is f.right
+    return _is_instance(sr, sigma, f.right)
 
 
 _BASE = ("Comp", "Comm", "Curry", "Uncurry", "Wk")
@@ -142,7 +163,8 @@ def check_derivation(d: HilbertDerivation, system: str) -> Verdict:
         schemas = SYSTEMS[system]
     except KeyError:
         raise ValueError(f"unknown Hilbert system {system!r}")
-    for n, (f, just) in enumerate(d.lines):
+    lines = d.lines
+    for n, (f, just) in enumerate(lines):
         if just[0] == "axiom":
             _, name, subst = just
             if name not in schemas:
@@ -153,8 +175,8 @@ def check_derivation(d: HilbertDerivation, system: str) -> Verdict:
             _, i, j = just
             if not (0 <= i < n and 0 <= j < n):
                 return Verdict(False, f"line {n + 1}: mp premises must be earlier")
-            g = d.lines[j][0]
-            if not (type(g) is Imp and g.left is d.lines[i][0] and g.right is f):
+            g = lines[j][0]
+            if not (type(g) is Imp and g.left is lines[i][0] and g.right is f):
                 return Verdict(
                     False,
                     f"line {n + 1}: line {j + 1} is not (line {i + 1}) -o this line",
@@ -214,7 +236,7 @@ class _Builder:
     The comb combinators: `uncurry_comb` joins two combs, the last step of
     `_apply`, through which every two-premise node goes, and `curry_out`
     takes one element out of a comb into the goal, the only way a comb is
-    reordered (`_curry_out` applies its steps to a node's line by mp, with
+    reordered (`_discharge` applies its steps to a node's line by mp, with
     no composition at the top)."""
 
     def __init__(self, schemas: tuple[str, ...]):
@@ -223,61 +245,63 @@ class _Builder:
         self.by_formula: dict[Formula, int] = {}
 
     def extract(self, ref: Ref) -> HilbertDerivation:
-        """The sub-derivation reachable from ref, renumbered."""
-        needed: set[int] = set()
-        stack = [self.line(ref)]
-        while stack:
-            k = stack.pop()
-            if k in needed:
-                continue
-            needed.add(k)
-            just = self.lines[k][1]
-            if just[0] == "mp":
-                stack.extend(just[1:])
-        keep = sorted(needed)
-        renum = {old: new for new, old in enumerate(keep)}
+        """The sub-derivation reachable from ref, renumbered: one backward
+        pass marks the premises of each needed line."""
+        top = self.line(ref)
+        lines = self.lines
+        needed = bytearray(top + 1)
+        needed[top] = 1
+        for k in range(top, -1, -1):
+            if needed[k]:
+                just = lines[k][1]
+                if just[0] == "mp":
+                    needed[just[1]] = needed[just[2]] = 1
+        if needed.count(1) == len(lines):
+            return HilbertDerivation(tuple(lines))
+        renum = [0] * (top + 1)
         out = []
-        for old in keep:
-            f, just = self.lines[old]
-            if just[0] == "mp":
-                just = ("mp", renum[just[1]], renum[just[2]])
-            out.append((f, just))
+        for k in range(top + 1):
+            if needed[k]:
+                renum[k] = len(out)
+                f, just = lines[k]
+                if just[0] == "mp":
+                    just = ("mp", renum[just[1]], renum[just[2]])
+                out.append((f, just))
         return HilbertDerivation(tuple(out))
 
     def _emit(self, f: Formula, just: Justification) -> int:
         got = self.by_formula.get(f)
-        if got is not None:
-            return got
-        self.lines.append((f, just))
-        idx = len(self.lines) - 1
-        self.by_formula[f] = idx
-        return idx
+        if got is None:
+            got = self.by_formula[f] = len(self.lines)
+            self.lines.append((f, just))
+        return got
 
     def axiom(self, name: str, **subst: Formula) -> int:
         if name not in self.schemas:
             raise FormulaError(f"schema {name} unavailable in this system")
-        return self._emit(substitute(SCHEMAS[name], subst), ("axiom", name, subst))
+        return self._emit(_MAKE[name](**subst), ("axiom", name, subst))
 
     def mp(self, i: Ref, j: Ref) -> Ref:
         fi = self.formula(i)
-        if isinstance(j, _Id):
-            if j.a != fi:
+        if type(j) is _Id:
+            if j.a is not fi:
                 raise FormulaError("mp: major premise does not match")
             return i
         fj = self.lines[j][0]
-        if not (isinstance(fj, Imp) and fj.left == fi):
+        if type(fj) is not Imp or fj.left is not fi:
             raise FormulaError("mp: major premise does not match")
-        return self._emit(fj.right, ("mp", self.line(i), j))
+        return self._emit(fj.right, ("mp", self.line(i) if type(i) is _Id else i, j))
 
     def formula(self, i: Ref) -> Formula:
-        if isinstance(i, _Id):
+        if type(i) is _Id:
             return Imp(i.a, i.a)
         return self.lines[i][0]
 
-    def line(self, i: Ref) -> int:
+    def line(self, i: Ref, thm: int | None = None) -> int:
         """The line index of i, emitting an identity's lines on first need:
         two commutations for a tensor, uncurry then curry for a curried
-        implication, else a K instance flipped against a * a -o a."""
+        implication, else `k_ident` applied to a theorem: the line thm, or
+        a * a -o a."""
         if not isinstance(i, _Id):
             return i
         a = i.a
@@ -292,12 +316,9 @@ class _Builder:
             return self.comp(
                 self.axiom("Uncurry", A=x, B=y, C=z), self.axiom("Curry", A=x, B=y, C=z)
             )
-        thm = self.axiom("Wk", A=a, B=a)  # the stock theorem t := a * a -o a
-        t = self.formula(thm)
-        k2 = self.mp(
-            self.axiom("Wk", A=a, B=t), self.axiom("Curry", A=a, B=t, C=a)
-        )  # a -o (t -o a)
-        return self.mp(thm, self.c_rule(k2))
+        if thm is None:
+            thm = self.axiom("Wk", A=a, B=a)  # the stock theorem a * a -o a
+        return self.mp(thm, self.k_ident(self.formula(thm), a))
 
     # Derived combinators.
 
@@ -324,6 +345,16 @@ class _Builder:
         swapped = self.comp(comm, unc)  # y*x -o z
         return self.mp(swapped, self.axiom("Curry", A=y, B=x, C=z))
 
+    def k(self, g: Formula, x: Formula) -> int:
+        """|- g -o (x -o g): K, as Wk(g, x) curried."""
+        return self.mp(self.axiom("Wk", A=g, B=x), self.axiom("Curry", A=g, B=x, C=g))
+
+    def k_ident(self, x: Formula, a: Formula) -> int:
+        """|- x -o (a -o a), the K over an identity, without the identity's
+        own lines: x * a -o a * x -o a, curried."""
+        dropped = self.comp(self.axiom("Comm", A=x, B=a), self.axiom("Wk", A=a, B=x))
+        return self.mp(dropped, self.axiom("Curry", A=x, B=a, C=a))
+
     def lift(self, c: Formula, i: Ref) -> Ref:
         """From |- P -o Q conclude |- (C -o P) -o (C -o Q)."""
         if isinstance(i, _Id):
@@ -333,9 +364,14 @@ class _Builder:
         return self.mp(i, self.c_rule(step))
 
     def pair(self, a: Formula, b: Formula) -> int:
-        """|- a -o (b -o a * b)."""
+        """|- a -o (b -o a * b), from the identity on a * b."""
         t = Tensor(a, b)
         return self.mp(self.ident(t), self.axiom("Curry", A=a, B=b, C=t))
+
+    def pair_flipped(self, a: Formula, b: Formula) -> int:
+        """|- b -o (a -o a * b), from b * a -o a * b."""
+        t = Tensor(a, b)
+        return self.mp(self.axiom("Comm", A=b, B=a), self.axiom("Curry", A=b, B=a, C=t))
 
     def pre(self, i: Ref, goal: Formula) -> Ref:
         """From |- X -o Y conclude |- (Y -o goal) -o (X -o goal): one Comp
@@ -418,96 +454,181 @@ def sequent_to_hilbert(
     v = check_proof(p, theory)
     if not v:
         raise FormulaError(f"sequent proof does not check: {v.message}")
-    b = _Builder(system_for(theory))
-    node = _translate(p, b)
-    order = sorted(node.order, key=formula_key)
-    idx, rest, goal = node.idx, node.order, p.conclusion.goal
-    # the sorted order's elements curried out last to second; the one left
-    # is the outermost antecedent
-    for x in reversed(order[1:]):
-        idx, rest, goal = _curry_out(b, idx, rest, x, goal)
-    want = curry_sequent(p.conclusion, order)
-    if b.formula(idx) != want:
+    b = _Builder(SYSTEMS[f"H-{theory.name}"])
+    node = _Translation(p, b).node(p)
+    order = list(p.conclusion.context)
+    goal = p.conclusion.goal
+    # the sorted context last to first: a used formula curried out of the
+    # comb, an unused one weakened in by K
+    for x in reversed(order):
+        if x in node.order:
+            node = _discharge(b, node, x, goal)
+        else:
+            node = _weaken(b, node, x, goal)
+        goal = Imp(x, goal)
+    idx = node.idx
+    if b.formula(idx) != curry_sequent(p.conclusion, order):
         raise FormulaError("internal translation error: wrong final formula")
     return b.extract(idx), order
 
 
-def _translate(p: ProofTree, b: _Builder) -> _Node:
+class _Translation:
+    """The nodes of one proof's subproofs.  In place of each subproof, the
+    lowest one that concludes its goal from a sub-multiset of its context
+    is translated (so a detour back to the same sequent is never built),
+    and each once."""
+
+    def __init__(self, root: ProofTree, b: _Builder):
+        self.b = b
+        self.memo: dict[ProofTree, _Node] = {}
+        self.short: dict[ProofTree, ProofTree] = {}
+        by_goal: dict[Formula, list[ProofTree]] = {}
+        stack = [root]
+        while stack:
+            p = stack.pop()
+            by_goal.setdefault(p.conclusion.goal, []).append(p)
+            stack += p.premises
+        for nodes in by_goal.values():
+            if len(nodes) > 1:
+                # lowest first, ties in walk order: each node's choice is
+                # its own choice's choice, and lower than any node it
+                # contains, so the recursion ends
+                nodes.sort(key=ProofTree.height)
+                for i, p in enumerate(nodes):
+                    ctx = p.conclusion.context
+                    for q in nodes[:i]:
+                        qc = q.conclusion.context
+                        if qc == ctx or len(qc) < len(ctx) and _ctx_minus(ctx, qc) is not None:
+                            self.short[p] = q
+                            break
+
+    def node(self, p: ProofTree) -> _Node:
+        p = self.short.get(p, p)
+        got = self.memo.get(p)
+        if got is None:
+            got = self.memo[p] = _translate(p, self)
+        return got
+
+
+def _translate(p: ProofTree, tr: _Translation) -> _Node:
+    """The node of p: its comb lists the context formulas that p's leaves
+    use, each once per use; the rest of p's context is weakened in where
+    it is discharged."""
+    b = tr.b
     rule = p.rule
     s = p.conclusion
     if rule == "AxASM":
-        return _asm(b, s.context, s.goal)
-    # an axiom |- hyp -o goal applied to the leaf hyp, weakened
+        return _Node([s.goal], b.ident(s.goal))
+    # an axiom |- hyp -o goal over its own hypothesis
     if rule == "AxCON":
-        con = b.axiom("Con", A=s.goal.left)
-        return _apply(b, _Node([], con), _asm(b, s.context, s.goal.left), s.goal)
+        return _Node([s.goal.left], b.axiom("Con", A=s.goal.left))
     if rule == "AxEFQ":
-        efq = b.axiom("EFQ", A=s.goal)
-        return _apply(b, _Node([], efq), _asm(b, s.context, ONE), s.goal)
+        return _Node([ONE], b.axiom("EFQ", A=s.goal))
     if rule == "AxDNE":
-        dne = b.axiom("DNE", A=s.goal)
-        return _apply(b, _Node([], dne), _asm(b, s.context, core_dneg(s.goal)), s.goal)
+        return _Node([core_dneg(s.goal)], b.axiom("DNE", A=s.goal))
     if rule == "AxCWC":
         bb, a = s.goal.left, s.goal.right.right
-        ab = Imp(a, bb)
-        rest = _ctx_minus(s.context, (a,))
-        cwc = b.axiom("CWC", A=a, B=bb)
-        if rest == (ab,):
-            return _Node([a, ab], cwc)
-        curried = b.mp(cwc, b.axiom("Curry", A=a, B=ab, C=s.goal))  # a -o (ab -o goal)
-        return _apply(b, _Node([a], curried), _asm(b, rest, ab), s.goal)
+        return _Node([a, Imp(a, bb)], b.axiom("CWC", A=a, B=bb))
     if rule == "ImpI":
-        sub = _translate(p.premises[0], b)
-        if len(sub.order) == 1:
-            return _Node([], sub.idx)
-        idx, order, _ = _curry_out(b, sub.idx, sub.order, s.goal.left, s.goal.right)
-        return _Node(order, idx)
+        sub = tr.node(p.premises[0])
+        a, g = s.goal.left, s.goal.right
+        if a not in sub.order:  # a vacuous hypothesis: one K
+            return _weaken(b, sub, a, g)
+        return _discharge(b, sub, a, g)
     if rule == "ImpE":
-        minor = _translate(p.premises[0], b)
-        major = _translate(p.premises[1], b)
+        minor = tr.node(p.premises[0])
+        major = tr.node(p.premises[1])
         return _apply(b, major, minor, s.goal)
     if rule == "TensorI":
-        l = _translate(p.premises[0], b)
-        r = _translate(p.premises[1], b)
+        l = tr.node(p.premises[0])
+        r = tr.node(p.premises[1])
         a = p.premises[0].conclusion.goal
         bb = p.premises[1].conclusion.goal
-        # comb(l) -o (b -o a*b), from a -o (b -o a*b)
-        part = _apply(b, _Node([], b.pair(a, bb)), l, Imp(bb, s.goal))
-        return _apply(b, part, r, s.goal)
+        # the premise with the shorter comb first, as `_apply` joins the
+        # first one's comb element by element
+        if len(l.order) < len(r.order):  # comb(l) -o (b -o a*b)
+            part = _apply(b, _Node([], b.pair(a, bb)), l, Imp(bb, s.goal))
+            return _apply(b, part, r, s.goal)
+        # comb(r) -o (a -o a*b)
+        part = _apply(b, _Node([], b.pair_flipped(a, bb)), r, Imp(a, s.goal))
+        return _apply(b, part, l, s.goal)
     if rule == "TensorE":
-        tprem = _translate(p.premises[0], b)
-        body = _translate(p.premises[1], b)
-        t = p.premises[0].conclusion.goal
-        a, bb = t.left, t.right
-        goal = s.goal
-        if body.order == [a, bb]:  # its comb is exactly a*b
-            curried, rest = body.idx, []
-        else:
-            # b, then a, curried out of the body: comb(rest) -o (a -o (b -o goal))
-            idx, order, g = _curry_out(b, body.idx, body.order, bb, goal)
-            unc = b.axiom("Uncurry", A=a, B=bb, C=goal)
-            if len(order) == 1:  # order == [a]
-                curried, rest = b.mp(idx, unc), []
-            else:
-                idx, rest, _ = _curry_out(b, idx, order, a, g)
-                curried = b.comp(idx, unc)  # comb(rest) -o (a*b -o goal)
-        return _apply(b, _Node(rest, curried), tprem, goal)
+        return _tensor_e(p, tr)
     raise FormulaError(f"unknown rule {rule!r}")
 
 
-def _asm(b: _Builder, ctx: tuple[Formula, ...], hyp: Formula) -> _Node:
-    """The node for the ASM leaf ctx |- hyp: an identity, or hyp with the
-    rest of ctx weakened away."""
-    gamma = list(_ctx_minus(ctx, (hyp,)))
-    if not gamma:
-        return _Node([hyp], b.ident(hyp))
-    return _Node([hyp] + gamma, b.axiom("Wk", A=hyp, B=_comb(gamma)))
+def _tensor_e(p: ProofTree, tr: _Translation) -> _Node:
+    """The body with its used components curried out and the tensor premise
+    applied: as a*b when both are used, weakened by Wk to the one that is,
+    and left out when neither is."""
+    b = tr.b
+    body = tr.node(p.premises[1])
+    t = p.premises[0].conclusion.goal
+    a, bb = t.left, t.right
+    goal = p.conclusion.goal
+    rest = list(body.order)
+    used = []
+    for x in (a, bb):
+        if x in rest:
+            rest.remove(x)
+            used.append(x)
+    if not used:
+        return body
+    tprem = tr.node(p.premises[0])
+    if len(used) == 1:
+        (x,) = used
+        if x is a:  # a * b -o a
+            drop = b.axiom("Wk", A=a, B=bb)
+        else:  # a * b -o b * a -o b
+            drop = b.comp(b.axiom("Comm", A=a, B=bb), b.axiom("Wk", A=bb, B=a))
+        weakened = b.comp(tprem.idx, drop) if tprem.order else b.mp(tprem.idx, drop)
+        return _apply(b, _discharge(b, body, x, goal), _Node(tprem.order, weakened), goal)
+    if body.order == [a, bb]:  # its comb is exactly a*b
+        curried = body.idx
+    elif body.order == [bb, a]:  # a*b -o b*a, then the body
+        curried = b.comp(b.axiom("Comm", A=a, B=bb), body.idx)
+    else:
+        # both curried out of the body, the one at its head first (the
+        # cheap flip), then uncurried into a*b -o goal
+        if body.order[0] is a and a is not bb:  # comb(rest) -o (b -o (a -o goal))
+            n = _discharge(b, _discharge(b, body, a, goal), bb, Imp(a, goal))
+            unc = b.comp(
+                b.axiom("Uncurry", A=bb, B=a, C=goal), b.pre(b.axiom("Comm", A=a, B=bb), goal)
+            )
+        else:  # comb(rest) -o (a -o (b -o goal))
+            n = _discharge(b, _discharge(b, body, bb, goal), a, Imp(bb, goal))
+            unc = b.axiom("Uncurry", A=a, B=bb, C=goal)
+        curried = b.comp(n.idx, unc) if n.order else b.mp(n.idx, unc)
+    return _apply(b, _Node(rest, curried), tprem, goal)
+
+
+def _weaken(b: _Builder, n: _Node, x: Formula, goal: Formula) -> _Node:
+    """From n, |- comb(order) -o goal with x not in order: the node of
+    |- comb(order) -o (x -o goal), K composed after n's line, or applied to
+    it when order is empty.  A closed identity takes `k_ident`, which emits
+    none of the identity's lines."""
+    if not n.order and isinstance(n.idx, _Id):
+        return _Node([], b.k_ident(x, n.idx.a))
+    k = b.k(goal, x)
+    return _Node(n.order, b.comp(n.idx, k) if n.order else b.mp(n.idx, k))
 
 
 def _apply(b: _Builder, f: _Node, x: _Node, goal: Formula) -> _Node:
     """From a step f, |- comb(f.order) -o (X -o goal), and a premise x,
     |- comb(x.order) -o X, the node for f.order ++ x.order.  A node with an
-    empty order proves its formula without a comb."""
+    empty order proves its formula without a comb.  A premise that is a
+    closed identity |- c -o c is never cited as such: its lines would be
+    built only to be applied."""
+    if not x.order and isinstance(x.idx, _Id):
+        c = x.idx.a
+        if not isinstance(f.idx, _Id):  # f's line is a theorem at hand
+            x = _Node([], b.line(x.idx, f.idx))
+        elif f.order:  # f is d |- d, d = (c -o c) -o goal
+            # d -o (t -o goal) from t -o (c -o c), for the stock theorem
+            # t := c * c -o c, flipped and applied to t
+            thm = b.axiom("Wk", A=c, B=c)
+            pre = b.pre(b.k_ident(b.formula(thm), c), goal)
+            return _Node(f.order, b.mp(thm, b.c_rule(pre)))
     if not f.order:
         if not x.order:
             return _Node([], b.mp(x.idx, f.idx))
@@ -520,17 +641,19 @@ def _apply(b: _Builder, f: _Node, x: _Node, goal: Formula) -> _Node:
     return _Node(f.order + x.order, b.mp(chained, b.uncurry_comb(f.order, x.order, goal)))
 
 
-def _curry_out(
-    b: _Builder, idx: Ref, order: list[Formula], x: Formula, goal: Formula
-) -> tuple[Ref, list[Formula], Formula]:
-    """From |- comb(order) -o goal at idx, with x in order and at least one
-    more element: |- comb(order less x) -o (x -o goal), each step of
-    `curry_out_steps` applied by mp, with no composition at the top.
-    Returns the new line, order less x and x -o goal."""
+def _discharge(b: _Builder, n: _Node, x: Formula, goal: Formula) -> _Node:
+    """From n, |- comb(order) -o goal with x in order: the node of
+    |- comb(order less x) -o (x -o goal).  For order [x] that is n's own
+    line, else each step of `curry_out_steps` applied to n's line by mp,
+    with no composition at the top."""
+    order = n.order
+    if len(order) == 1:
+        return _Node([], n.idx)
     k = order.index(x)
+    idx = n.idx
     for step in b.curry_out_steps(order, k, goal):
         idx = b.mp(idx, step)
-    return idx, order[:k] + order[k + 1 :], Imp(x, goal)
+    return _Node(order[:k] + order[k + 1 :], idx)
 
 
 # Hilbert -> sequent replay
@@ -557,17 +680,18 @@ def schema_proof(name: str, theory: TheoryId) -> ProofTree:
 def hilbert_to_sequent(d: HilbertDerivation, theory: TheoryId) -> ProofTree:
     """Replay a derivation as a sequent proof of |- final line: an axiom
     line is a `Lem` leaf concluding it and citing its schema, whose proof
-    `schema_proof` admits on first use, and an mp line is ImpE.  The
-    derivation is checked first, by `check_derivation` in the theory's
-    system; a rejected one raises FormulaError with its message, which
-    names the line."""
+    `schema_proof` admits on first use (one call per distinct schema), and
+    an mp line is ImpE.  The derivation is checked first, by
+    `check_derivation` in the theory's system; a rejected one raises
+    FormulaError with its message, which names the line."""
     v = check_derivation(d, f"H-{theory.name}")
     if not v:
         raise FormulaError(v.message)
+    for name in dict.fromkeys(just[1] for _, just in d.lines if just[0] == "axiom"):
+        schema_proof(name, theory)
     proofs: list[ProofTree] = []
     for f, just in d.lines:
         if just[0] == "axiom":
-            schema_proof(just[1], theory)  # admits |- schema on first use
             proofs.append(ProofTree(Sequent((), f), "Lem", inst=(SCHEMAS[just[1]],)))
         else:
             proofs.append(imp_e(proofs[just[1]], proofs[just[2]]))

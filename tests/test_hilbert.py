@@ -26,6 +26,7 @@ from hooplog.sequent import (
     bounded_prove,
     check_proof,
     format_proof,
+    imp_e,
     imp_i,
     parse_proof,
     parse_sequent,
@@ -274,6 +275,28 @@ def test_seeded_round_trip_over_three_to_five_context_formulas():
         proved += 1
     assert proved >= 50
     assert {"TensorE", "TensorI", "ImpI", "ImpE"} <= rules
+    # and each place a formula the leaves do not use is weakened in by K
+    for p in _WEAKENINGS:
+        assert check_proof(p, ALm)
+        _assert_round_trip(p, ALm)
+
+
+_WEAKENINGS = [
+    # a vacuous ImpI over an empty comb: |- C -o A -o B -o A
+    imp_i(imp_i(imp_i(ax_asm(A, (B, C)), B), A), C),
+    # over a non-empty comb, an assumption's (A |- C -o A) and a line's
+    # (A, A -o B |- C -o B)
+    imp_i(ax_asm(A, (C,)), C),
+    imp_i(imp_e(ax_asm(A), ax_asm(Imp(A, B), (C,))), C),
+    # over a closed identity: |- C -o A -o A
+    imp_i(imp_i(ax_asm(A, (C,)), A), C),
+    # TensorE with one copy of A * A used
+    tensor_e(ax_asm(Tensor(A, A)), ax_asm(A, (A,))),
+    # root contexts with unused and repeated formulas: B, B, A * B, A, A |- A
+    # and A, A, B, B, A -o B |- B
+    ax_asm(A, (B, B, Tensor(A, B), A)),
+    imp_e(ax_asm(A, (A, B)), ax_asm(Imp(A, B), (B,))),
+]
 
 
 _AA, _BB = Imp(A, A), Imp(B, B)
@@ -286,8 +309,12 @@ _AA, _BB = Imp(A, A), Imp(B, B)
         tensor_i(ax_asm(_BB), ax_asm(_AA)),
         tensor_i(tensor_i(ax_asm(C), ax_asm(_BB)), ax_asm(_AA)),
         tensor_i(tensor_i(ax_asm(_AA), ax_asm(C)), ax_asm(_BB)),
+        # one component unused, or both
+        ax_asm(_AA, (_BB,)),
+        ax_asm(_BB, (_AA,)),
+        ax_asm(C, (_AA, _BB)),
     ],
-    ids=["a,b", "b,a", "C,b,a", "a,C,b"],
+    ids=["a,b", "b,a", "C,b,a", "a,C,b", "a", "b", "C"],
 )
 @pytest.mark.parametrize("closed", [False, True], ids=["assumed", "closed"])
 def test_tensor_e_translates_wherever_its_components_sit(body, closed):
@@ -314,10 +341,11 @@ _AXIOM_LEAVES = [
 
 
 @pytest.mark.parametrize("leaf,theory,own", _AXIOM_LEAVES, ids=["ASM", "CON", "EFQ", "DNE", "CWC"])
-@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
 def test_axiom_leaves_translate_with_extra_context(leaf, theory, own, extra):
-    # the extra context: a tensor, then a repeat of the axiom's own formula
-    p = leaf((Tensor(A, B), own)[:extra])
+    # the extra context, none of it used: a tensor, a repeat of the axiom's
+    # own formula, then the tensor again
+    p = leaf((Tensor(A, B), own, Tensor(A, B))[:extra])
     assert check_proof(p, theory)
     _assert_round_trip(p, theory)
 
@@ -327,25 +355,35 @@ def test_derivation_lengths_stay_within_their_pins(corpus):
     # that emits more lines fails here.
     from hooplog.corpus.builtins import _collect_proofs
 
-    # TensorE with its components behind the rest: body order [C, B, A]
+    # TensorE with its components behind the rest: body (C * B) * A, and
+    # C * (B * A)
     body = tensor_i(tensor_i(ax_asm(C), ax_asm(B)), ax_asm(A))
     tensor_e_behind = tensor_e(ax_asm(Tensor(A, B)), body)
-    assert len(sequent_to_hilbert(tensor_e_behind, ALm)[0]) <= 51
-    # an AxCWC leaf with one formula of context
-    assert len(sequent_to_hilbert(ax_cwc(A, B, (C,)), LLm)[0]) <= 27
-    # ImpI discharging the last of three hypotheses: premise order [A, B, C]
+    assert len(sequent_to_hilbert(tensor_e_behind, ALm)[0]) <= 33
+    body = tensor_i(ax_asm(C), tensor_i(ax_asm(B), ax_asm(A)))
+    assert len(sequent_to_hilbert(tensor_e(ax_asm(Tensor(A, B)), body), ALm)[0]) <= 13
+    # TensorE with one component unused: the tensor weakened, one Wk
+    assert len(sequent_to_hilbert(tensor_e(ax_asm(Tensor(A, B)), ax_asm(A, (B,))), ALm)[0]) <= 1
+    # an AxCWC leaf with one formula of context, weakened in at the root
+    assert len(sequent_to_hilbert(ax_cwc(A, B, (C,)), LLm)[0]) <= 9
+    # A, B, C |- A: two unused formulas, each one K
+    assert len(sequent_to_hilbert(ax_asm(A, (B, C)), ALm)[0]) <= 9
+    # ImpI discharging the last of three hypotheses, one of them unused
     impi = bounded_prove(parse_sequent("A, B |- C -o A"), ALm, 4)
-    assert impi.rule == "ImpI" and len(sequent_to_hilbert(impi, ALm)[0]) <= 15
+    assert impi.rule == "ImpI" and len(sequent_to_hilbert(impi, ALm)[0]) <= 9
+    # a K over the closed identity |- B -o B, without its lines
+    vacuous = bounded_prove(parse_sequent("|- (A -o A) -o B -o B"), ALm, 4)
+    assert vacuous.rule == "ImpI" and len(sequent_to_hilbert(vacuous, ALm)[0]) <= 7
     # TensorI whose premises both carry context
     left = bounded_prove(parse_sequent("A, A -o B |- B"), ALm, 4)
     right = bounded_prove(parse_sequent("C, C -o D |- D"), ALm, 4)
     both = tensor_i(left, right)
     _assert_round_trip(both, ALm)
-    assert len(sequent_to_hilbert(both, ALm)[0]) <= 105
-    assert sum(len(t[3]) for t in _seeded_translations()) <= 2146
+    assert len(sequent_to_hilbert(both, ALm)[0]) <= 87
+    assert sum(len(t[3]) for t in _seeded_translations()) <= 1542
     proofs = list(_collect_proofs(corpus))
     assert len(proofs) == 55
-    assert sum(len(sequent_to_hilbert(tree, theory)[0]) for _, tree, theory in proofs) <= 1210
+    assert sum(len(sequent_to_hilbert(tree, theory)[0]) for _, tree, theory in proofs) <= 1149
 
 
 def _random_context(rng, n):
